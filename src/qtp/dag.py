@@ -147,12 +147,27 @@ def load_graph(path: str | Path) -> GraphData:
         graph = GraphData(
             name=str(raw["name"]),
             num_qubits=int(raw["num_qubits"]),
-            features=feats.reshape(-1, FEATURE_DIM),
+            features=feats,
             edges=edges,
             label=None if raw.get("label") is None else int(raw["label"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FeaturizeError(f"{path}: malformed graph file ({exc})") from None
+    if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
+        raise FeaturizeError(f"{path}: nodes must be {FEATURE_DIM}-wide rows, got {feats.shape}")
+    if not 1 <= graph.num_qubits <= MAX_FEATURE_QUBITS:
+        raise FeaturizeError(
+            f"{path}: num_qubits {graph.num_qubits} is outside 1..{MAX_FEATURE_QUBITS}"
+        )
+    gates = feats[:, :GATE_SLOTS]
+    qubits = feats[:, GATE_SLOTS : GATE_SLOTS + MAX_FEATURE_QUBITS]
+    angles = feats[:, GATE_SLOTS + MAX_FEATURE_QUBITS :]
+    if not (((gates == 0.0) | (gates == 1.0)).all() and (gates.sum(axis=1) == 1.0).all()):
+        raise FeaturizeError(f"{path}: every node needs exactly one gate slot set to 1")
+    if not ((qubits == 0.0) | (qubits == 1.0)).all() or qubits[:, graph.num_qubits :].any():
+        raise FeaturizeError(f"{path}: qubit slots must be 0/1 and below num_qubits")
+    if not ((angles >= 0.0) & (angles < 1.0)).all():
+        raise FeaturizeError(f"{path}: angle slots must lie in [0, 1)")
     if graph.edges.size and (graph.edges.min() < 0 or graph.edges.max() >= graph.num_nodes):
         raise FeaturizeError(f"{path}: edge endpoint out of range")
     return graph

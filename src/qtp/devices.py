@@ -35,9 +35,9 @@ class DeviceProfile:
     coupling: str | tuple[tuple[int, int], ...]  # "all-to-all" or undirected pairs
     fidelity_1q: dict[str, float]
     fidelity_2q: float | dict[tuple[int, int], float]
-    t1_us: float | None = None
-    t2_us: float | None = None
     _adjacency: dict[int, tuple[int, ...]] = field(default=None, repr=False, compare=False)
+    # hop counts between every pair, -1 when unreachable; None for all-to-all
+    _distance: tuple[tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.technology not in TECHNOLOGIES:
@@ -62,6 +62,19 @@ class DeviceProfile:
                         raise DeviceError(f"coupling qubit {q} out of range")
                 adjacency.setdefault(a, []).append(b)
                 adjacency.setdefault(b, []).append(a)
+            table = []
+            for src in range(self.num_qubits):
+                dist = [-1] * self.num_qubits
+                dist[src] = 0
+                frontier = deque([src])
+                while frontier:
+                    v = frontier.popleft()
+                    for w in adjacency.get(v, ()):
+                        if dist[w] < 0:
+                            dist[w] = dist[v] + 1
+                            frontier.append(w)
+                table.append(tuple(dist))
+            object.__setattr__(self, "_distance", tuple(table))
         object.__setattr__(
             self,
             "_adjacency",
@@ -100,17 +113,10 @@ class DeviceProfile:
             return 0
         if self.coupling == "all-to-all":
             return 1
-        dist = {a: 0}
-        frontier = deque([a])
-        while frontier:
-            v = frontier.popleft()
-            for w in self.neighbors(v):
-                if w == b:
-                    return dist[v] + 1
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    frontier.append(w)
-        raise DeviceError(f"qubits {a} and {b} are not connected on {self.name}")
+        d = self._distance[a][b]
+        if d < 0:
+            raise DeviceError(f"qubits {a} and {b} are not connected on {self.name}")
+        return d
 
     # --- fidelities ---------------------------------------------------------
 
@@ -181,14 +187,12 @@ def load_profile(source: str | Path | dict) -> DeviceProfile:
         coupling=coupling,
         fidelity_1q={str(g): float(f) for g, f in raw["fidelity_1q"].items()},
         fidelity_2q=f2q,
-        t1_us=None if raw.get("t1_us") is None else float(raw["t1_us"]),
-        t2_us=None if raw.get("t2_us") is None else float(raw["t2_us"]),
     )
 
 
 def save_profile(profile: DeviceProfile) -> dict:
     """Profile back to its JSON shape; load_profile(save_profile(p)) == p."""
-    out: dict = {
+    return {
         "name": profile.name,
         "technology": profile.technology,
         "num_qubits": profile.num_qubits,
@@ -204,37 +208,6 @@ def save_profile(profile: DeviceProfile) -> dict:
             else profile.fidelity_2q
         ),
     }
-    if profile.t1_us is not None:
-        out["t1_us"] = profile.t1_us
-    if profile.t2_us is not None:
-        out["t2_us"] = profile.t2_us
-    return out
-
-
-def heavy_hex_coupling(rows: int, row_len: int, limit: int | None = None) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Heavy-hex style lattice: qubit rows joined by rung qubits every 4 columns.
-
-    Returns (num_qubits, edges).  Row qubits come first in row-major order,
-    rung qubits after; `limit` trims trailing rung qubits to hit an exact
-    device size.
-    """
-    if rows < 1 or row_len < 2:
-        raise DeviceError("heavy-hex needs rows >= 1 and row_len >= 2")
-    edges: list[tuple[int, int]] = []
-    for r in range(rows):
-        base = r * row_len
-        edges.extend((base + c, base + c + 1) for c in range(row_len - 1))
-    next_id = rows * row_len
-    for gap in range(rows - 1):
-        offset = 0 if gap % 2 == 0 else 2
-        for col in range(offset, row_len, 4):
-            if limit is not None and next_id >= limit:
-                break
-            rung = next_id
-            next_id += 1
-            edges.append((gap * row_len + col, rung))
-            edges.append((rung, (gap + 1) * row_len + col))
-    return next_id, tuple(edges)
 
 
 def bundled_profile_names() -> tuple[str, ...]:

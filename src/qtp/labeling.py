@@ -12,6 +12,7 @@ better; the winning device's technology becomes the class label (trapped-ion
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from dataclasses import dataclass
@@ -211,17 +212,22 @@ def manifest_to_json(m: Manifest) -> str:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    import json as _json
-
     path = Path(path)
-    raw = _json.loads(path.read_text())
-    entries = [ManifestEntry(**e) for e in raw["entries"]]
-    return Manifest(
-        profiles=raw["profiles"],
-        entries=entries,
-        class_counts=tuple(raw["class_counts"]),
-        skipped=raw.get("skipped", []),
-    )
+    try:
+        raw = json.loads(path.read_text())
+        entries = [ManifestEntry(**e) for e in raw["entries"]]
+        manifest = Manifest(
+            profiles=raw["profiles"],
+            entries=entries,
+            class_counts=tuple(raw["class_counts"]),
+            skipped=raw.get("skipped", []),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LabelError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
+    for e in entries:
+        if e.label not in (0, 1):
+            raise LabelError(f"{path}: entry {e.name!r} has label {e.label!r}, want 0 or 1")
+    return manifest
 
 
 def resolve_dag_paths(manifest_path: str | Path, manifest: Manifest) -> list[Path]:

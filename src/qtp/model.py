@@ -420,19 +420,28 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
     pos += hlen
-    config = ModelConfig.from_json(header["config"])
+    try:
+        config = ModelConfig.from_json(header["config"])
+        seed = int(header.get("seed", 0))
+        params = [(str(e["name"]), tuple(int(d) for d in e["shape"]), int(e["offset"]))
+                  for e in header["params"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     payload = data[pos:]
     weights: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
+    offset = 0
+    for name, shape, start in params:
+        if start != offset or name in weights or min(shape, default=0) < 0:
+            raise CheckpointError(
+                f"{path}: parameter {name} is duplicated, negative-sized or not contiguous"
+            )
+        end = start + 8 * int(np.prod(shape))
         if end > len(payload):
             raise CheckpointError(f"{path}: payload shorter than manifest")
-        weights[entry["name"]] = (
-            np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
-        )
+        weights[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        offset = end
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - offset} bytes past the last parameter")
     in_dim = next(iter(weights.values())).shape[0] if weights else FEATURE_DIM
     expected = param_shapes(config, in_dim)
     if set(expected) != set(weights):
@@ -440,4 +449,4 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict
     for name, shape in expected.items():
         if tuple(weights[name].shape) != shape:
             raise CheckpointError(f"{path}: parameter {name} shape mismatch")
-    return config, weights, int(header.get("seed", 0)), header.get("metadata", {})
+    return config, weights, seed, header.get("metadata", {})

@@ -18,12 +18,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .dag import GraphData
 from .model import (
-    GraphBatch,
     ModelConfig,
     batch_graphs,
     bind_params,
     init_weights,
     model_forward,
+    predict_proba,
 )
 
 QUBIT_BUCKETS = (("2-7", 2, 7), ("8-15", 8, 15), ("16-27", 16, 27))
@@ -249,18 +249,6 @@ class TrainResult:
     aggregate: dict
 
 
-def _forward_probs(
-    config: ModelConfig, weights: dict[str, np.ndarray], graphs: Sequence[GraphData]
-) -> np.ndarray:
-    out = []
-    for lo in range(0, len(graphs), 256):
-        tape = ad.Tape()
-        batch = batch_graphs(graphs[lo : lo + 256])
-        out.append(model_forward(config, bind_params(tape, weights), batch).data)
-        tape.release()
-    return np.concatenate(out, axis=0)
-
-
 def evaluate(
     config: ModelConfig, weights: dict[str, np.ndarray], graphs: Sequence[GraphData]
 ) -> tuple[dict, np.ndarray]:
@@ -268,7 +256,10 @@ def evaluate(
     labels = np.array([g.label for g in graphs], dtype=np.int64)
     if np.any(labels < 0):
         raise TrainingError("evaluation graphs must carry labels")
-    probs = _forward_probs(config, weights, graphs)
+    probs = np.concatenate([
+        predict_proba(config, weights, graphs[lo : lo + 256])
+        for lo in range(0, len(graphs), 256)
+    ])
     preds = probs.argmax(axis=1)
     qubits = np.array([g.num_qubits for g in graphs], dtype=np.int64)
     return metrics(preds, labels, qubits), preds

@@ -6,29 +6,17 @@ rotations.
 """
 
 from .lower import lower_to_canonical
-from .pipeline import (
-    CompiledCircuit,
-    compile_for,
-    compiled_from_circuit,
-    compiled_from_json,
-    compiled_to_json,
-)
+from .pipeline import CompiledCircuit, compile_for, compiled_from_circuit
 from .rebase import RebaseError, rebase
 from .route import RouteError, route
-from .unitary import circuit_unitary, gate_matrix, phase_aligned_distance
 
 __all__ = [
     "CompiledCircuit",
     "RebaseError",
     "RouteError",
-    "circuit_unitary",
-    "gate_matrix",
     "compile_for",
     "compiled_from_circuit",
-    "compiled_from_json",
-    "compiled_to_json",
     "lower_to_canonical",
-    "phase_aligned_distance",
     "rebase",
     "route",
 ]

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..circuit import Circuit, GateInstance, circuit_depth
 from ..devices import DeviceProfile
-from ..gates import gate_by_name
-from ..qasm import fmt_angle
 from .lower import lower_to_canonical
 from .rebase import rebase
 from .route import route
@@ -38,16 +34,7 @@ def compile_for(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
 
 
 def compiled_from_circuit(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
-    """Wrap an already-compiled circuit, validating basis and coupling."""
-    for op in circ.ops:
-        if op.kind.value not in profile.basis_gates:
-            raise ValueError(
-                f"{op.kind.value} is not in the {profile.name} basis"
-            )
-        if len(op.qubits) == 2 and not profile.is_coupled(*op.qubits):
-            raise ValueError(
-                f"{op.kind.value} on uncoupled qubits {op.qubits} for {profile.name}"
-            )
+    """Wrap an already-compiled circuit; its fidelity lookups check basis and coupling."""
     if circ.num_qubits > profile.num_qubits:
         raise ValueError(
             f"circuit needs {circ.num_qubits} qubits, {profile.name} has {profile.num_qubits}"
@@ -64,39 +51,4 @@ def _finalize(ops: list[GateInstance], layout, profile: DeviceProfile) -> Compil
         depth=circuit_depth(ops),
         fidelities=tuple(profile.gate_fidelity(op) for op in ops),
         layout=tuple(layout),
-    )
-
-
-def compiled_to_json(cc: CompiledCircuit) -> str:
-    """Stable JSON rendering (angles and fidelities at 17 significant digits)."""
-    lines = ["{"]
-    lines.append(f'  "device_name": {json.dumps(cc.device_name)},')
-    lines.append(f'  "num_qubits": {cc.num_qubits},')
-    lines.append(f'  "depth": {cc.depth},')
-    lines.append(f'  "layout": [{",".join(str(q) for q in cc.layout)}],')
-    op_rows = []
-    for op in cc.ops:
-        qs = ",".join(str(q) for q in op.qubits)
-        ps = ",".join(fmt_angle(p) for p in op.params)
-        op_rows.append(f'    [{json.dumps(op.kind.value)},[{qs}],[{ps}]]')
-    lines.append('  "ops": [\n' + ",\n".join(op_rows) + "\n  ],")
-    lines.append(f'  "fidelities": [{",".join(fmt_angle(f) for f in cc.fidelities)}]')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def compiled_from_json(source: str | Path) -> CompiledCircuit:
-    text = Path(source).read_text() if isinstance(source, Path) else source
-    raw = json.loads(text)
-    ops = tuple(
-        GateInstance(gate_by_name(name), tuple(qs), tuple(ps))
-        for name, qs, ps in raw["ops"]
-    )
-    return CompiledCircuit(
-        device_name=raw["device_name"],
-        num_qubits=int(raw["num_qubits"]),
-        ops=ops,
-        depth=int(raw["depth"]),
-        fidelities=tuple(float(f) for f in raw["fidelities"]),
-        layout=tuple(int(q) for q in raw["layout"]),
     )

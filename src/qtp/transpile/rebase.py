@@ -95,11 +95,6 @@ def _rebase_u3(q: int, theta: float, phi: float, lam: float,
     return out
 
 
-def _rot(q: int, theta: float, phi: float, lam: float,
-         style: str, basis: frozenset[str]) -> list[GateInstance]:
-    return _rebase_u3(q, theta, phi, lam, style, basis)
-
-
 def _rebase_cx(a: int, b: int, native: str, style: str,
                basis: frozenset[str]) -> list[GateInstance]:
     if native == "cx":
@@ -107,18 +102,18 @@ def _rebase_cx(a: int, b: int, native: str, style: str,
     if native == "ecr":
         # cx = (x a) . ecr . (rz(pi/2) a, rx(pi/2) b), up to global phase
         return [
-            *_rot(a, PI, 0, PI, style, basis),
+            *_rebase_u3(a, PI, 0, PI, style, basis),
             GateInstance(GateKind.ECR, (a, b)),
-            *_rot(a, 0, 0, HALF_PI, style, basis),
-            *_rot(b, HALF_PI, -HALF_PI, HALF_PI, style, basis),
+            *_rebase_u3(a, 0, 0, HALF_PI, style, basis),
+            *_rebase_u3(b, HALF_PI, -HALF_PI, HALF_PI, style, basis),
         ]
     # rxx: conjugate the zx interaction onto xx with ry on the control
     return [
-        *_rot(a, HALF_PI, 0, 0, style, basis),                   # ry(pi/2)
+        *_rebase_u3(a, HALF_PI, 0, 0, style, basis),               # ry(pi/2)
         GateInstance(GateKind.RXX, (a, b), (-HALF_PI,)),
-        *_rot(a, -HALF_PI, 0, 0, style, basis),                  # ry(-pi/2)
-        *_rot(a, 0, 0, HALF_PI, style, basis),                   # rz(pi/2)
-        *_rot(b, HALF_PI, -HALF_PI, HALF_PI, style, basis),      # rx(pi/2)
+        *_rebase_u3(a, -HALF_PI, 0, 0, style, basis),              # ry(-pi/2)
+        *_rebase_u3(a, 0, 0, HALF_PI, style, basis),               # rz(pi/2)
+        *_rebase_u3(b, HALF_PI, -HALF_PI, HALF_PI, style, basis),  # rx(pi/2)
     ]
 
 

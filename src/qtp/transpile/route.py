@@ -2,17 +2,17 @@
 
 Walks the op list in order, keeping a logical-to-physical layout.  When a 2q
 gate lands on uncoupled physical qubits, the first operand hops along a
-shortest path until adjacent to the second; ties between shortest paths are
-broken toward the lexicographically smallest next hop, so routing is
-deterministic.  Inserted SWAPs are expanded through lower+rebase so the
-output stays inside the device basis.
+shortest path, read from the profile's hop-distance table, until adjacent
+to the second; ties between shortest paths are broken toward the
+lexicographically smallest next hop, so routing is deterministic.
+Inserted SWAPs are expanded through lower+rebase so the output stays inside
+the device basis.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..circuit import Circuit, GateInstance
+from ..devices import DeviceError
 from ..gates import GateKind
 from .lower import lower_to_canonical
 from .rebase import rebase
@@ -26,28 +26,6 @@ def _swap_template(profile) -> list[GateInstance]:
     """Native expansion of one SWAP, on placeholder qubits 0 and 1."""
     swap = Circuit(2, [GateInstance(GateKind.SWAP, (0, 1))])
     return rebase(lower_to_canonical(swap), profile).ops
-
-
-def _shortest_path(profile, src: int, dst: int) -> list[int]:
-    """Lexicographically smallest shortest path src -> dst."""
-    dist = {dst: 0}
-    frontier = deque([dst])
-    while frontier:
-        v = frontier.popleft()
-        if v == src:
-            break
-        for w in profile.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                frontier.append(w)
-    if src not in dist:
-        raise RouteError(f"no path between physical qubits {src} and {dst}")
-    path = [src]
-    cur = src
-    while cur != dst:
-        cur = min(w for w in profile.neighbors(cur) if dist.get(w, -1) == dist[cur] - 1)
-        path.append(cur)
-    return path
 
 
 def route(circ: Circuit, profile) -> tuple[Circuit, list[int]]:
@@ -81,9 +59,15 @@ def route(circ: Circuit, profile) -> tuple[Circuit, list[int]]:
             continue
         if len(phys) != 2:
             raise RouteError(f"cannot route {len(phys)}-qubit gate {op.kind.value}")
-        path = _shortest_path(profile, phys[0], phys[1])
-        for i in range(len(path) - 2):
-            emit_swap(path[i], path[i + 1])
-        out.append(GateInstance(op.kind, (path[-2], path[-1]), op.params))
+        a, b = phys
+        try:
+            hops = profile.qubit_distance(a, b)
+        except DeviceError:
+            raise RouteError(f"no path between physical qubits {a} and {b}") from None
+        for d in range(hops - 1, 0, -1):
+            nxt = min(w for w in profile.neighbors(a) if profile.qubit_distance(w, b) == d)
+            emit_swap(a, nxt)
+            a = nxt
+        out.append(GateInstance(op.kind, (a, b), op.params))
 
     return Circuit(profile.num_qubits, out, name=circ.name), l2p[: circ.num_qubits]

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -42,6 +43,21 @@ def trained(pipeline):
         "--out", str(out), *_TRAIN_FLAGS,
     ]) == 0
     return out
+
+
+def _rewrite_checkpoint(src, dst, edit_header=lambda header: None, tail=b""):
+    """Copy a checkpoint, editing its JSON header and appending payload bytes."""
+    data = src.read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + hlen])
+    edit_header(header)
+    raw = json.dumps(header).encode()
+    dst.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + hlen :] + tail)
+
+
+def _zero_offsets(header):
+    for entry in header["params"]:
+        entry["offset"] = 0
 
 
 def _read_csv(path):
@@ -247,6 +263,37 @@ class TestExitCodes:
             "evaluate", "--checkpoint", str(bogus),
             "--manifest", str(manifest), "--out", str(tmp_path / "e.json"),
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "edit_header, tail",
+        [
+            (lambda header: header.pop("config"), b""),
+            (lambda header: header.pop("params"), b""),
+            (lambda header: None, b"\x00" * 8),
+            (_zero_offsets, b""),
+        ],
+        ids=["no-config", "no-params", "trailing-bytes", "zero-offsets"],
+    )
+    def test_evaluate_malformed_checkpoint(self, pipeline, trained, tmp_path, edit_header, tail):
+        _, _, manifest = pipeline
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained / "fold0.ckpt", bad, edit_header, tail)
+        assert main([
+            "evaluate", "--checkpoint", str(bad),
+            "--manifest", str(manifest), "--out", str(tmp_path / "e.json"),
+        ]) == 2
+
+    @pytest.mark.parametrize("label", [None, 2], ids=["missing", "out-of-range"])
+    def test_stats_bad_entry_label(self, pipeline, tmp_path, label):
+        _, _, manifest = pipeline
+        blob = json.loads(manifest.read_text())
+        if label is None:
+            del blob["entries"][0]["label"]
+        else:
+            blob["entries"][0]["label"] = label
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["stats", "--manifest", str(bad), "--out", str(tmp_path / "s")]) == 2
 
     def test_predict_bad_circuit(self, trained, tmp_path):
         bad = tmp_path / "bad.qasm"

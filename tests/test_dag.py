@@ -146,6 +146,45 @@ class TestGraphIO:
         with pytest.raises(FeaturizeError):
             load_graph(path)
 
+    def test_half_width_rows_rejected(self, tmp_path):
+        # 4 x 33 floats would reshape into 2 x 66
+        path = tmp_path / "half.dag.json"
+        path.write_text(json.dumps({
+            "name": "half", "num_qubits": 2, "nodes": [[0.0] * 33 for _ in range(4)],
+            "edges": [],
+        }))
+        with pytest.raises(FeaturizeError, match="66-wide"):
+            load_graph(path)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            (0, 1.0),  # a second gate slot set
+            (ONE_HOT_INDEX[GateKind.INPUT], 0.5),  # gate slot neither 0 nor 1
+            (GATE_SLOTS + 1, 0.5),  # qubit slot neither 0 nor 1
+            (GATE_SLOTS + 2, 1.0),  # qubit 2 on a 2-qubit graph
+            (GATE_SLOTS + MAX_FEATURE_QUBITS, 1.0),  # angle at the top of [0, 1)
+            (GATE_SLOTS + MAX_FEATURE_QUBITS + 1, -0.25),  # negative angle
+        ],
+    )
+    def test_feature_ranges_validated(self, tmp_path, column, value):
+        graph = featurize_circuit(_bell())
+        path = write_graph(graph, tmp_path / "bad.dag.json")
+        blob = json.loads(path.read_text())
+        blob["nodes"][1][column] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(FeaturizeError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("num_qubits", [0, MAX_FEATURE_QUBITS + 1])
+    def test_num_qubits_range_validated(self, tmp_path, num_qubits):
+        path = write_graph(featurize_circuit(_bell()), tmp_path / "bad.dag.json")
+        blob = json.loads(path.read_text())
+        blob["num_qubits"] = num_qubits
+        path.write_text(json.dumps(blob))
+        with pytest.raises(FeaturizeError):
+            load_graph(path)
+
     def test_graph_matches_dag(self):
         dag = build_dag(_bell())
         graph = graph_from_dag(dag)

@@ -7,7 +7,6 @@ from qtp.devices import (
     bundled_profile,
     bundled_profile_names,
     bundled_profiles,
-    heavy_hex_coupling,
     load_profile,
     save_profile,
 )
@@ -125,27 +124,6 @@ class TestRoundTrip:
     def test_save_load_identity(self):
         p = _line3(fidelity_2q={"0-1": 0.98, "1-2": 0.97})
         assert load_profile(save_profile(p)) == p
-
-
-class TestHeavyHex:
-    def test_127_qubit_lattice(self):
-        n, edges = heavy_hex_coupling(7, 15, limit=127)
-        assert n == 127
-        assert len(edges) == 142
-        seen = {q for e in edges for q in e}
-        assert seen == set(range(127))
-
-    def test_rungs_bridge_adjacent_rows(self):
-        n, edges = heavy_hex_coupling(2, 5)
-        adj = {q: set() for q in range(n)}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        rungs = [q for q in range(10, n)]
-        for r in rungs:
-            ends = sorted(adj[r])
-            assert len(ends) == 2
-            assert ends[0] < 5 <= ends[1]  # one endpoint per row
 
 
 class TestBundled:

@@ -4,23 +4,35 @@ import numpy as np
 import pytest
 
 from qtp.circuit import Circuit, GateInstance
+from qtp.devices import load_profile
 from qtp.gates import GateKind, VOCABULARY
 from qtp.transpile import (
     CompiledCircuit,
-    circuit_unitary,
+    RouteError,
     compile_for,
     compiled_from_circuit,
-    compiled_from_json,
-    compiled_to_json,
-    gate_matrix,
     lower_to_canonical,
-    phase_aligned_distance,
     rebase,
     route,
 )
+from unitary import circuit_unitary, gate_matrix, phase_aligned_distance
 from util import compiled_distance, ops_unitary, random_circuit
 
 SQ2 = 1 / math.sqrt(2)
+
+
+def _sc_profile(name, num_qubits, coupling):
+    return load_profile(
+        {
+            "name": name,
+            "technology": "superconducting",
+            "num_qubits": num_qubits,
+            "basis_gates": ["ecr", "id", "rz", "sx", "x"],
+            "coupling": coupling,
+            "fidelity_1q": {"id": 0.9999, "rz": 1.0, "sx": 0.9999, "x": 0.9999},
+            "fidelity_2q": 0.99,
+        }
+    )
 
 
 class TestUnitary:
@@ -153,6 +165,24 @@ class TestRoute:
         routed, _ = route(circ, sc_line3)
         assert {o.kind.value for o in routed.ops} <= set(sc_line3.basis_gates)
 
+    def test_tie_breaks_toward_smallest_next_hop(self):
+        # on the 4-cycle 0-1-2-3-0, qubit 0 reaches 2 through 1 or through 3
+        ring = _sc_profile("sc-ring4", 4, [[0, 1], [1, 2], [2, 3], [3, 0]])
+        circ = Circuit(4)
+        circ.add(GateKind.ECR, (0, 2))
+        routed, layout = route(circ, ring)
+        two_qubit = [op.qubits for op in routed.ops if len(op.qubits) == 2]
+        assert {tuple(sorted(q)) for q in two_qubit[:-1]} == {(0, 1)}
+        assert two_qubit[-1] == (1, 2)
+        assert layout == [1, 0, 2, 3]
+
+    def test_disconnected_pair_raises(self):
+        split = _sc_profile("sc-split4", 4, [[0, 1], [2, 3]])
+        circ = Circuit(4)
+        circ.add(GateKind.ECR, (0, 3))
+        with pytest.raises(RouteError):
+            route(circ, split)
+
     def test_deterministic(self, sc_line3, rng):
         circ = rebase(lower_to_canonical(random_circuit(rng, 3, 10)), sc_line3)
         a = route(circ, sc_line3)
@@ -212,11 +242,3 @@ class TestPrecompiled:
     def test_rejects_too_wide(self, sc_line3):
         with pytest.raises(ValueError):
             compiled_from_circuit(Circuit(4), sc_line3)
-
-
-class TestCompiledJson:
-    def test_round_trip(self, sc_line3, rng):
-        circ = random_circuit(rng, 3, 6)
-        cc = compile_for(circ, sc_line3)
-        back = compiled_from_json(compiled_to_json(cc))
-        assert back == cc

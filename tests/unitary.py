@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from ..circuit import Circuit, GateInstance
-from ..gates import GateKind
+from qtp.circuit import Circuit, GateInstance
+from qtp.gates import GateKind
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from qtp.circuit import Circuit, GateInstance
 from qtp.gates import VOCABULARY
-from qtp.transpile import circuit_unitary, phase_aligned_distance
+from unitary import circuit_unitary, phase_aligned_distance
 
 
 def random_circuit(rng, nq: int, n_ops: int, gate_pool=None, name="rand") -> Circuit:
