@@ -3,6 +3,9 @@
 A circuit is an ordered list of gate applications on qubits 0..n-1.  Register
 structure from source files is flattened away at parse time; classical bits,
 measurements and barriers never reach this layer.
+
+`GateInstance` is a plain record.  `check_gate` validates it where it enters a
+`Circuit` (constructor and `append`), and in the parser, for line and column.
 """
 
 from __future__ import annotations
@@ -18,31 +21,31 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True)
 class GateInstance:
-    """One gate applied to a tuple of distinct qubits."""
+    """One gate applied to a tuple of qubits; see `check_gate` for validity."""
 
     kind: GateKind
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is GateKind.INPUT:
-            raise CircuitError("INPUT is reserved for DAG source nodes")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(self.qubits) != self.kind.arity:
-            raise CircuitError(
-                f"{self.kind.value} expects {self.kind.arity} qubit(s), "
-                f"got {len(self.qubits)}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"{self.kind.value} applied to duplicate qubits {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise CircuitError(f"negative qubit index in {self.qubits}")
-        if len(self.params) != self.kind.param_count:
-            raise CircuitError(
-                f"{self.kind.value} expects {self.kind.param_count} parameter(s), "
-                f"got {len(self.params)}"
-            )
+
+def check_gate(op: GateInstance, num_qubits: int) -> None:
+    """Raise CircuitError unless op is a real gate on distinct qubits in 0..num_qubits-1."""
+    kind = op.kind
+    if kind is GateKind.INPUT:
+        raise CircuitError("INPUT is reserved for DAG source nodes")
+    if len(op.qubits) != kind.arity:
+        raise CircuitError(
+            f"{kind.value} expects {kind.arity} qubit(s), got {len(op.qubits)}"
+        )
+    if len(set(op.qubits)) != len(op.qubits):
+        raise CircuitError(f"{kind.value} applied to duplicate qubits {op.qubits}")
+    for q in op.qubits:
+        if not 0 <= q < num_qubits:
+            raise CircuitError(f"qubit {q} out of range for {num_qubits}-qubit circuit")
+    if len(op.params) != kind.param_count:
+        raise CircuitError(
+            f"{kind.value} expects {kind.param_count} parameter(s), got {len(op.params)}"
+        )
 
 
 @dataclass
@@ -57,21 +60,15 @@ class Circuit:
         if self.num_qubits < 1:
             raise CircuitError(f"num_qubits must be positive, got {self.num_qubits}")
         for op in self.ops:
-            self._check(op)
-
-    def _check(self, op: GateInstance) -> None:
-        for q in op.qubits:
-            if q >= self.num_qubits:
-                raise CircuitError(
-                    f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
-                )
+            check_gate(op, self.num_qubits)
 
     def append(self, op: GateInstance) -> None:
-        self._check(op)
+        check_gate(op, self.num_qubits)
         self.ops.append(op)
 
     def add(self, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = ()) -> None:
-        self.append(GateInstance(kind, qubits, params))
+        self.append(GateInstance(kind, tuple(int(q) for q in qubits),
+                                 tuple(float(p) for p in params)))
 
     @property
     def gate_count(self) -> int:

@@ -8,6 +8,7 @@ besides logging is predict's single result line.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -121,6 +122,22 @@ def _load_dataset(manifest_path: str) -> list[GraphData]:
     return graphs
 
 
+def _load_circuit(path: Path):
+    # Undecodable bytes become U+FFFD, which the tokenizer rejects with its position.
+    return parse_qasm(path.read_text(errors="replace"), name=path.stem)
+
+
+@contextlib.contextmanager
+def _running(checkpoint):
+    """Blame a forward pass that overflows on the checkpoint whose weights it ran."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise CheckpointError(
+            f"{checkpoint}: weights give a non-finite forward pass ({exc})"
+        ) from None
+
+
 def _table_row(name: str, agg: dict) -> dict:
     return {
         "model": name,
@@ -159,7 +176,7 @@ def _cmd_featurize(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     for path in targets:
-        circ = parse_qasm(path.read_text(), name=path.stem)
+        circ = _load_circuit(path)
         graph = featurize_circuit(circ)
         dest_dir = out_dir if out_dir else path.parent
         dest = write_graph(graph, dest_dir / f"{path.stem}.dag.json")
@@ -341,7 +358,8 @@ def _cmd_grid(args) -> int:
 def _cmd_evaluate(args) -> int:
     config, weights, _, _ = load_checkpoint(args.checkpoint)
     graphs = _load_dataset(args.manifest)
-    body, _ = evaluate(config, weights, graphs)
+    with _running(args.checkpoint):
+        body, _ = evaluate(config, weights, graphs)
     payload = {
         "checkpoint": str(args.checkpoint),
         "model": config.name,
@@ -356,9 +374,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     config, weights, _, _ = load_checkpoint(args.checkpoint)
     path = Path(args.circuit)
-    circ = parse_qasm(path.read_text(), name=path.stem)
+    circ = _load_circuit(path)
     graph = featurize_circuit(circ)
-    probs = predict_proba(config, weights, [graph])[0]
+    with _running(args.checkpoint):
+        probs = predict_proba(config, weights, [graph])[0]
     cls = int(probs.argmax())
     print(f"class={cls} p0={_g17(probs[0])} p1={_g17(probs[1])}")
     return 0

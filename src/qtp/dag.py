@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit
-from .gates import ONE_HOT_INDEX, VOCABULARY_SIZE, GateKind, gate_by_name
+from .circuit import Circuit, GateInstance
+from .gates import ONE_HOT_INDEX, VOCABULARY_SIZE, GateKind
 from .jsonio import dumps as json_dumps
 
 MAX_FEATURE_QUBITS = 27
@@ -37,21 +37,14 @@ class FeaturizeError(ValueError):
     """Circuit cannot be encoded (too many qubits, bad graph file, ...)."""
 
 
-@dataclass(frozen=True)
-class DagNode:
-    id: int
-    kind: GateKind
-    qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-
-
 @dataclass
 class CircuitDag:
+    """Nodes are the INPUT sources then the circuit's ops; a node's id is its index."""
+
     name: str
     num_qubits: int
-    nodes: list[DagNode]
+    nodes: list[GateInstance]
     edges: list[tuple[int, int]]
-    label: int | None = None
 
 
 def build_dag(circ: Circuit) -> CircuitDag:
@@ -60,12 +53,11 @@ def build_dag(circ: Circuit) -> CircuitDag:
         raise FeaturizeError(
             f"{circ.num_qubits} qubits exceed the {MAX_FEATURE_QUBITS}-qubit feature layout"
         )
-    nodes = [DagNode(q, GateKind.INPUT, (q,)) for q in range(circ.num_qubits)]
+    nodes = [GateInstance(GateKind.INPUT, (q,)) for q in range(circ.num_qubits)]
+    nodes += circ.ops
     edges: list[tuple[int, int]] = []
     last = list(range(circ.num_qubits))  # qubit -> newest node on its wire
-    for op in circ.ops:
-        nid = len(nodes)
-        nodes.append(DagNode(nid, op.kind, op.qubits, op.params))
+    for nid, op in enumerate(circ.ops, start=circ.num_qubits):
         seen: set[int] = set()
         for q in op.qubits:
             pred = last[q]
@@ -88,12 +80,12 @@ def encode_angle(theta: float) -> float:
 def encode_features(dag: CircuitDag) -> np.ndarray:
     """(num_nodes, 66) float64 feature matrix in node-id order."""
     feats = np.zeros((len(dag.nodes), FEATURE_DIM), dtype=np.float64)
-    for node in dag.nodes:
-        feats[node.id, ONE_HOT_INDEX[node.kind]] = 1.0
+    for i, node in enumerate(dag.nodes):
+        feats[i, ONE_HOT_INDEX[node.kind]] = 1.0
         for q in node.qubits:
-            feats[node.id, GATE_SLOTS + q] = 1.0
+            feats[i, GATE_SLOTS + q] = 1.0
         for j, theta in enumerate(node.params):
-            feats[node.id, GATE_SLOTS + MAX_FEATURE_QUBITS + j] = encode_angle(theta)
+            feats[i, GATE_SLOTS + MAX_FEATURE_QUBITS + j] = encode_angle(theta)
     return feats
 
 
@@ -114,8 +106,7 @@ class GraphData:
 
 def graph_from_dag(dag: CircuitDag, label: int | None = None) -> GraphData:
     edges = np.asarray(dag.edges, dtype=np.int64).reshape(-1, 2)
-    return GraphData(dag.name, dag.num_qubits, encode_features(dag), edges,
-                     dag.label if label is None else label)
+    return GraphData(dag.name, dag.num_qubits, encode_features(dag), edges, label)
 
 
 def graph_to_json(graph: GraphData) -> str:
@@ -151,7 +142,7 @@ def load_graph(path: str | Path) -> GraphData:
             edges=edges,
             label=None if raw.get("label") is None else int(raw["label"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FeaturizeError(f"{path}: malformed graph file ({exc})") from None
     if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
         raise FeaturizeError(f"{path}: nodes must be {FEATURE_DIM}-wide rows, got {feats.shape}")

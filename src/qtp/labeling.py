@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .circuit import Circuit, circuit_depth
-from .dag import GRAPH_SUFFIX, featurize_circuit, write_graph
+from .dag import featurize_circuit, write_graph
 from .devices import TECHNOLOGY_CLASS, DeviceProfile
 from .jsonio import dumps as json_dumps
-from .qasm import QasmWarning, parse_qasm
+from .qasm import parse_qasm
 from .transpile import CompiledCircuit, compile_for, compiled_from_circuit
 
 import warnings
@@ -225,9 +225,35 @@ def load_manifest(path: str | Path) -> Manifest:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LabelError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
     for e in entries:
-        if e.label not in (0, 1):
-            raise LabelError(f"{path}: entry {e.name!r} has label {e.label!r}, want 0 or 1")
+        _check_entry(e, path)
     return manifest
+
+
+def _check_entry(e: ManifestEntry, path: Path) -> None:
+    """Types and ranges of one loaded entry's fields; raises LabelError."""
+    def count(x) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+    def finite(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+    for attr, ok, want in (
+        ("name", isinstance(e.name, str), "a string"),
+        ("circuit_path", isinstance(e.circuit_path, str), "a string"),
+        ("dag_path", isinstance(e.dag_path, str), "a string"),
+        ("best_device", isinstance(e.best_device, str), "a string"),
+        ("num_qubits", count(e.num_qubits) and e.num_qubits >= 1, "an int >= 1"),
+        ("depth", count(e.depth), "an int >= 0"),
+        ("gate_count", count(e.gate_count), "an int >= 0"),
+        # JSON object keys are always strings, so only the costs themselves need checking
+        ("costs", isinstance(e.costs, dict) and all(map(finite, e.costs.values())),
+         "a map of device names to finite numbers"),
+        ("label", count(e.label) and e.label <= 1, "0 or 1"),
+    ):
+        if not ok:
+            raise LabelError(
+                f"{path}: entry {e.name!r} has {attr} {getattr(e, attr)!r}, want {want}"
+            )
 
 
 def resolve_dag_paths(manifest_path: str | Path, manifest: Manifest) -> list[Path]:

@@ -369,6 +369,22 @@ def predict_proba(
 # --- checkpoints ----------------------------------------------------------------
 
 
+def _checked_shapes(config: ModelConfig, weights: dict[str, np.ndarray], path) -> dict:
+    """Config's shapes for the first weight's row count; CheckpointError on any mismatch."""
+    first = np.shape(next(iter(weights.values()), None))
+    if len(first) != 2:
+        raise CheckpointError(f"{path}: first parameter has shape {first}, wants a matrix")
+    expected = param_shapes(config, first[0])
+    if set(expected) != set(weights):
+        raise CheckpointError(f"{path}: parameter names do not match the config")
+    for name, shape in expected.items():
+        if np.shape(weights[name]) != shape:
+            raise CheckpointError(
+                f"{path}: parameter {name} has shape {np.shape(weights[name])}, wants {shape}"
+            )
+    return expected
+
+
 def save_checkpoint(
     path,
     config: ModelConfig,
@@ -376,17 +392,12 @@ def save_checkpoint(
     seed: int,
     metadata: dict | None = None,
 ) -> None:
-    in_dim = next(iter(weights.values())).shape[0] if weights else FEATURE_DIM
-    expected = param_shapes(config, in_dim)
-    if set(expected) != set(weights):
-        raise CheckpointError("weight names do not match the config")
+    expected = _checked_shapes(config, weights, path)
     manifest = []
     offset = 0
     blobs = []
     for name, shape in expected.items():
         arr = np.ascontiguousarray(weights[name], dtype="<f8")
-        if tuple(arr.shape) != shape:
-            raise CheckpointError(f"parameter {name} has shape {arr.shape}, wants {shape}")
         manifest.append({"name": name, "shape": list(shape), "offset": offset})
         blobs.append(arr.tobytes())
         offset += arr.nbytes
@@ -425,7 +436,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict
         seed = int(header.get("seed", 0))
         params = [(str(e["name"]), tuple(int(d) for d in e["shape"]), int(e["offset"]))
                   for e in header["params"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     payload = data[pos:]
     weights: dict[str, np.ndarray] = {}
@@ -439,14 +450,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict
         if end > len(payload):
             raise CheckpointError(f"{path}: payload shorter than manifest")
         weights[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(weights[name]).all():
+            raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
         offset = end
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} bytes past the last parameter")
-    in_dim = next(iter(weights.values())).shape[0] if weights else FEATURE_DIM
-    expected = param_shapes(config, in_dim)
-    if set(expected) != set(weights):
-        raise CheckpointError(f"{path}: parameter names do not match the config")
-    for name, shape in expected.items():
-        if tuple(weights[name].shape) != shape:
-            raise CheckpointError(f"{path}: parameter {name} shape mismatch")
+    _checked_shapes(config, weights, path)
     return config, weights, seed, header.get("metadata", {})

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .circuit import Circuit, CircuitError, GateInstance
+from .circuit import Circuit, CircuitError, GateInstance, check_gate
 from .gates import gate_by_name
 
 __all__ = ["QasmError", "QasmWarning", "parse_qasm", "serialize_qasm", "fmt_angle"]
@@ -218,8 +218,9 @@ class _Parser:
             params = self.param_list()
         qubits = self.operand_list(allow_bare=False)
         self.expect(";")
+        op = GateInstance(kind, tuple(q for q, _ in qubits), params)
         try:
-            op = GateInstance(kind, tuple(q for q, _ in qubits), params)
+            check_gate(op, self.num_qubits)
         except CircuitError as exc:
             raise QasmError(str(exc), head.line, head.col) from None
         self.ops.append(op)
@@ -309,7 +310,10 @@ class _Parser:
     def atom(self) -> float:
         t = self.next()
         if t.kind == "number":
-            return float(t.text)
+            try:
+                return float(t.text)
+            except ValueError:
+                self.fail(f"malformed number {t.text!r}", t)
         if t.kind == "name":
             if t.text in _CONSTANTS:
                 return _CONSTANTS[t.text]

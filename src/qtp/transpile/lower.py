@@ -61,7 +61,7 @@ def _lower_one(op: GateInstance) -> list[GateInstance]:
     if k is GateKind.U2:
         return [_u3(q[0], HALF_PI, p[0], p[1])]
 
-    a, b = q[0], q[1] if len(q) > 1 else q[0]
+    a, b = q[0], q[1]
     if k is GateKind.CY:
         return [_u3(b, 0, 0, -HALF_PI), _cx(a, b), _u3(b, 0, 0, HALF_PI)]
     if k is GateKind.CZ:

@@ -47,32 +47,36 @@ class TestVocabulary:
             gate_by_name("nope")
 
 
+def _assert_rejected(num_qubits, op):
+    """A malformed op is refused both by the constructor and by append."""
+    with pytest.raises(CircuitError):
+        Circuit(num_qubits, [op])
+    circ = Circuit(num_qubits)
+    with pytest.raises(CircuitError):
+        circ.append(op)
+    assert circ.ops == []
+
+
 class TestGateInstance:
     def test_valid(self):
         op = GateInstance(GateKind.RZ, (3,), (0.5,))
         assert op.qubits == (3,) and op.params == (0.5,)
 
     def test_wrong_arity(self):
-        with pytest.raises(CircuitError):
-            GateInstance(GateKind.CX, (0,))
+        _assert_rejected(2, GateInstance(GateKind.CX, (0,)))
 
     def test_duplicate_qubits(self):
-        with pytest.raises(CircuitError):
-            GateInstance(GateKind.CX, (1, 1))
+        _assert_rejected(2, GateInstance(GateKind.CX, (1, 1)))
 
     def test_negative_qubit(self):
-        with pytest.raises(CircuitError):
-            GateInstance(GateKind.X, (-1,))
+        _assert_rejected(2, GateInstance(GateKind.X, (-1,)))
 
     def test_wrong_param_count(self):
-        with pytest.raises(CircuitError):
-            GateInstance(GateKind.RX, (0,))
-        with pytest.raises(CircuitError):
-            GateInstance(GateKind.H, (0,), (1.0,))
+        _assert_rejected(1, GateInstance(GateKind.RX, (0,)))
+        _assert_rejected(1, GateInstance(GateKind.H, (0,), (1.0,)))
 
     def test_input_not_instantiable(self):
-        with pytest.raises(CircuitError):
-            GateInstance(GateKind.INPUT, (0,))
+        _assert_rejected(1, GateInstance(GateKind.INPUT, (0,)))
 
 
 class TestCircuit:

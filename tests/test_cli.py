@@ -2,17 +2,21 @@
 
 import csv
 import json
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtp.cli import TABLE_COLUMNS, main
 from qtp.dag import load_graph
 from qtp.labeling import load_manifest, resolve_dag_paths
+from qtp.model import load_checkpoint, save_checkpoint
 
 _CONFIG = '{"first_layer": "gcn", "hidden": 8, "blocks": 1, "ffnn": [8]}'
 _CONFIG_NAME = "GCN_1GCN_0FFNN_8_8"
@@ -58,6 +62,25 @@ def _rewrite_checkpoint(src, dst, edit_header=lambda header: None, tail=b""):
 def _zero_offsets(header):
     for entry in header["params"]:
         entry["offset"] = 0
+
+
+def _infinite_offset(header):
+    header["params"][1]["offset"] = float("inf")  # written as Infinity, read back as a float
+
+
+def _scalar_first_param(src, dst):
+    """Copy a checkpoint with its first parameter cut down to a shape-[] scalar."""
+    data = src.read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + hlen])
+    first = header["params"][0]
+    cut = 8 * (math.prod(first["shape"]) - 1)
+    first["shape"] = []
+    for entry in header["params"][1:]:
+        entry["offset"] -= cut
+    body = data[12 + hlen :]
+    raw = json.dumps(header).encode()
+    dst.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + body[:8] + body[8 + cut :])
 
 
 def _read_csv(path):
@@ -271,8 +294,9 @@ class TestExitCodes:
             (lambda header: header.pop("params"), b""),
             (lambda header: None, b"\x00" * 8),
             (_zero_offsets, b""),
+            (_infinite_offset, b""),
         ],
-        ids=["no-config", "no-params", "trailing-bytes", "zero-offsets"],
+        ids=["no-config", "no-params", "trailing-bytes", "zero-offsets", "infinite-offset"],
     )
     def test_evaluate_malformed_checkpoint(self, pipeline, trained, tmp_path, edit_header, tail):
         _, _, manifest = pipeline
@@ -295,6 +319,53 @@ class TestExitCodes:
         bad.write_text(json.dumps(blob))
         assert main(["stats", "--manifest", str(bad), "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_qubits", 0),
+            ("num_qubits", 2.0),
+            ("depth", -1),
+            ("gate_count", True),
+            ("costs", {"ibm-eagle-like": "1.5"}),
+            ("costs", []),
+            ("name", 7),
+            ("dag_path", None),
+        ],
+        ids=["zero-qubits", "float-qubits", "negative-depth", "bool-gates",
+             "string-cost", "cost-list", "int-name", "null-path"],
+    )
+    def test_stats_bad_entry_field(self, pipeline, tmp_path, field, value):
+        _, _, manifest = pipeline
+        blob = json.loads(manifest.read_text())
+        blob["entries"][0][field] = value
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["stats", "--manifest", str(bad), "--out", str(tmp_path / "s")]) == 2
+
+    def test_predict_scalar_first_parameter(self, pipeline, trained, tmp_path):
+        _, corpus, _ = pipeline
+        bad = tmp_path / "scalar.ckpt"
+        _scalar_first_param(trained / "fold0.ckpt", bad)
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        assert main(["predict", str(circuit), "--checkpoint", str(bad)]) == 2
+
+    def test_predict_overflowing_weights(self, pipeline, trained, tmp_path):
+        _, corpus, _ = pipeline
+        config, weights, seed, _ = load_checkpoint(trained / "fold0.ckpt")
+        weights["first.b"][0] = 1.7e308
+        bad = tmp_path / "huge.ckpt"
+        save_checkpoint(bad, config, weights, seed)
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        with np.errstate(over="ignore"):
+            assert main(["predict", str(circuit), "--checkpoint", str(bad)]) == 2
+
+    def test_predict_undecodable_circuit(self, trained, tmp_path):
+        bad = tmp_path / "bad.qasm"
+        bad.write_bytes(b"qreg q[1];\nx q[0];\n\x80\n")
+        assert main([
+            "predict", str(bad), "--checkpoint", str(trained / "fold0.ckpt"),
+        ]) == 2
+
     def test_predict_bad_circuit(self, trained, tmp_path):
         bad = tmp_path / "bad.qasm"
         bad.write_text(
@@ -308,6 +379,51 @@ class TestExitCodes:
         assert main([
             "gen-corpus", "--out", str(tmp_path / "c"), "--n", "2", "--mix", "qft=1",
         ]) == 2
+
+
+@st.composite
+def _mangled(draw, data: bytes) -> bytes:
+    """A prefix of data, or data with one to four bytes overwritten."""
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+class TestFuzzedInputs:
+    """A damaged input file exits 0 or 2 (bad data), never 3 (internal error)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_qasm(self, pipeline, trained, data):
+        root, corpus, _ = pipeline
+        src = sorted(corpus.glob("*.qasm"))[0]
+        bad = root / "fuzz" / "circuit.qasm"
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(data.draw(_mangled(src.read_bytes())))
+        assert main(["featurize", str(bad), "--out", str(root / "fuzz")]) in (0, 2)
+        assert main(["predict", str(bad), "--checkpoint", str(trained / "fold0.ckpt")]) in (0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_manifest(self, pipeline, data):
+        root, _, manifest = pipeline
+        bad = root / "fuzz" / "manifest.json"
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(data.draw(_mangled(manifest.read_bytes())))
+        assert main(["stats", "--manifest", str(bad), "--out", str(root / "fuzz" / "s")]) in (0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint(self, pipeline, trained, data):
+        root, corpus, _ = pipeline
+        bad = root / "fuzz" / "model.ckpt"
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(data.draw(_mangled((trained / "fold0.ckpt").read_bytes())))
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        assert main(["predict", str(circuit), "--checkpoint", str(bad)]) in (0, 2)
 
 
 class TestProcessEntry:

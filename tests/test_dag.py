@@ -176,7 +176,7 @@ class TestGraphIO:
         with pytest.raises(FeaturizeError):
             load_graph(path)
 
-    @pytest.mark.parametrize("num_qubits", [0, MAX_FEATURE_QUBITS + 1])
+    @pytest.mark.parametrize("num_qubits", [0, MAX_FEATURE_QUBITS + 1, float("inf")])
     def test_num_qubits_range_validated(self, tmp_path, num_qubits):
         path = write_graph(featurize_circuit(_bell()), tmp_path / "bad.dag.json")
         blob = json.loads(path.read_text())

@@ -587,6 +587,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="shape"):
             save_checkpoint(tmp_path / "x.ckpt", config, weights, seed=11)
 
+    def test_save_rejects_scalar_first_weight(self, tmp_path):
+        config = ModelConfig("gcn", 8, 1, (16,))
+        weights = init_weights(config, seed=12, in_dim=9)
+        weights["first.w"] = np.array(1.0)
+        with pytest.raises(CheckpointError, match="matrix"):
+            save_checkpoint(tmp_path / "x.ckpt", config, weights, seed=12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight(self, tmp_path, value):
+        config = ModelConfig("gcn", 8, 1, (16,))
+        weights = init_weights(config, seed=13, in_dim=9)
+        weights["res1.b"][0] = value
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, config, weights, seed=13)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
     def test_in_dim_inferred_from_weights(self, tmp_path):
         config = ModelConfig("gcn", 8, 1, (16,))
         path, _ = self._roundtrip(tmp_path, config, in_dim=7)

@@ -67,6 +67,12 @@ class TestParse:
         with pytest.raises(QasmError):
             parse_qasm("qreg q[1];\nrz(1/0) q[0];")
 
+    @pytest.mark.parametrize("number", ["1.2.3", "2e"])
+    def test_malformed_number(self, number):
+        with pytest.raises(QasmError, match="malformed number") as exc:
+            parse_qasm(f"qreg q[1];\nrz({number}) q[0];")
+        assert exc.value.line == 2
+
     def test_barrier_dropped_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -89,6 +95,16 @@ class TestParse:
     def test_out_of_range_index(self):
         with pytest.raises(QasmError):
             parse_qasm("qreg q[2];\nx q[2];")
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [("cx q[0];", "cx expects 2 qubit"), ("cx q[0],q[0];", "duplicate qubits")],
+        ids=["arity", "duplicate"],
+    )
+    def test_malformed_gate_keeps_its_line(self, statement, message):
+        with pytest.raises(QasmError, match=message) as exc:
+            parse_qasm(f"qreg q[2];\n{statement}\nh q[1];")
+        assert exc.value.line == 2 and exc.value.col == 1
 
     def test_error_carries_position(self):
         with pytest.raises(QasmError) as exc:
