@@ -5,8 +5,8 @@ pushes the output adjoint back to the inputs; backward() replays the records
 in reverse (execution order is already topological).  The op set is exactly
 what the graph network and its loss need, nothing more.
 
-All data is float64.  On debug runs every op asserts its output is finite,
-so silent overflow cannot leak into training.
+All data is float64.  Every op checks that its output is finite, so silent
+overflow cannot leak into training or prediction.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Tape:
         return t
 
     def record(self, data: Array, backward: Callable[[Array], None]) -> Tensor:
-        if __debug__ and not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(data)):
             raise FloatingPointError("op produced a non-finite value")
         out = self._adopt(data)
         self._records.append((out, backward))

@@ -10,6 +10,7 @@ measurements and barriers never reach this layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .gates import GateKind
@@ -46,6 +47,8 @@ def check_gate(op: GateInstance, num_qubits: int) -> None:
         raise CircuitError(
             f"{kind.value} expects {kind.param_count} parameter(s), got {len(op.params)}"
         )
+    if not all(map(math.isfinite, op.params)):
+        raise CircuitError(f"{kind.value} has a non-finite parameter in {op.params}")
 
 
 @dataclass

@@ -124,7 +124,11 @@ def _load_dataset(manifest_path: str) -> list[GraphData]:
 
 def _load_circuit(path: Path):
     # Undecodable bytes become U+FFFD, which the tokenizer rejects with its position.
-    return parse_qasm(path.read_text(errors="replace"), name=path.stem)
+    try:
+        return parse_qasm(path.read_text(errors="replace"), name=path.stem)
+    except QasmError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 @contextlib.contextmanager
@@ -177,9 +181,9 @@ def _cmd_featurize(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     for path in targets:
         circ = _load_circuit(path)
-        graph = featurize_circuit(circ)
+        featurize_circuit(circ)  # refuses circuits too wide for the feature layout
         dest_dir = out_dir if out_dir else path.parent
-        dest = write_graph(graph, dest_dir / f"{path.stem}.dag.json")
+        dest = write_graph(circ, dest_dir / f"{path.stem}.dag.json")
         log.info("featurize %s -> %s", path, dest)
     return 0
 

@@ -8,6 +8,10 @@ Node features are 66 floats:
   0..35   gate-type one-hot (35 gates + INPUT)
   36..62  qubit participation multi-hot, one slot per qubit up to 27
   63..65  up to three angle parameters, normalized to [0, 1) by 2*pi
+
+A graph file (`*.dag.json`) stores the circuit's ops, not these features.
+Loading rebuilds the `Circuit`, so `check_gate` checks every op, and then
+featurizes it; the edges follow from op order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, GateInstance
-from .gates import ONE_HOT_INDEX, VOCABULARY_SIZE, GateKind
+from .gates import ONE_HOT_INDEX, VOCABULARY_SIZE, GateKind, gate_by_name
 from .jsonio import dumps as json_dumps
 
 MAX_FEATURE_QUBITS = 27
@@ -109,59 +113,46 @@ def graph_from_dag(dag: CircuitDag, label: int | None = None) -> GraphData:
     return GraphData(dag.name, dag.num_qubits, encode_features(dag), edges, label)
 
 
-def graph_to_json(graph: GraphData) -> str:
-    doc: dict = {"name": graph.name, "num_qubits": graph.num_qubits}
-    if graph.label is not None:
-        doc["label"] = int(graph.label)
-    doc["nodes"] = [[float(x) for x in row] for row in graph.features]
-    doc["edges"] = [[int(s), int(d)] for s, d in graph.edges]
-    return json_dumps(doc)
-
-
-def write_graph(graph: GraphData, path: str | Path) -> Path:
+def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Path:
+    """Write {name, num_qubits, label?, ops: [[gate, qubits, params], ...]}."""
     path = Path(path)
     if not path.name.endswith(GRAPH_SUFFIX):
         path = path.with_name(path.name + GRAPH_SUFFIX)
-    path.write_text(graph_to_json(graph))
+    doc: dict = {"name": circ.name, "num_qubits": circ.num_qubits}
+    if label is not None:
+        doc["label"] = int(label)
+    doc["ops"] = [[op.kind.value, list(op.qubits), list(op.params)] for op in circ.ops]
+    path.write_text(json_dumps(doc))
     return path
 
 
+def _int(x) -> int:
+    # JSON gives exactly int, float, bool, str, None, list or dict; a bool is no qubit
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
+def _number(x) -> float:
+    if type(x) not in (int, float):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def load_graph(path: str | Path) -> GraphData:
+    """Featurize a stored circuit; any malformed content raises FeaturizeError."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FeaturizeError(f"{path}: invalid graph JSON ({exc})") from None
-    try:
-        feats = np.asarray(raw["nodes"], dtype=np.float64)
-        edges = np.asarray(raw["edges"], dtype=np.int64).reshape(-1, 2)
-        graph = GraphData(
-            name=str(raw["name"]),
-            num_qubits=int(raw["num_qubits"]),
-            features=feats,
-            edges=edges,
-            label=None if raw.get("label") is None else int(raw["label"]),
-        )
+        ops = [
+            GateInstance(gate_by_name(kind), tuple(map(_int, qubits)), tuple(map(_number, params)))
+            for kind, qubits, params in raw["ops"]
+        ]
+        circ = Circuit(_int(raw["num_qubits"]), ops, str(raw["name"]))
+        label = raw.get("label")
+        return featurize_circuit(circ, None if label is None else _int(label))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FeaturizeError(f"{path}: malformed graph file ({exc})") from None
-    if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
-        raise FeaturizeError(f"{path}: nodes must be {FEATURE_DIM}-wide rows, got {feats.shape}")
-    if not 1 <= graph.num_qubits <= MAX_FEATURE_QUBITS:
-        raise FeaturizeError(
-            f"{path}: num_qubits {graph.num_qubits} is outside 1..{MAX_FEATURE_QUBITS}"
-        )
-    gates = feats[:, :GATE_SLOTS]
-    qubits = feats[:, GATE_SLOTS : GATE_SLOTS + MAX_FEATURE_QUBITS]
-    angles = feats[:, GATE_SLOTS + MAX_FEATURE_QUBITS :]
-    if not (((gates == 0.0) | (gates == 1.0)).all() and (gates.sum(axis=1) == 1.0).all()):
-        raise FeaturizeError(f"{path}: every node needs exactly one gate slot set to 1")
-    if not ((qubits == 0.0) | (qubits == 1.0)).all() or qubits[:, graph.num_qubits :].any():
-        raise FeaturizeError(f"{path}: qubit slots must be 0/1 and below num_qubits")
-    if not ((angles >= 0.0) & (angles < 1.0)).all():
-        raise FeaturizeError(f"{path}: angle slots must lie in [0, 1)")
-    if graph.edges.size and (graph.edges.min() < 0 or graph.edges.max() >= graph.num_nodes):
-        raise FeaturizeError(f"{path}: edge endpoint out of range")
-    return graph
 
 
 def featurize_circuit(circ: Circuit, label: int | None = None) -> GraphData:

@@ -166,12 +166,12 @@ def build_manifest(
             if precompiled_dir is not None:
                 variants = _load_precompiled(path, profiles, Path(precompiled_dir))
             label, best, costs = label_circuit(circ, profiles, variants)
-            graph = featurize_circuit(circ, label)
+            featurize_circuit(circ, label)  # skips circuits too wide for the feature layout
         except (ValueError, KeyError) as exc:
             skipped.append({"circuit": path.name, "error": str(exc)})
             log.warning("skipping %s: %s", path.name, exc)
             continue
-        dag_path = write_graph(graph, dag_dir / circ.name)
+        dag_path = write_graph(circ, dag_dir / circ.name, label)
         counts[label] += 1
         entries.append(ManifestEntry(
             name=circ.name,

@@ -10,7 +10,7 @@ field depends on wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -213,10 +213,6 @@ class FoldReport:
             "loss_curve": self.loss_curve,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "FoldReport":
-        return cls(**obj)
-
 
 def aggregate(reports: Sequence[FoldReport]) -> dict:
     """Mean and population standard deviation of each headline metric."""
@@ -309,7 +305,6 @@ def train(
     seed: int = 0,
     batch_size: int = 32,
     split_mode: str = "cv",
-    progress: Callable[[int, FoldReport], None] | None = None,
 ) -> TrainResult:
     """Full k-fold run; deterministic given (config, graphs, seed, flags)."""
     if not graphs:
@@ -324,8 +319,6 @@ def train(
         )
         reports.append(report)
         fold_weights.append(params)
-        if progress is not None:
-            progress(fold_id, report)
     return TrainResult(
         config=config,
         seed=seed,

@@ -242,6 +242,12 @@ class TestExitCodes:
     def test_featurize_missing_input(self):
         assert main(["featurize", "no-such-file.qasm"]) == 2
 
+    def test_featurize_non_finite_angle(self, tmp_path, capsys):
+        bad = tmp_path / "inf.qasm"
+        bad.write_text("qreg q[1];\nrx(1e999) q[0];\n")
+        assert main(["featurize", str(bad)]) == 2
+        assert f"{bad}: line 2, column 1: rx has a non-finite parameter" in capsys.readouterr().err
+
     def test_label_unknown_profile(self, pipeline, tmp_path):
         _, corpus, _ = pipeline
         code = main([
@@ -366,7 +372,7 @@ class TestExitCodes:
             "predict", str(bad), "--checkpoint", str(trained / "fold0.ckpt"),
         ]) == 2
 
-    def test_predict_bad_circuit(self, trained, tmp_path):
+    def test_predict_bad_circuit(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"
         bad.write_text(
             'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nfrobnicate q[0];\n'
@@ -374,6 +380,9 @@ class TestExitCodes:
         assert main([
             "predict", str(bad), "--checkpoint", str(trained / "fold0.ckpt"),
         ]) == 2
+        assert capsys.readouterr().err == (
+            f"qtp predict: {bad}: line 4, column 1: unknown gate 'frobnicate'\n"
+        )
 
     def test_gen_corpus_bad_mix(self, tmp_path):
         assert main([
@@ -425,6 +434,24 @@ class TestFuzzedInputs:
         circuit = sorted(corpus.glob("*.qasm"))[0]
         assert main(["predict", str(circuit), "--checkpoint", str(bad)]) in (0, 2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_graph(self, pipeline, trained, data):
+        root, _, manifest = pipeline
+        blob = json.loads(manifest.read_text())
+        entry = blob["entries"][0]
+        src = manifest.parent / entry["dag_path"]
+        bad = root / "fuzz" / "graph.dag.json"
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes(data.draw(_mangled(src.read_bytes())))
+        blob["entries"] = [{**entry, "dag_path": str(bad)}]
+        one = root / "fuzz" / "one.json"
+        one.write_text(json.dumps(blob))
+        assert main([
+            "evaluate", "--checkpoint", str(trained / "fold0.ckpt"),
+            "--manifest", str(one), "--out", str(root / "fuzz" / "eval.json"),
+        ]) in (0, 2)
+
 
 class TestProcessEntry:
     def test_module_entry_point(self):
@@ -447,3 +474,18 @@ class TestProcessEntry:
         )
         assert proc.returncode == 0
         assert "entries" in proc.stderr
+
+    def test_optimized_run_checks_finiteness(self, pipeline, trained, tmp_path):
+        _, corpus, _ = pipeline
+        config, weights, seed, _ = load_checkpoint(trained / "fold0.ckpt")
+        weights["first.b"][0] = 1.7e308
+        bad = tmp_path / "huge.ckpt"
+        save_checkpoint(bad, config, weights, seed)
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "qtp.cli", "predict", str(circuit),
+             "--checkpoint", str(bad)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "non-finite forward pass" in proc.stderr

@@ -121,10 +121,16 @@ class TestFeatures:
         assert np.allclose(angles, [0.5, 0.25, 0.125])
 
 
+def _rewrite(path, edit):
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))  # non-finite floats become Infinity / NaN
+
+
 class TestGraphIO:
     def test_round_trip(self, tmp_path):
         graph = featurize_circuit(_bell(), label=1)
-        path = write_graph(graph, tmp_path / "bell.dag.json")
+        path = write_graph(_bell(), tmp_path / "bell.dag.json", label=1)
         back = load_graph(path)
         assert back.name == graph.name
         assert back.num_qubits == 2
@@ -133,55 +139,55 @@ class TestGraphIO:
         assert np.array_equal(back.edges, graph.edges)
 
     def test_unlabeled(self, tmp_path):
-        graph = featurize_circuit(_bell())
-        back = load_graph(write_graph(graph, tmp_path / "b.dag.json"))
+        back = load_graph(write_graph(_bell(), tmp_path / "b.dag.json"))
         assert back.label is None
 
-    def test_edge_range_validated(self, tmp_path):
-        graph = featurize_circuit(_bell())
-        path = write_graph(graph, tmp_path / "bad.dag.json")
-        blob = json.loads(path.read_text())
-        blob["edges"][0] = [0, 99]
-        path.write_text(json.dumps(blob))
-        with pytest.raises(FeaturizeError):
-            load_graph(path)
-
-    def test_half_width_rows_rejected(self, tmp_path):
-        # 4 x 33 floats would reshape into 2 x 66
-        path = tmp_path / "half.dag.json"
-        path.write_text(json.dumps({
-            "name": "half", "num_qubits": 2, "nodes": [[0.0] * 33 for _ in range(4)],
-            "edges": [],
-        }))
-        with pytest.raises(FeaturizeError, match="66-wide"):
-            load_graph(path)
+    def test_file_holds_the_ops(self, tmp_path):
+        circ = Circuit(3, name="angles")
+        circ.add(GateKind.U3, (2,), (-math.pi, 1e-300, 0.1 + 0.2))
+        circ.add(GateKind.CRZ, (1, 0), (-0.0,))
+        circ.add(GateKind.CCX, (2, 0, 1))
+        path = write_graph(circ, tmp_path / "angles")
+        assert path.name == "angles.dag.json"
+        assert json.loads(path.read_text()) == {
+            "name": "angles", "num_qubits": 3,
+            "ops": [["u3", [2], [-math.pi, 1e-300, 0.1 + 0.2]], ["crz", [1, 0], [0]],
+                    ["ccx", [2, 0, 1], []]],
+        }
+        back, fresh = load_graph(path), featurize_circuit(circ)
+        assert np.array_equal(back.features, fresh.features)
+        assert np.array_equal(back.edges, fresh.edges)
+        assert back.edges.dtype == fresh.edges.dtype == np.int64
 
     @pytest.mark.parametrize(
-        "column, value",
+        "ops",
         [
-            (0, 1.0),  # a second gate slot set
-            (ONE_HOT_INDEX[GateKind.INPUT], 0.5),  # gate slot neither 0 nor 1
-            (GATE_SLOTS + 1, 0.5),  # qubit slot neither 0 nor 1
-            (GATE_SLOTS + 2, 1.0),  # qubit 2 on a 2-qubit graph
-            (GATE_SLOTS + MAX_FEATURE_QUBITS, 1.0),  # angle at the top of [0, 1)
-            (GATE_SLOTS + MAX_FEATURE_QUBITS + 1, -0.25),  # negative angle
+            [["frob", [0], []]],
+            [["input", [0], []]],
+            [["cx", [0, 2], []]],
+            [["cx", [1, 1], []]],
+            [["cx", [1], []]],
+            [["h", [0], [0.5]]],
+            [["h", [0.0], []]],
+            [["h", [True], []]],
+            [["rz", [0], [float("inf")]]],
+            None,
         ],
+        ids=["unknown-gate", "input", "qubit-out-of-range", "duplicate-qubits", "wrong-arity",
+             "wrong-param-count", "float-qubit", "bool-qubit", "non-finite-param", "missing-ops"],
     )
-    def test_feature_ranges_validated(self, tmp_path, column, value):
-        graph = featurize_circuit(_bell())
-        path = write_graph(graph, tmp_path / "bad.dag.json")
-        blob = json.loads(path.read_text())
-        blob["nodes"][1][column] = value
-        path.write_text(json.dumps(blob))
-        with pytest.raises(FeaturizeError):
+    def test_malformed_ops_rejected(self, tmp_path, ops):
+        path = write_graph(_bell(), tmp_path / "bad.dag.json")
+        _rewrite(path, lambda b: b.pop("ops") if ops is None else b.__setitem__("ops", ops))
+        with pytest.raises(FeaturizeError, match="bad.dag.json"):
             load_graph(path)
 
-    @pytest.mark.parametrize("num_qubits", [0, MAX_FEATURE_QUBITS + 1, float("inf")])
+    @pytest.mark.parametrize("num_qubits", [0, MAX_FEATURE_QUBITS + 1, float("inf"), True, 1.0])
     def test_num_qubits_range_validated(self, tmp_path, num_qubits):
-        path = write_graph(featurize_circuit(_bell()), tmp_path / "bad.dag.json")
-        blob = json.loads(path.read_text())
-        blob["num_qubits"] = num_qubits
-        path.write_text(json.dumps(blob))
+        circ = Circuit(1)
+        circ.add(GateKind.H, (0,))
+        path = write_graph(circ, tmp_path / "bad.dag.json")
+        _rewrite(path, lambda b: b.__setitem__("num_qubits", num_qubits))
         with pytest.raises(FeaturizeError):
             load_graph(path)
 

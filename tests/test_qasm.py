@@ -73,6 +73,12 @@ class TestParse:
             parse_qasm(f"qreg q[1];\nrz({number}) q[0];")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("angle", ["1e999", "-1e999", "1e308*10", "1e999-1e999"])
+    def test_non_finite_parameter(self, angle):
+        with pytest.raises(QasmError, match="non-finite parameter") as exc:
+            parse_qasm(f"qreg q[1];\nrx({angle}) q[0];")
+        assert exc.value.line == 2 and exc.value.col == 1
+
     def test_barrier_dropped_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
