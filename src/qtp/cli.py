@@ -105,7 +105,7 @@ def _load_config(spec: str) -> ModelConfig:
     text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ModelError(f"bad model config {spec!r}: {exc}") from exc
     return ModelConfig.from_json(obj)
 

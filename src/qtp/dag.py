@@ -151,7 +151,7 @@ def load_graph(path: str | Path) -> GraphData:
         circ = Circuit(_int(raw["num_qubits"]), ops, str(raw["name"]))
         label = raw.get("label")
         return featurize_circuit(circ, None if label is None else _int(label))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise FeaturizeError(f"{path}: malformed graph file ({exc})") from None
 
 

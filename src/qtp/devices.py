@@ -153,7 +153,7 @@ def load_profile(source: str | Path | dict) -> DeviceProfile:
     if isinstance(source, (str, Path)):
         try:
             raw = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DeviceError(f"{source}: invalid JSON ({exc})") from None
     else:
         raw = source

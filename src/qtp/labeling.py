@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,10 +197,9 @@ def build_manifest(
 
 
 def _rel(path: Path, base: Path) -> str:
-    try:
-        return path.resolve().relative_to(base.resolve()).as_posix()
-    except ValueError:
-        return path.resolve().as_posix()
+    """path from base, through `..` if need be, so the manifest's bytes do not
+    depend on where the tree sits."""
+    return Path(os.path.relpath(path.resolve(), base.resolve())).as_posix()
 
 
 def manifest_to_json(m: Manifest) -> str:
@@ -222,7 +222,7 @@ def load_manifest(path: str | Path) -> Manifest:
             class_counts=tuple(raw["class_counts"]),
             skipped=raw.get("skipped", []),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise LabelError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
     for e in entries:
         _check_entry(e, path)

@@ -1,9 +1,11 @@
 """Graph classifier: GAT/GCN first layer, residual GCN blocks, mean pool, FFNN.
 
 Everything runs through the autodiff tape in :mod:`qtp.autodiff`; the only
-dense linear algebra is the per-layer weight matmul.  Adjacency is kept in COO
-form and applied with a gather/scale/segment-sum composite, so batches are
-block-diagonal for free.
+dense linear algebra is the per-layer weight matmul.  Message passing goes
+through neighbor tables (:class:`qtp.autodiff.NeighborTable`) built once per
+batch from the batch's edge list: one for the normalized adjacency, and one
+per direction for GAT attention.  A batch's edges are offset per graph, so it
+is block-diagonal for free.
 """
 
 from __future__ import annotations
@@ -152,34 +154,44 @@ def iter_grid():
 
 @dataclass(frozen=True)
 class SparseAdj:
-    """COO form of the normalized operator D̃^{-1/2}(A+I)D̃^{-1/2}."""
+    """The normalized operator D̃^{-1/2}(A+I)D̃^{-1/2}: COO entries and their table."""
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray  # (nnz, 1) so it broadcasts as a column
     num_nodes: int
+    table: ad.NeighborTable
 
 
-def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseAdj:
-    """Symmetrize, add self-loops, and scale by inverse sqrt degrees."""
+def _checked_edges(edges, num_nodes: int) -> np.ndarray:
     if num_nodes < 1:
         raise ModelError("graph has no nodes")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
+        raise ModelError(f"edge endpoint outside 0..{num_nodes - 1}")
+    return edges
+
+
+def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseAdj:
+    """Symmetrize, add self-loops, and scale by inverse sqrt degrees.
+
+    Entries come out sorted by row, then column, so each row of the table
+    sums its terms in column order.
+    """
+    edges = _checked_edges(edges, num_nodes)
     loops = np.arange(num_nodes, dtype=np.int64)
     rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
     cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
-    pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
-    rows, cols = pairs[:, 0], pairs[:, 1]
+    rows, cols = np.divmod(np.unique(rows * num_nodes + cols), num_nodes)
     deg = np.bincount(rows, minlength=num_nodes).astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)
     vals = (inv_sqrt[rows] * inv_sqrt[cols]).reshape(-1, 1)
-    return SparseAdj(rows, cols, vals, num_nodes)
+    return SparseAdj(rows, cols, vals, num_nodes, ad.NeighborTable(rows, cols, num_nodes, vals))
 
 
 def spmm(adj: SparseAdj, h: Tensor) -> Tensor:
-    """Â @ H through differentiable gather / scale / scatter-sum."""
-    msg = ad.mul(ad.gather_rows(h, adj.cols), h.tape.const(adj.vals))
-    return ad.segment_sum(msg, adj.rows, adj.num_nodes)
+    """Â @ H; Â is symmetric, so the backward is the same table sum."""
+    return ad.sym_spmm(h, adj.table)
 
 
 # --- layers -------------------------------------------------------------------
@@ -206,20 +218,20 @@ def gat_forward(
     Each head is (W, a_dst, a_src) with the attention vector split into the
     halves applied to the destination and source embeddings; head outputs are
     concatenated, with no bias and no activation beyond the internal LeakyReLU.
+    A node's attention terms follow the edge list, with its self-loop last.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _checked_edges(edges, num_nodes)
     loops = np.arange(num_nodes, dtype=np.int64)
     src = np.concatenate([edges[:, 0], loops])
     dst = np.concatenate([edges[:, 1], loops])
+    into = ad.NeighborTable(dst, src, num_nodes)
+    out_of = ad.NeighborTable(into.cols, into.rows, num_nodes)
     outs = []
     for w, a_dst, a_src in heads:
         wh = ad.matmul(h, w)
-        score_dst = ad.gather_rows(ad.matmul(wh, a_dst), dst)
-        score_src = ad.gather_rows(ad.matmul(wh, a_src), src)
-        logit = ad.leaky_relu(ad.add(score_dst, score_src), 0.2)
-        alpha = ad.segment_softmax(logit, dst, num_nodes)
-        msg = ad.mul(ad.gather_rows(wh, src), alpha)
-        outs.append(ad.segment_sum(msg, dst, num_nodes))
+        outs.append(ad.neighbor_attention(
+            wh, ad.matmul(wh, a_dst), ad.matmul(wh, a_src), into, out_of, 0.2
+        ))
     return outs[0] if len(outs) == 1 else ad.concat(outs)
 
 
@@ -239,7 +251,6 @@ class GraphBatch:
     graph_ids: np.ndarray  # (total_nodes,)
     num_graphs: int
     labels: np.ndarray = field(default=None)  # (num_graphs,) or None
-    qubit_counts: np.ndarray = field(default=None)
 
 
 def batch_graphs(graphs: Sequence[GraphData]) -> GraphBatch:
@@ -263,7 +274,6 @@ def batch_graphs(graphs: Sequence[GraphData]) -> GraphBatch:
         graph_ids=np.concatenate(gids),
         num_graphs=len(graphs),
         labels=labels,
-        qubit_counts=np.array([g.num_qubits for g in graphs], dtype=np.int64),
     )
 
 
@@ -428,7 +438,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict
     pos += 4
     try:
         header = json.loads(data[pos : pos + hlen])
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
     pos += hlen
     try:

@@ -278,6 +278,28 @@ class TestTapeMechanics:
         second = tape.backward(loss)
         assert np.array_equal(first["x"], second["x"])
 
+    def test_gradients_only_where_backward_reaches(self):
+        tape = ad.Tape()
+        x = tape.param("x", [1.0, 2.0])
+        tape.param("unused", [[3.0]])
+        c = tape.const([5.0, 7.0])
+        side = ad.scale(x, 2.0)  # recorded, but the loss never reads it
+        grads = tape.backward(ad.mean_all(ad.mul(x, c)))
+        assert c.grad is None and side.grad is None
+        assert np.array_equal(grads["x"], [2.5, 3.5])
+        assert np.array_equal(grads["unused"], [[0.0]])
+
+    def test_pass_through_adjoint_is_not_shared(self):
+        # add hands its adjoint to both operands; a later push into one of
+        # them must not leak into the other's gradient
+        tape = ad.Tape()
+        x = tape.param("x", [1.0, -2.0])
+        q = ad.scale(x, 3.0)
+        p = ad.scale(x, 2.0)
+        r = ad.scale(p, 5.0)
+        grads = tape.backward(ad.mean_all(ad.add(ad.add(p, q), r)))
+        assert np.array_equal(grads["x"], [7.5, 7.5])
+
     def test_backward_returns_copies(self):
         tape = ad.Tape()
         x = tape.param("x", [1.0])

@@ -144,6 +144,21 @@ class TestPipeline:
         assert payload["num_graphs"] == 24
         assert 0.0 <= payload["metrics"]["accuracy"] <= 1.0
 
+    def test_evaluate_circuits_outside_manifest_directory(self, pipeline, trained, tmp_path):
+        _, corpus, _ = pipeline
+        manifest = tmp_path / "away" / "manifest.json"
+        assert main(["label", "--circuits", str(corpus), "--out", str(manifest)]) == 0
+        entry = json.loads(manifest.read_text())["entries"][0]
+        assert not os.path.isabs(entry["circuit_path"])
+        assert (manifest.parent / entry["circuit_path"]).resolve() == (
+            corpus / f"{entry['name']}.qasm"
+        ).resolve()
+        assert main([
+            "evaluate", "--checkpoint", str(trained / "fold0.ckpt"),
+            "--manifest", str(manifest), "--out", str(tmp_path / "eval.json"),
+        ]) == 0
+        assert json.loads((tmp_path / "eval.json").read_text())["num_graphs"] == 24
+
     def test_predict_line(self, pipeline, trained, capsys):
         _, corpus, _ = pipeline
         circuit = sorted(corpus.glob("*.qasm"))[0]
@@ -388,6 +403,57 @@ class TestExitCodes:
         assert main([
             "gen-corpus", "--out", str(tmp_path / "c"), "--n", "2", "--mix", "qft=1",
         ]) == 2
+
+
+_DEEP = "[" * 100_000  # nested past the JSON decoder's recursion limit
+
+
+def _deep_manifest(root, corpus, manifest, trained, bad):
+    bad.write_text('{"entries": ' + _DEEP)
+    return ["stats", "--manifest", str(bad), "--out", str(root / "s")]
+
+
+def _deep_graph(root, corpus, manifest, trained, bad):
+    bad.write_text(_DEEP)
+    blob = json.loads(manifest.read_text())
+    blob["entries"] = [{**blob["entries"][0], "dag_path": str(bad)}]
+    one = root / "one.json"
+    one.write_text(json.dumps(blob))
+    return ["evaluate", "--checkpoint", str(trained / "fold0.ckpt"),
+            "--manifest", str(one), "--out", str(root / "e.json")]
+
+
+def _deep_profile(root, corpus, manifest, trained, bad):
+    bad.write_text(_DEEP)
+    return ["label", "--circuits", str(corpus), "--profiles", str(bad),
+            "--out", str(root / "m.json")]
+
+
+def _deep_checkpoint(root, corpus, manifest, trained, bad):
+    raw = _DEEP.encode()
+    bad.write_bytes(b"QTPCKPT1" + struct.pack("<I", len(raw)) + raw)
+    return ["predict", str(sorted(corpus.glob("*.qasm"))[0]), "--checkpoint", str(bad)]
+
+
+def _deep_config(root, corpus, manifest, trained, bad):
+    bad.write_text(_DEEP)
+    return ["train", "--manifest", str(manifest), "--config", str(bad),
+            "--out", str(root / "t")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_deep_manifest, _deep_graph, _deep_profile, _deep_checkpoint, _deep_config],
+    ids=["manifest", "graph", "profile", "checkpoint", "config"],
+)
+def test_deeply_nested_json_is_bad_data(pipeline, trained, tmp_path, capsys, make_argv):
+    """JSON nested past the decoder's limit exits 2 with the file's name, not 3."""
+    _, corpus, manifest = pipeline
+    bad = tmp_path / "deep.json"
+    assert main(make_argv(tmp_path, corpus, manifest, trained, bad)) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "internal error" not in err
 
 
 @st.composite

@@ -184,6 +184,37 @@ class TestManifest:
         for dag_path in resolve_dag_paths(path, manifest):
             assert dag_path.exists()
 
+    def test_paths_outside_the_manifest_directory(self, tmp_path, ion_aa3, sc_line3, rng):
+        circuits = tmp_path / "in" / "circuits"
+        circuits.mkdir(parents=True)
+        for i in range(3):
+            circ = random_circuit(rng, 2, 4, name=f"c{i}")
+            (circuits / f"{circ.name}.qasm").write_text(serialize_qasm(circ))
+        out = tmp_path / "out" / "manifest.json"
+        build_manifest(circuits, [ion_aa3, sc_line3], out, dag_dir=tmp_path / "graphs")
+        manifest = load_manifest(out)
+        for entry, dag_path in zip(manifest.entries, resolve_dag_paths(out, manifest)):
+            assert entry.circuit_path == f"../in/circuits/{entry.name}.qasm"
+            assert entry.dag_path.startswith("../graphs/")
+            assert (out.parent / entry.circuit_path).is_file()
+            assert dag_path.is_file()
+
+    def test_manifest_bytes_do_not_depend_on_the_tree_location(
+        self, tmp_path, ion_aa3, sc_line3, rng
+    ):
+        texts = [serialize_qasm(random_circuit(rng, 2, 4, name=f"c{i}")) for i in range(3)]
+        blobs = []
+        for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            circuits = root / "circuits"
+            circuits.mkdir(parents=True)
+            for i, text in enumerate(texts):
+                (circuits / f"c{i}.qasm").write_text(text)
+            out = root / "lab" / "manifest.json"
+            build_manifest(circuits, [ion_aa3, sc_line3], out)
+            blobs.append(out.read_bytes())
+        assert b"../circuits/c0.qasm" in blobs[0]
+        assert blobs[0] == blobs[1]
+
     def test_entry_costs_match_direct_scoring(self, small_manifest, ion_aa3, sc_line3):
         path, manifest = small_manifest
         entry = manifest.entries[0]

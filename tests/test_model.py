@@ -96,6 +96,58 @@ def _random_graph(rng, dim=FEATURE_DIM, label=None):
     )
 
 
+def _hub_edges():
+    """12 nodes: node 0 has 10 in-edges and an Â row of 10 entries, node 9 a
+    duplicated edge and its reverse, nodes 10 and 11 no edges at all."""
+    edges = [(i, 0) for i in range(1, 9)] + [(9, 0), (0, 9), (0, 9), (9, 0), (2, 3), (3, 2)]
+    return 12, np.array(edges, dtype=np.int64)
+
+
+def _table_cases(rng):
+    """(n, edges) pairs whose row degrees reach past 7 and down to 0."""
+    complete = np.array([(i, j) for i in range(9) for j in range(9) if i != j], dtype=np.int64)
+    cases = [_hub_edges(), (1, np.zeros((0, 2), np.int64)), (9, complete),
+             (3, np.array([[0, 1], [0, 1], [1, 0], [2, 1]]))]
+    for _ in range(6):
+        n = int(rng.integers(2, 14))
+        cases.append((n, rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))))
+    return [(n, e[e[:, 0] != e[:, 1]]) for n, e in cases]
+
+
+def _scatter_spmm(adj, x):
+    """The COO scatter-add form of Â @ X."""
+    out = np.zeros_like(x)
+    np.add.at(out, adj.rows, x[adj.cols] * adj.vals)
+    return out
+
+
+def _scatter_gat(x, edges, n, heads):
+    """GAT as gathers, scatter-max and scatter-adds over the edge list plus self-loops."""
+    src = np.concatenate([edges[:, 0], np.arange(n)])
+    dst = np.concatenate([edges[:, 1], np.arange(n)])
+    outs = []
+    for w, a_dst, a_src in heads:
+        wh = x @ w
+        logit = _leaky((wh @ a_dst)[dst] + (wh @ a_src)[src], 0.2)
+        peak = np.full((n, 1), -np.inf)
+        np.maximum.at(peak, dst, logit)
+        e = np.exp(logit - peak[dst])
+        denom = np.zeros((n, 1))
+        np.add.at(denom, dst, e)
+        out = np.zeros_like(wh)
+        np.add.at(out, dst, wh[src] * (e / denom[dst]))
+        outs.append(out)
+    return np.concatenate(outs, axis=1)
+
+
+def _head_arrays(rng, in_dim, hidden, count):
+    return [
+        (rng.standard_normal((in_dim, hidden)), rng.standard_normal((hidden, 1)),
+         rng.standard_normal((hidden, 1)))
+        for _ in range(count)
+    ]
+
+
 # --- grid ----------------------------------------------------------------------
 
 
@@ -240,14 +292,17 @@ class TestAdjacency:
 class TestLayers:
     def test_spmm_matches_dense(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            n = int(rng.integers(1, 9))
-            edges = _random_edges(rng, n, int(rng.integers(0, 2 * n + 1)))
+        cases = [(n, _random_edges(rng, n, int(rng.integers(0, 2 * n + 1))))
+                 for n in rng.integers(1, 9, size=20).tolist()]
+        for n, edges in cases + _table_cases(rng):
             x = rng.standard_normal((n, 4))
             adj = normalize_adjacency(edges, n)
+            # one slot per entry of the fullest row, however full it is
+            assert len(adj.table.slots) == np.bincount(adj.rows).max()
             tape = ad.Tape()
             got = spmm(adj, tape.const(x)).data
-            assert np.max(np.abs(got - _dense(adj) @ x)) < 1e-12
+            assert np.max(np.abs(got - _dense_normalized(edges, n) @ x)) < 1e-12
+        assert len(normalize_adjacency(_hub_edges()[1], 12).table.slots) == 10
 
     def test_gcn_forward_matches_oracle(self):
         rng = np.random.default_rng(13)
@@ -287,9 +342,9 @@ class TestLayers:
 
     def test_gat_matches_oracle(self):
         rng = np.random.default_rng(19)
-        for _ in range(20):
-            n = int(rng.integers(1, 9))
-            edges = _random_edges(rng, n, int(rng.integers(0, 2 * n + 1)))
+        cases = [(n, _random_edges(rng, n, int(rng.integers(0, 2 * n + 1))))
+                 for n in rng.integers(1, 9, size=20).tolist()]
+        for n, edges in cases + _table_cases(rng):
             x = rng.standard_normal((n, 5))
             heads_np = [
                 (
@@ -341,6 +396,72 @@ class TestLayers:
         got = gat_forward(tape.const(x), edges, n, [head]).data
         assert np.allclose(got, (x @ w), atol=1e-12)
 
+    def test_forward_bit_identical_to_scatter_reference(self):
+        rng = np.random.default_rng(67)
+        for n, edges in _table_cases(rng):
+            x = rng.standard_normal((n, 6))
+            adj = normalize_adjacency(edges, n)
+            tape = ad.Tape()
+            assert np.max(np.abs(spmm(adj, tape.const(x)).data - _scatter_spmm(adj, x))) == 0.0
+            heads_np = _head_arrays(rng, 6, 5, 3)
+            heads = [tuple(tape.const(a) for a in head) for head in heads_np]
+            got = gat_forward(tape.const(x), edges, n, heads).data
+            assert np.max(np.abs(got - _scatter_gat(x, edges, n, heads_np))) == 0.0
+            ids = np.sort(rng.integers(0, 3, size=n))
+            ids = np.unique(ids, return_inverse=True)[1]
+            sums = np.zeros((ids.max() + 1, 6))
+            np.add.at(sums, ids, x)
+            want = sums / np.bincount(ids)[:, None]
+            got = global_mean_pool(tape.const(x), ids, ids.max() + 1).data
+            assert np.max(np.abs(got - want)) == 0.0
+
+    def test_table_ops_gradients(self):
+        rng = np.random.default_rng(71)
+        n, edges = _hub_edges()
+        adj = normalize_adjacency(edges, n)
+        weight = rng.standard_normal((n, 3))
+
+        def spmm_loss(ts):
+            out = ad.sym_spmm(ts["x"], adj.table)
+            return ad.mean_all(ad.mul(out, ts["x"].tape.const(weight)))
+
+        assert ad.finite_diff_check(spmm_loss, {"x": rng.standard_normal((n, 3))}) <= 1e-4
+
+        loops = np.arange(n)
+        into = ad.NeighborTable(np.r_[edges[:, 1], loops], np.r_[edges[:, 0], loops], n)
+        out_of = ad.NeighborTable(into.cols, into.rows, n)
+
+        def attention_loss(ts):
+            out = ad.neighbor_attention(ts["wh"], ts["sd"], ts["ss"], into, out_of, 0.2)
+            return ad.mean_all(ad.mul(out, ts["wh"].tape.const(weight)))
+
+        params = {"wh": rng.standard_normal((n, 3)), "sd": rng.standard_normal((n, 1)),
+                  "ss": rng.standard_normal((n, 1))}
+        assert ad.finite_diff_check(attention_loss, params) <= 1e-4
+
+        x = rng.standard_normal((n, 4))
+        a_dst = rng.standard_normal((3, 1))
+
+        def gat_loss(ts):
+            # a_dst shifts a whole softmax row, so its gradient is near zero and
+            # a relative check on it measures rounding; it stays fixed here
+            tape = ts["w"].tape
+            heads = [(ts["w"], tape.const(a_dst), ts["a_src"])]
+            out = gat_forward(tape.const(x), edges, n, heads)
+            return ad.mean_all(ad.mul(out, tape.const(weight)))
+
+        params = {"w": rng.standard_normal((4, 3)), "a_src": rng.standard_normal((3, 1))}
+        assert ad.finite_diff_check(gat_loss, params) <= 1e-4
+
+    def test_edges_out_of_range_rejected(self):
+        tape = ad.Tape()
+        head = tuple(tape.const(a) for a in _head_arrays(np.random.default_rng(0), 2, 2, 1)[0])
+        for edges in ([[0, 3]], [[-1, 0]]):
+            with pytest.raises(ModelError, match="outside"):
+                normalize_adjacency(np.array(edges), 3)
+            with pytest.raises(ModelError, match="outside"):
+                gat_forward(tape.const(np.ones((3, 2))), np.array(edges), 3, [head])
+
     def test_global_mean_pool(self):
         tape = ad.Tape()
         h = tape.const(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
@@ -360,7 +481,6 @@ class TestBatch:
         assert np.array_equal(batch.graph_ids, [0, 0, 1, 1, 1])
         assert batch.num_graphs == 2
         assert np.array_equal(batch.labels, [0, 1])
-        assert np.array_equal(batch.qubit_counts, [2, 3])
 
     def test_missing_label_drops_labels(self):
         g1 = GraphData("a", 2, np.ones((1, 3)), np.zeros((0, 2), np.int64), label=0)
@@ -397,6 +517,9 @@ class TestForward:
     def test_batch_of_one_matches_joint(self, config):
         rng = np.random.default_rng(41)
         graphs = [_random_graph(rng, dim=7) for _ in range(4)]
+        # hubs, duplicate edges and isolated nodes shuffle each table's row order
+        for n, edges in _table_cases(rng)[:4]:
+            graphs.append(GraphData(f"t{n}", 3, rng.standard_normal((n, 7)), edges))
         weights = init_weights(config, seed=2, in_dim=7)
         joint = predict_proba(config, weights, graphs)
         for i, g in enumerate(graphs):
