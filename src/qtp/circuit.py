@@ -5,7 +5,9 @@ structure from source files is flattened away at parse time; classical bits,
 measurements and barriers never reach this layer.
 
 `GateInstance` is a plain record.  `check_gate` validates it where it enters a
-`Circuit` (constructor and `append`), and in the parser, for line and column.
+`Circuit` (constructor and `append`); the parser appends each gate once and
+adds line and column to the error.  Compiler output is not a `Circuit`: see
+`transpile.route` for why its ops need no second check.
 """
 
 from __future__ import annotations

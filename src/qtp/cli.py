@@ -102,12 +102,11 @@ def _load_profiles(specs: list[str]) -> list[DeviceProfile]:
 
 
 def _load_config(spec: str) -> ModelConfig:
-    text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
     try:
-        obj = json.loads(text)
-    except (RecursionError, ValueError) as exc:
+        text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
+        return ModelConfig.from_json(json.loads(text))
+    except (RecursionError, ValueError) as exc:  # also non-UTF-8 text and ModelError
         raise ModelError(f"bad model config {spec!r}: {exc}") from exc
-    return ModelConfig.from_json(obj)
 
 
 def _load_dataset(manifest_path: str) -> list[GraphData]:

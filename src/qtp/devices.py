@@ -8,13 +8,14 @@ coupling and a superconducting device on a heavy-hex style lattice.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .circuit import GateInstance
-from .gates import gate_by_name
+from .circuit import Circuit, GateInstance
+from .gates import GateKind, gate_by_name
 
 TECHNOLOGIES = ("trapped-ion", "superconducting")
 
@@ -38,6 +39,13 @@ class DeviceProfile:
     _adjacency: dict[int, tuple[int, ...]] = field(default=None, repr=False, compare=False)
     # hop counts between every pair, -1 when unreachable; None for all-to-all
     _distance: tuple[tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
+    # Compiler memos, filled on first use so that building a profile stays
+    # cheap.  They are not init fields: every instance, a dataclasses.replace
+    # copy with other fidelities too, starts from empty ones.
+    _next_hop: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fidelities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _swaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _swap_template: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.technology not in TECHNOLOGIES:
@@ -118,6 +126,49 @@ class DeviceProfile:
             raise DeviceError(f"qubits {a} and {b} are not connected on {self.name}")
         return d
 
+    def next_hop(self, a: int, b: int) -> int:
+        """Smallest-index neighbor of a that is one hop closer to b; memoized.
+
+        a and b must be distinct and not coupled; raises DeviceError when no
+        path joins them.
+        """
+        hop = self._next_hop.get((a, b))
+        if hop is None:
+            closer = self.qubit_distance(a, b) - 1
+            hop = next(w for w in self.neighbors(a) if self._distance[w][b] == closer)
+            self._next_hop[a, b] = hop
+        return hop
+
+    def native_swap(self, u: int, v: int) -> tuple:
+        """SWAP of coupled qubits u, v in basis gates: (ops, fidelities, reach); memoized.
+
+        After the SWAP, wire u sits at level max(level_u + reach[0][0],
+        level_v + reach[0][1]) and wire v at max(level_u + reach[1][0],
+        level_v + reach[1][1]), which is what circuit_depth counts op by op.
+        """
+        entry = self._swaps.get((u, v))
+        if entry is None:
+            if self._swap_template is None:
+                object.__setattr__(self, "_swap_template", self._build_swap_template())
+            template, reach = self._swap_template
+            ops = tuple(GateInstance(op.kind, tuple((u, v)[q] for q in op.qubits), op.params)
+                        for op in template)
+            entry = self._swaps[u, v] = (ops, tuple(map(self.compiled_fidelity, ops)), reach)
+        return entry
+
+    def _build_swap_template(self) -> tuple:
+        from .transpile import lower_to_canonical, rebase  # the transpiler imports this module
+
+        swap = Circuit(2, [GateInstance(GateKind.SWAP, (0, 1))])
+        template = rebase(lower_to_canonical(swap), self).ops
+        # reach[w][x]: levels wire w gains over wire x's starting level
+        reach = [[0, -math.inf], [-math.inf, 0]]
+        for op in template:
+            after = [max(reach[w][x] for w in op.qubits) + 1 for x in (0, 1)]
+            for w in op.qubits:
+                reach[w] = list(after)
+        return template, tuple(tuple(map(int, r)) for r in reach)
+
     # --- fidelities ---------------------------------------------------------
 
     def gate_fidelity(self, op: GateInstance) -> float:
@@ -142,6 +193,14 @@ class DeviceProfile:
                 raise DeviceError(f"no 2q fidelity for pair {key} on {self.name}") from None
         return self.fidelity_2q
 
+    def compiled_fidelity(self, op: GateInstance) -> float:
+        """gate_fidelity(op), memoized on (kind, qubits); a failed lookup is not stored."""
+        key = (op.kind, op.qubits)
+        f = self._fidelities.get(key)
+        if f is None:
+            f = self._fidelities[key] = self.gate_fidelity(op)
+        return f
+
 
 def _check_fidelity(f: float, what: str) -> None:
     if not isinstance(f, (int, float)) or not 0.0 < float(f) <= 1.0:
@@ -150,44 +209,56 @@ def _check_fidelity(f: float, what: str) -> None:
 
 def load_profile(source: str | Path | dict) -> DeviceProfile:
     """Build a profile from a JSON file path or an already-parsed dict."""
-    if isinstance(source, (str, Path)):
-        try:
-            raw = json.loads(Path(source).read_text())
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DeviceError(f"{source}: invalid JSON ({exc})") from None
-    else:
-        raw = source
+    if not isinstance(source, (str, Path)):
+        return _profile_from_json(source)
+    try:
+        raw = json.loads(Path(source).read_text())
+    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+        raise DeviceError(f"{source}: invalid JSON ({exc})") from None
+    try:
+        return _profile_from_json(raw)
+    except DeviceError as exc:
+        raise DeviceError(f"{source}: {exc}") from None
+
+
+def _profile_from_json(raw) -> DeviceProfile:
+    if not isinstance(raw, dict):
+        raise DeviceError("a profile must be a JSON object")
     required = ("name", "technology", "num_qubits", "basis_gates",
                 "coupling", "fidelity_1q", "fidelity_2q")
     missing = [k for k in required if k not in raw]
     if missing:
         raise DeviceError(f"profile missing fields: {', '.join(missing)}")
     coupling = raw["coupling"]
-    if coupling != "all-to-all":
-        if not isinstance(coupling, list):
-            raise DeviceError("coupling must be \"all-to-all\" or a list of pairs")
-        coupling = tuple((int(a), int(b)) for a, b in coupling)
-    f2q = raw["fidelity_2q"]
-    if isinstance(f2q, dict):
-        parsed = {}
-        for key, val in f2q.items():
-            try:
-                a, b = (int(x) for x in key.split("-"))
-            except ValueError:
-                raise DeviceError(f"fidelity_2q key {key!r} is not of the form \"a-b\"") from None
-            parsed[(a, b) if a < b else (b, a)] = float(val)
-        f2q = parsed
-    else:
-        f2q = float(f2q)
-    return DeviceProfile(
-        name=str(raw["name"]),
-        technology=str(raw["technology"]),
-        num_qubits=int(raw["num_qubits"]),
-        basis_gates=tuple(str(g) for g in raw["basis_gates"]),
-        coupling=coupling,
-        fidelity_1q={str(g): float(f) for g, f in raw["fidelity_1q"].items()},
-        fidelity_2q=f2q,
-    )
+    if coupling != "all-to-all" and not isinstance(coupling, list):
+        raise DeviceError("coupling must be \"all-to-all\" or a list of pairs")
+    try:
+        if coupling != "all-to-all":
+            coupling = tuple((int(a), int(b)) for a, b in coupling)
+        f2q = raw["fidelity_2q"]
+        if isinstance(f2q, dict):
+            parsed = {}
+            for key, val in f2q.items():
+                try:
+                    a, b = (int(x) for x in key.split("-"))
+                except ValueError:
+                    raise ValueError(f"fidelity_2q key {key!r} is not of the form \"a-b\"") from None
+                parsed[(a, b) if a < b else (b, a)] = float(val)
+            f2q = parsed
+        else:
+            f2q = float(f2q)
+        fields = {
+            "name": str(raw["name"]),
+            "technology": str(raw["technology"]),
+            "num_qubits": int(raw["num_qubits"]),
+            "basis_gates": tuple(str(g) for g in raw["basis_gates"]),
+            "coupling": coupling,
+            "fidelity_1q": {str(g): float(f) for g, f in raw["fidelity_1q"].items()},
+            "fidelity_2q": f2q,
+        }
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise DeviceError(f"malformed profile ({type(exc).__name__}: {exc})") from None
+    return DeviceProfile(**fields)
 
 
 def save_profile(profile: DeviceProfile) -> dict:

@@ -50,13 +50,10 @@ class GateKind(Enum):
     # Reserved for DAG source nodes, never a real instruction.
     INPUT = "input"
 
-    @property
-    def arity(self) -> int:
-        return _ARITY[self]
-
-    @property
-    def param_count(self) -> int:
-        return _PARAM_COUNT[self]
+    # Set on every member by _register below: plain attributes, so the
+    # per-gate check reads them without a property call or a dict lookup.
+    arity: int
+    param_count: int
 
     def __repr__(self) -> str:
         return f"GateKind.{self.name}"
@@ -68,13 +65,10 @@ _ONE_QUBIT_FIXED = (
     GateKind.SX, GateKind.SXDG,
 )
 
-_ARITY: dict[GateKind, int] = {}
-_PARAM_COUNT: dict[GateKind, int] = {}
-
 
 def _register(kind: GateKind, arity: int, params: int) -> None:
-    _ARITY[kind] = arity
-    _PARAM_COUNT[kind] = params
+    kind.arity = arity
+    kind.param_count = params
 
 
 for _k in _ONE_QUBIT_FIXED:

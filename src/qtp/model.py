@@ -115,15 +115,18 @@ class ModelConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
         try:
-            return cls(
-                first_layer=obj["first_layer"],
-                hidden=int(obj["hidden"]),
-                blocks=int(obj["blocks"]),
-                ffnn=tuple(obj["ffnn"]),
-                heads=int(obj.get("heads", 0)),
-            )
+            fields = {
+                "first_layer": obj["first_layer"],
+                "hidden": int(obj["hidden"]),
+                "blocks": int(obj["blocks"]),
+                "ffnn": tuple(int(w) for w in obj["ffnn"]),
+                "heads": int(obj.get("heads", 0)),
+            }
         except KeyError as exc:
             raise ModelError(f"config is missing field {exc}") from exc
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ModelError(f"malformed config ({type(exc).__name__}: {exc})") from exc
+        return cls(**fields)
 
 
 def _ffnn_tuples() -> list[tuple[int, ...]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .circuit import Circuit, CircuitError, GateInstance, check_gate
+from .circuit import Circuit, CircuitError, GateInstance
 from .gates import gate_by_name
 
 __all__ = ["QasmError", "QasmWarning", "parse_qasm", "serialize_qasm", "fmt_angle"]
@@ -118,8 +118,9 @@ class _Parser:
         self.pos = 0
         self.registers: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, int] = {}
-        self.num_qubits = 0
-        self.ops: list[GateInstance] = []
+        # made at the first qreg and widened by later ones, so that each gate
+        # is checked once, by Circuit.append
+        self.circuit: Circuit | None = None
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -145,10 +146,10 @@ class _Parser:
         self.maybe_header()
         while self.peek().kind != "eof":
             self.statement()
-        if self.num_qubits == 0:
+        if self.circuit is None:
             t = self.peek()
             raise QasmError("no qreg declared", t.line, t.col)
-        return Circuit(self.num_qubits, self.ops)
+        return self.circuit
 
     def maybe_header(self) -> None:
         t = self.peek()
@@ -172,8 +173,12 @@ class _Parser:
             name, size = self.declaration()
             if name in self.registers or name in self.cregs:
                 self.fail(f"register {name!r} redeclared", t)
-            self.registers[name] = (self.num_qubits, size)
-            self.num_qubits += size
+            if self.circuit is None:
+                self.registers[name] = (0, size)
+                self.circuit = Circuit(size)
+            else:
+                self.registers[name] = (self.circuit.num_qubits, size)
+                self.circuit.num_qubits += size
         elif t.text == "creg":
             name, size = self.declaration()
             if name in self.registers or name in self.cregs:
@@ -218,12 +223,10 @@ class _Parser:
             params = self.param_list()
         qubits = self.operand_list(allow_bare=False)
         self.expect(";")
-        op = GateInstance(kind, tuple(q for q, _ in qubits), params)
         try:
-            check_gate(op, self.num_qubits)
+            self.circuit.append(GateInstance(kind, tuple(q for q, _ in qubits), params))
         except CircuitError as exc:
             raise QasmError(str(exc), head.line, head.col) from None
-        self.ops.append(op)
 
     def param_list(self) -> tuple[float, ...]:
         params = [self.expression()]

@@ -6,9 +6,9 @@ rotations.
 """
 
 from .lower import lower_to_canonical
-from .pipeline import CompiledCircuit, compile_for, compiled_from_circuit
+from .pipeline import compile_for, compiled_from_circuit
 from .rebase import RebaseError, rebase
-from .route import RouteError, route
+from .route import CompiledCircuit, RouteError, route
 
 __all__ = [
     "CompiledCircuit",

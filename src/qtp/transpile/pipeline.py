@@ -1,36 +1,17 @@
-"""Full lower -> rebase -> route pipeline and its compiled artifact."""
+"""Full lower -> rebase -> route pipeline, and the wrapper for precompiled circuits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..circuit import Circuit, GateInstance, circuit_depth
+from ..circuit import Circuit, circuit_depth
 from ..devices import DeviceProfile
 from .lower import lower_to_canonical
 from .rebase import rebase
-from .route import route
-
-
-@dataclass(frozen=True)
-class CompiledCircuit:
-    """A circuit expressed in one device's basis, on its physical qubits."""
-
-    device_name: str
-    num_qubits: int
-    ops: tuple[GateInstance, ...]
-    depth: int
-    fidelities: tuple[float, ...]
-    layout: tuple[int, ...]  # logical -> physical after routing
-
-    @property
-    def gate_count(self) -> int:
-        return len(self.ops)
+from .route import CompiledCircuit, route
 
 
 def compile_for(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
     """Compile a circuit for a device and collect its per-gate fidelities."""
-    routed, layout = route(rebase(lower_to_canonical(circ), profile), profile)
-    return _finalize(routed.ops, layout, profile)
+    return route(rebase(lower_to_canonical(circ), profile), profile)[0]
 
 
 def compiled_from_circuit(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
@@ -39,16 +20,11 @@ def compiled_from_circuit(circ: Circuit, profile: DeviceProfile) -> CompiledCirc
         raise ValueError(
             f"circuit needs {circ.num_qubits} qubits, {profile.name} has {profile.num_qubits}"
         )
-    layout = tuple(range(circ.num_qubits))
-    return _finalize(list(circ.ops), layout, profile)
-
-
-def _finalize(ops: list[GateInstance], layout, profile: DeviceProfile) -> CompiledCircuit:
     return CompiledCircuit(
         device_name=profile.name,
         num_qubits=profile.num_qubits,
-        ops=tuple(ops),
-        depth=circuit_depth(ops),
-        fidelities=tuple(profile.gate_fidelity(op) for op in ops),
-        layout=tuple(layout),
+        ops=tuple(circ.ops),
+        depth=circuit_depth(circ),
+        fidelities=tuple(map(profile.compiled_fidelity, circ.ops)),
+        layout=tuple(range(circ.num_qubits)),
     )

@@ -1,35 +1,51 @@
-"""Greedy SWAP routing onto a device coupling map.
+"""Greedy SWAP routing onto a device coupling map, and the compiled record.
 
 Walks the op list in order, keeping a logical-to-physical layout.  When a 2q
 gate lands on uncoupled physical qubits, the first operand hops along a
-shortest path, read from the profile's hop-distance table, until adjacent
-to the second; ties between shortest paths are broken toward the
-lexicographically smallest next hop, so routing is deterministic.
-Inserted SWAPs are expanded through lower+rebase so the output stays inside
-the device basis.
+shortest path until adjacent to the second.  Each hop goes to the
+smallest-index neighbor one hop closer (`DeviceProfile.next_hop`), so routing
+is deterministic.  Inserted SWAPs are the device's native SWAP
+(`DeviceProfile.native_swap`: lower+rebase of one SWAP, built once per
+profile), so the output stays inside the device basis.
+
+The same walk collects what scoring needs: per-op fidelities from the
+profile's memoized `compiled_fidelity`, which checks basis and coupling for
+every distinct op, and per-wire levels, whose maximum is `circuit_depth` of
+the output.  Output ops are never re-checked as a `Circuit`: the input was
+checked when it was built, routing only permutes qubits, and the SWAP
+template was checked once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..circuit import Circuit, GateInstance
-from ..devices import DeviceError
-from ..gates import GateKind
-from .lower import lower_to_canonical
-from .rebase import rebase
+from ..devices import DeviceError, DeviceProfile
 
 
 class RouteError(ValueError):
     """Routing is impossible on this coupling map."""
 
 
-def _swap_template(profile) -> list[GateInstance]:
-    """Native expansion of one SWAP, on placeholder qubits 0 and 1."""
-    swap = Circuit(2, [GateInstance(GateKind.SWAP, (0, 1))])
-    return rebase(lower_to_canonical(swap), profile).ops
+@dataclass(frozen=True)
+class CompiledCircuit:
+    """A circuit expressed in one device's basis, on its physical qubits."""
+
+    device_name: str
+    num_qubits: int
+    ops: tuple[GateInstance, ...]
+    depth: int
+    fidelities: tuple[float, ...]
+    layout: tuple[int, ...]  # logical -> physical after routing
+
+    @property
+    def gate_count(self) -> int:
+        return len(self.ops)
 
 
-def route(circ: Circuit, profile) -> tuple[Circuit, list[int]]:
-    """Map a rebased circuit onto the device; returns (circuit, final layout).
+def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[int]]:
+    """Map a rebased circuit onto the device; returns (compiled, final layout).
 
     The layout lists the physical home of each logical qubit after all
     inserted SWAPs.  The initial layout is the identity.
@@ -38,36 +54,55 @@ def route(circ: Circuit, profile) -> tuple[Circuit, list[int]]:
         raise RouteError(
             f"circuit needs {circ.num_qubits} qubits, device has {profile.num_qubits}"
         )
-    l2p = list(range(profile.num_qubits))
-    p2l = list(range(profile.num_qubits))
+    n = profile.num_qubits
+    l2p = list(range(n))
+    p2l = list(range(n))
+    level = [0] * n  # layer of the last op on each physical wire
     all_to_all = profile.coupling == "all-to-all"
-    swap_ops = None if all_to_all else _swap_template(profile)
-    out: list[GateInstance] = []
-
-    def emit_swap(u: int, v: int) -> None:
-        relabel = {0: u, 1: v}
-        for op in swap_ops:
-            out.append(GateInstance(op.kind, tuple(relabel[q] for q in op.qubits), op.params))
-        lu, lv = p2l[u], p2l[v]
-        p2l[u], p2l[v] = lv, lu
-        l2p[lv], l2p[lu] = u, v
+    is_coupled = profile.is_coupled
+    fidelity = profile.compiled_fidelity
+    ops: list[GateInstance] = []
+    fidelities: list[float] = []
 
     for op in circ.ops:
-        phys = tuple(l2p[q] for q in op.qubits)
-        if len(phys) == 1 or all_to_all or profile.is_coupled(*phys):
-            out.append(GateInstance(op.kind, phys, op.params))
-            continue
-        if len(phys) != 2:
-            raise RouteError(f"cannot route {len(phys)}-qubit gate {op.kind.value}")
-        a, b = phys
-        try:
-            hops = profile.qubit_distance(a, b)
-        except DeviceError:
-            raise RouteError(f"no path between physical qubits {a} and {b}") from None
-        for d in range(hops - 1, 0, -1):
-            nxt = min(w for w in profile.neighbors(a) if profile.qubit_distance(w, b) == d)
-            emit_swap(a, nxt)
-            a = nxt
-        out.append(GateInstance(op.kind, (a, b), op.params))
+        qubits = op.qubits
+        if len(qubits) == 1:
+            a = l2p[qubits[0]]
+            level[a] += 1
+            if a != qubits[0]:
+                op = GateInstance(op.kind, (a,), op.params)
+        elif len(qubits) == 2:
+            a, b = l2p[qubits[0]], l2p[qubits[1]]
+            while not (all_to_all or is_coupled(a, b)):
+                try:
+                    hop = profile.next_hop(a, b)
+                except DeviceError:
+                    raise RouteError(f"no path between physical qubits {a} and {b}") from None
+                swap_ops, swap_fidelities, ((aa, ah), (ha, hh)) = profile.native_swap(a, hop)
+                ops.extend(swap_ops)
+                fidelities.extend(swap_fidelities)
+                la, lh = level[a], level[hop]
+                level[a] = max(la + aa, lh + ah)
+                level[hop] = max(la + ha, lh + hh)
+                la, lh = p2l[a], p2l[hop]
+                p2l[a], p2l[hop] = lh, la
+                l2p[la], l2p[lh] = hop, a
+                a = hop
+            level[a] = level[b] = max(level[a], level[b]) + 1
+            if a != qubits[0] or b != qubits[1]:
+                op = GateInstance(op.kind, (a, b), op.params)
+        else:
+            raise RouteError(f"cannot route {len(qubits)}-qubit gate {op.kind.value}")
+        ops.append(op)
+        fidelities.append(fidelity(op))
 
-    return Circuit(profile.num_qubits, out, name=circ.name), l2p[: circ.num_qubits]
+    layout = l2p[: circ.num_qubits]
+    compiled = CompiledCircuit(
+        device_name=profile.name,
+        num_qubits=n,
+        ops=tuple(ops),
+        depth=max(level),
+        fidelities=tuple(fidelities),
+        layout=tuple(layout),
+    )
+    return compiled, layout

@@ -9,10 +9,13 @@ import struct
 import subprocess
 import sys
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qtp.devices
 from qtp.cli import TABLE_COLUMNS, main
 from qtp.dag import load_graph
 from qtp.labeling import load_manifest, resolve_dag_paths
@@ -271,6 +274,38 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"num_qubits": "many"},
+            {"num_qubits": 1e400},
+            {"fidelity_1q": [1, 2]},
+            {"fidelity_2q": {"0_1": 0.99}},
+            {"coupling": [[0]]},
+            {"basis_gates": 5},
+            {"technology": "quantum-dots"},
+            {"fidelity_2q": 1.5},
+            None,
+        ],
+        ids=["num-qubits-word", "num-qubits-inf", "fidelity-1q-list", "fidelity-2q-key",
+             "coupling-short-pair", "basis-number", "technology", "fidelity-range",
+             "not-a-profile-object"],
+    )
+    def test_label_malformed_profile_file(self, pipeline, tmp_path, capsys, edit):
+        _, corpus, _ = pipeline
+        profile = json.loads(
+            (Path(qtp.devices.__file__).parent / "profiles" / "ionq-forte-like.json").read_text()
+        )
+        bad = tmp_path / "profile.json"
+        bad.write_text(json.dumps([profile] if edit is None else {**profile, **edit}))
+        code = main([
+            "label", "--circuits", str(corpus),
+            "--profiles", str(bad), "ibm-eagle-like", "--out", str(tmp_path / "m.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "internal error" not in err
+
     def test_label_missing_circuit_dir(self, tmp_path):
         code = main([
             "label", "--circuits", str(tmp_path / "nowhere"),
@@ -292,6 +327,24 @@ class TestExitCodes:
             "--out", str(tmp_path / "t"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[1]", b'{"first_layer": "gcn", "hidden": "x", "blocks": 1, "ffnn": [8]}',
+         b'{"first_layer": "gcn", "hidden": 8, "blocks": 1, "ffnn": 8}', b"\xff{}"],
+        ids=["list", "hidden-word", "ffnn-number", "not-utf8"],
+    )
+    def test_train_malformed_config_file(self, pipeline, tmp_path, capsys, content):
+        _, _, manifest = pipeline
+        bad = tmp_path / "config.json"
+        bad.write_bytes(content)
+        code = main([
+            "train", "--manifest", str(manifest), "--config", str(bad),
+            "--out", str(tmp_path / "t"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "internal error" not in err
 
     def test_train_missing_manifest(self, tmp_path):
         assert main([
@@ -516,6 +569,24 @@ class TestFuzzedInputs:
         assert main([
             "evaluate", "--checkpoint", str(trained / "fold0.ckpt"),
             "--manifest", str(one), "--out", str(root / "fuzz" / "eval.json"),
+        ]) in (0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_profile(self, pipeline, data):
+        # the all-to-all profile: a mangled width stays below 100, where a
+        # coupled profile's hop table would be built for any width
+        root, corpus, _ = pipeline
+        src = Path(qtp.devices.__file__).parent / "profiles" / "ionq-forte-like.json"
+        one = root / "fuzz" / "one-circuit"
+        one.mkdir(parents=True, exist_ok=True)
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        (one / circuit.name).write_bytes(circuit.read_bytes())
+        bad = root / "fuzz" / "profile.json"
+        bad.write_bytes(data.draw(_mangled(src.read_bytes())))
+        assert main([
+            "label", "--circuits", str(one), "--profiles", str(bad), "ibm-eagle-like",
+            "--out", str(root / "fuzz" / "label" / "m.json"),
         ]) in (0, 2)
 
 

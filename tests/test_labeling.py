@@ -155,6 +155,20 @@ class TestManifest:
         assert [s["circuit"] for s in manifest.skipped] == ["broken.qasm"]
         assert sum(manifest.class_counts) == 6
 
+    def test_overflowed_angles_skipped(self, tmp_path, ion_profile, sc_profile):
+        # finite angles whose lowering or rebase sums overflow to inf
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        head = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+        (circuits / "cu.qasm").write_text(head + "cu(1e308,1e308,1e308) q[0],q[1];\n")
+        (circuits / "u3.qasm").write_text(head + "u3(0,1e308,1e308) q[0];\ncx q[0],q[1];\n")
+        manifest = build_manifest(circuits, [ion_profile, sc_profile], tmp_path / "m.json")
+        assert not manifest.entries
+        assert manifest.skipped == [
+            {"circuit": "cu.qasm", "error": "u3 has a non-finite parameter in (0, 0, inf)"},
+            {"circuit": "u3.qasm", "error": "math domain error"},
+        ]
+
     def test_missing_directory_rejected(self, tmp_path, ion_aa3, sc_line3):
         with pytest.raises(LabelError, match="not a directory"):
             build_manifest(tmp_path / "nowhere", [ion_aa3, sc_line3], tmp_path / "m.json")

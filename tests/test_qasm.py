@@ -47,6 +47,28 @@ class TestParse:
         assert circ.ops[0].qubits == (1,)
         assert circ.ops[1].qubits == (2,)
 
+    def test_qreg_after_gates_widens_the_circuit(self):
+        circ = parse_qasm("qreg a[2];\nx a[1];\nqreg b[3];\ncx a[0],b[2];")
+        assert circ.num_qubits == 5
+        assert [op.qubits for op in circ.ops] == [(1,), (0, 4)]
+
+    def test_each_gate_checked_once(self, monkeypatch):
+        import qtp.circuit
+        import qtp.qasm
+
+        checked = []
+        real = qtp.circuit.check_gate
+
+        def counting(op, num_qubits):
+            checked.append(op)
+            real(op, num_qubits)
+
+        # the parser may call the check itself or through Circuit; count both
+        monkeypatch.setattr(qtp.circuit, "check_gate", counting)
+        monkeypatch.setattr(qtp.qasm, "check_gate", counting, raising=False)
+        circ = parse_qasm(BELL)
+        assert checked == circ.ops
+
     def test_creg_accepted_and_ignored(self):
         circ = parse_qasm("qreg q[1];\ncreg c[1];\nx q[0];")
         assert circ.num_qubits == 1 and circ.gate_count == 1

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qtp.circuit import Circuit, GateInstance
+from qtp.circuit import Circuit, GateInstance, circuit_depth
 from qtp.devices import load_profile
 from qtp.gates import GateKind, VOCABULARY
 from qtp.transpile import (
@@ -188,6 +189,85 @@ class TestRoute:
         a = route(circ, sc_line3)
         b = route(circ, sc_line3)
         assert a[0].ops == b[0].ops and a[1] == b[1]
+
+
+def _swap_template(profile):
+    """The device-native SWAP on (0, 1), from lower and rebase alone."""
+    swap = Circuit(2, [GateInstance(GateKind.SWAP, (0, 1))])
+    return rebase(lower_to_canonical(swap), profile).ops
+
+
+def _unroute(ops, profile, expected):
+    """Walk routed ops against the rebased input; returns the final layout.
+
+    Each op must be either the next input op mapped through the running
+    layout, or the start of a native SWAP on a coupled pair, which updates
+    the layout.  No routing rule is assumed beyond that.
+    """
+    template = _swap_template(profile)
+    n = profile.num_qubits
+    l2p, p2l = list(range(n)), list(range(n))
+    i = j = 0
+    while j < len(ops):
+        op = ops[j]
+        if len(op.qubits) == 2:
+            assert profile.is_coupled(*op.qubits), op
+        if i < len(expected):
+            want = expected[i]
+            if op == GateInstance(want.kind, tuple(l2p[q] for q in want.qubits), want.params):
+                i += 1
+                j += 1
+                continue
+        window = ops[j:j + len(template)]
+        pairs = [o.qubits for o in window if len(o.qubits) == 2]
+        assert pairs, f"op {j} ({op}) is neither the next input op nor a SWAP"
+        u, v = pairs[0]
+        relabelled = [[GateInstance(o.kind, tuple(pair[q] for q in o.qubits), o.params)
+                       for o in template] for pair in ((u, v), (v, u))]
+        assert window in relabelled, f"op {j} ({op}) is neither the next input op nor a SWAP"
+        lu, lv = p2l[u], p2l[v]
+        p2l[u], p2l[v] = lv, lu
+        l2p[lu], l2p[lv] = v, u
+        j += len(template)
+    assert i == len(expected), f"{len(expected) - i} input ops never emitted"
+    return l2p
+
+
+class TestCorpusSoundness:
+    """corpus200 on the bundled profiles, checked against independent recomputation."""
+
+    def test_heavy_hex_routing_is_a_relabelled_input(self, corpus200, sc_profile):
+        assert sc_profile.coupling != "all-to-all"
+        swaps = 0
+        for circ in corpus200:
+            rebased = rebase(lower_to_canonical(circ), sc_profile)
+            routed, layout = route(rebased, sc_profile)
+            final = _unroute(list(routed.ops), sc_profile, rebased.ops)
+            assert list(layout) == final[: circ.num_qubits]
+            swaps += final != list(range(sc_profile.num_qubits))
+        assert swaps > 0  # the corpus does exercise SWAP insertion
+
+    @pytest.mark.parametrize("profile_name", ["ion_profile", "sc_profile"])
+    def test_depth_and_fidelities_recomputed(self, corpus200, profile_name, request):
+        profile = request.getfixturevalue(profile_name)
+        for circ in corpus200:
+            cc = compile_for(circ, profile)
+            assert cc.depth == circuit_depth(list(cc.ops)), circ.name
+            assert cc.fidelities == tuple(profile.gate_fidelity(op) for op in cc.ops), circ.name
+
+    def test_replaced_profile_costs_use_its_own_fidelities(self, sc_line3):
+        circ = Circuit(3)
+        circ.add(GateKind.H, (0,))
+        circ.add(GateKind.CX, (0, 2))
+        before = compile_for(circ, sc_line3)
+        for changes in ({"fidelity_2q": 0.9},
+                        {"fidelity_1q": {"id": 0.99, "rz": 1.0, "sx": 0.98, "x": 0.97}}):
+            other = dataclasses.replace(sc_line3, **changes)
+            cc = compile_for(circ, other)
+            assert cc.ops == before.ops
+            assert cc.fidelities == tuple(other.gate_fidelity(op) for op in cc.ops)
+            assert cc.fidelities != before.fidelities
+        assert compile_for(circ, sc_line3).fidelities == before.fidelities
 
 
 class TestCompileFor:
