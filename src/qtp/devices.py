@@ -37,11 +37,10 @@ class DeviceProfile:
     fidelity_1q: dict[str, float]
     fidelity_2q: float | dict[tuple[int, int], float]
     _adjacency: dict[int, tuple[int, ...]] = field(default=None, repr=False, compare=False)
-    # hop counts between every pair, -1 when unreachable; None for all-to-all
-    _distance: tuple[tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
     # Compiler memos, filled on first use so that building a profile stays
     # cheap.  They are not init fields: every instance, a dataclasses.replace
     # copy with other fidelities too, starts from empty ones.
+    _hops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _next_hop: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _fidelities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _swaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -70,19 +69,6 @@ class DeviceProfile:
                         raise DeviceError(f"coupling qubit {q} out of range")
                 adjacency.setdefault(a, []).append(b)
                 adjacency.setdefault(b, []).append(a)
-            table = []
-            for src in range(self.num_qubits):
-                dist = [-1] * self.num_qubits
-                dist[src] = 0
-                frontier = deque([src])
-                while frontier:
-                    v = frontier.popleft()
-                    for w in adjacency.get(v, ()):
-                        if dist[w] < 0:
-                            dist[w] = dist[v] + 1
-                            frontier.append(w)
-                table.append(tuple(dist))
-            object.__setattr__(self, "_distance", tuple(table))
         object.__setattr__(
             self,
             "_adjacency",
@@ -90,6 +76,9 @@ class DeviceProfile:
         )
         for g, f in self.fidelity_1q.items():
             _check_fidelity(f, f"fidelity_1q[{g}]")
+        for g in self.basis_gates:
+            if gate_by_name(g).arity == 1 and g not in self.fidelity_1q:
+                raise DeviceError(f"fidelity_1q has no entry for basis gate {g!r}")
         if isinstance(self.fidelity_2q, dict):
             for pair, f in self.fidelity_2q.items():
                 _check_fidelity(f, f"fidelity_2q[{pair}]")
@@ -121,10 +110,25 @@ class DeviceProfile:
             return 0
         if self.coupling == "all-to-all":
             return 1
-        d = self._distance[a][b]
+        d = self._hop_row(b)[a]
         if d < 0:
             raise DeviceError(f"qubits {a} and {b} are not connected on {self.name}")
         return d
+
+    def _hop_row(self, src: int) -> list[int]:
+        """Hop counts from src to every qubit, -1 when unreachable; one BFS on first use."""
+        row = self._hops.get(src)
+        if row is None:
+            row = self._hops[src] = [-1] * self.num_qubits
+            row[src] = 0
+            frontier = deque([src])
+            while frontier:
+                v = frontier.popleft()
+                for w in self._adjacency.get(v, ()):
+                    if row[w] < 0:
+                        row[w] = row[v] + 1
+                        frontier.append(w)
+        return row
 
     def next_hop(self, a: int, b: int) -> int:
         """Smallest-index neighbor of a that is one hop closer to b; memoized.
@@ -135,7 +139,8 @@ class DeviceProfile:
         hop = self._next_hop.get((a, b))
         if hop is None:
             closer = self.qubit_distance(a, b) - 1
-            hop = next(w for w in self.neighbors(a) if self._distance[w][b] == closer)
+            to_b = self._hop_row(b)  # coupling is undirected: w's distance to b
+            hop = next(w for w in self.neighbors(a) if to_b[w] == closer)
             self._next_hop[a, b] = hop
         return hop
 
@@ -229,6 +234,9 @@ def _profile_from_json(raw) -> DeviceProfile:
     missing = [k for k in required if k not in raw]
     if missing:
         raise DeviceError(f"profile missing fields: {', '.join(missing)}")
+    # JSON gives exactly int, float, bool, str, None, list or dict: 1e7 and true are no count
+    if type(raw["num_qubits"]) is not int:
+        raise DeviceError(f"num_qubits must be an integer, got {raw['num_qubits']!r}")
     coupling = raw["coupling"]
     if coupling != "all-to-all" and not isinstance(coupling, list):
         raise DeviceError("coupling must be \"all-to-all\" or a list of pairs")
@@ -250,7 +258,7 @@ def _profile_from_json(raw) -> DeviceProfile:
         fields = {
             "name": str(raw["name"]),
             "technology": str(raw["technology"]),
-            "num_qubits": int(raw["num_qubits"]),
+            "num_qubits": raw["num_qubits"],
             "basis_gates": tuple(str(g) for g in raw["basis_gates"]),
             "coupling": coupling,
             "fidelity_1q": {str(g): float(f) for g, f in raw["fidelity_1q"].items()},

@@ -10,6 +10,7 @@ silently.  Anything else is a syntax error with a line/column position.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 from .circuit import Circuit, CircuitError, GateInstance
@@ -31,249 +32,211 @@ class QasmWarning(UserWarning):
     """Non-fatal parse note, e.g. a dropped measure statement."""
 
 
-_SYMBOLS = ("->", "(", ")", "[", "]", ",", ";", "+", "-", "*", "/")
 _CONSTANTS = {"pi": math.pi}
 
+# The whole file is scanned once: each match skips whitespace and comments and
+# captures one token, so the tokens are plain strings and the loop runs in C.
+# A token's text says its kind: a symbol is its own kind, "" is the end of
+# input, and otherwise the first character tells a number, a string literal
+# (kept with its quotes) and a name apart.  Any other character is captured
+# alone, and so is an unterminated string with the rest of the file.
+_TOKEN = re.compile(
+    r'(?:[ \t\r\n]|//[^\n]*)*(\.?\d[\d.]*(?:[eE][+-]?[\d.]*)?|\w+|"[^"]*"?|->|.|\Z)',
+    re.S,
+)
+_SYMBOLS = frozenset(("->", "(", ")", "[", "]", ",", ";", "+", "-", "*", "/"))
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # "name" | "number" | "string" | symbol text | "eof"
-        self.text = text
-        self.line = line
-        self.col = col
+def _kind(tok: str) -> str:
+    """Kind of a token: name, number, string, the symbol itself, eof, or bad (stray text)."""
+    if tok in _SYMBOLS:
+        return tok
+    if not tok:
+        return "eof"
+    c = tok[0]
+    if c == '"':
+        return "string" if len(tok) > 1 and tok[-1] == '"' else "bad"
+    if c.isdecimal() or (c == "." and tok != "."):
+        return "number"
+    if c.isalpha() or c == "_":
+        return "name"
+    return "bad"
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise QasmError("unterminated string", line, col)
-            toks.append(_Token("string", text[i + 1:j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_e = False
-            while j < n:
-                ch = text[j]
-                if ch.isdigit() or ch == ".":
-                    j += 1
-                elif ch in "eE" and not seen_e:
-                    seen_e = True
-                    j += 1
-                    if j < n and text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            toks.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                matched = True
-                break
-        if not matched:
-            raise QasmError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
-    return toks
+def _text(tok: str) -> str:
+    """A token as messages show it: a string literal without its quotes."""
+    return tok[1:-1] if tok[:1] == '"' else tok
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = toks = _TOKEN.findall(text)
+        self.kinds = kinds = {t: _kind(t) for t in set(toks)}
+        self.starts: list[int] | None = None  # token offsets, found again on first need
         self.pos = 0
         self.registers: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, int] = {}
         # made at the first qreg and widened by later ones, so that each gate
         # is checked once, by Circuit.append
         self.circuit: Circuit | None = None
+        # a stray character anywhere is reported ahead of any parse error
+        bad = [t for t, k in kinds.items() if k == "bad"]
+        if bad:
+            at = min(map(toks.index, bad))
+            t = toks[at]
+            raise self.error("unterminated string" if t[0] == '"'
+                             else f"unexpected character {t[0]!r}", at)
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def position(self, at: int) -> tuple[int, int]:
+        """1-based line and column of token number `at`."""
+        if self.starts is None:
+            self.starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        off = self.starts[at]
+        return self.text.count("\n", 0, off) + 1, off - self.text.rfind("\n", 0, off)
 
-    def next(self) -> _Token:
+    def error(self, message: str, at: int) -> QasmError:
+        return QasmError(message, *self.position(at))
+
+    def expect(self, kind: str) -> str:
         t = self.toks[self.pos]
+        if self.kinds[t] != kind:
+            raise self.error(f"expected {kind!r}, got {_text(t) or self.kinds[t]!r}", self.pos)
         self.pos += 1
         return t
-
-    def expect(self, kind: str) -> _Token:
-        t = self.next()
-        if t.kind != kind:
-            raise QasmError(f"expected {kind!r}, got {t.text or t.kind!r}", t.line, t.col)
-        return t
-
-    def fail(self, message: str, tok: _Token | None = None) -> None:
-        t = tok or self.peek()
-        raise QasmError(message, t.line, t.col)
 
     # --- statements -----------------------------------------------------
 
     def run(self) -> Circuit:
         self.maybe_header()
-        while self.peek().kind != "eof":
+        while self.toks[self.pos]:  # "" is the end of input
             self.statement()
         if self.circuit is None:
-            t = self.peek()
-            raise QasmError("no qreg declared", t.line, t.col)
+            raise self.error("no qreg declared", self.pos)
         return self.circuit
 
     def maybe_header(self) -> None:
-        t = self.peek()
-        if t.kind == "name" and t.text == "OPENQASM":
-            self.next()
+        if self.toks[0] == "OPENQASM":
+            self.pos = 1
             v = self.expect("number")
-            if v.text != "2.0":
-                self.fail(f"unsupported OpenQASM version {v.text}", v)
+            if v != "2.0":
+                raise self.error(f"unsupported OpenQASM version {v}", 1)
             self.expect(";")
 
     def statement(self) -> None:
-        t = self.next()
-        if t.kind != "name":
-            self.fail(f"expected statement, got {t.text!r}", t)
-        if t.text == "include":
-            s = self.expect("string")
-            if s.text != "qelib1.inc":
-                self.fail(f"unsupported include {s.text!r}", s)
+        at = self.pos
+        t = self.toks[at]
+        self.pos += 1
+        if self.kinds[t] != "name":
+            raise self.error(f"expected statement, got {_text(t)!r}", at)
+        if t == "include":
+            s = _text(self.expect("string"))
+            if s != "qelib1.inc":
+                raise self.error(f"unsupported include {s!r}", at + 1)
             self.expect(";")
-        elif t.text == "qreg":
-            name, size = self.declaration()
-            if name in self.registers or name in self.cregs:
-                self.fail(f"register {name!r} redeclared", t)
+        elif t == "qreg":
+            name, size = self.declaration(at)
             if self.circuit is None:
                 self.registers[name] = (0, size)
                 self.circuit = Circuit(size)
             else:
                 self.registers[name] = (self.circuit.num_qubits, size)
                 self.circuit.num_qubits += size
-        elif t.text == "creg":
-            name, size = self.declaration()
-            if name in self.registers or name in self.cregs:
-                self.fail(f"register {name!r} redeclared", t)
+        elif t == "creg":
+            name, size = self.declaration(at)
             self.cregs[name] = size
-        elif t.text == "barrier":
+        elif t == "barrier":
             self.operand_list(allow_bare=True)
             self.expect(";")
-        elif t.text == "measure":
-            self.measure_args()
+        elif t == "measure":
+            self.measure_side(self.registers)
+            self.expect("->")
+            self.measure_side(self.cregs)
             self.expect(";")
             warnings.warn(
-                f"line {t.line}: measure dropped, circuits are unitary-only",
+                f"line {self.position(at)[0]}: measure dropped, circuits are unitary-only",
                 QasmWarning,
                 stacklevel=4,
             )
         else:
-            self.gate_statement(t)
+            self.gate_statement(at)
 
-    def declaration(self) -> tuple[str, int]:
+    def declaration(self, at: int) -> tuple[str, int]:
         name = self.expect("name")
         self.expect("[")
         size_tok = self.expect("number")
         try:
-            size = int(size_tok.text)
+            size = int(size_tok)
         except ValueError:
             size = -1
         if size < 1:
-            self.fail(f"register size must be a positive integer, got {size_tok.text}", size_tok)
+            raise self.error(f"register size must be a positive integer, got {size_tok}",
+                             self.pos - 1)
         self.expect("]")
         self.expect(";")
-        return name.text, size
+        if name in self.registers or name in self.cregs:
+            raise self.error(f"register {name!r} redeclared", at)
+        return name, size
 
-    def gate_statement(self, head: _Token) -> None:
+    def gate_statement(self, at: int) -> None:
         try:
-            kind = gate_by_name(head.text)
+            kind = gate_by_name(self.toks[at])
         except KeyError:
-            self.fail(f"unknown gate {head.text!r}", head)
+            raise self.error(f"unknown gate {self.toks[at]!r}", at) from None
         params: tuple[float, ...] = ()
-        if self.peek().kind == "(":
-            self.next()
+        if self.toks[self.pos] == "(":
+            self.pos += 1
             params = self.param_list()
         qubits = self.operand_list(allow_bare=False)
         self.expect(";")
         try:
-            self.circuit.append(GateInstance(kind, tuple(q for q, _ in qubits), params))
+            self.circuit.append(GateInstance(kind, tuple(qubits), params))
         except CircuitError as exc:
-            raise QasmError(str(exc), head.line, head.col) from None
+            raise self.error(str(exc), at) from None
 
     def param_list(self) -> tuple[float, ...]:
         params = [self.expression()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.toks[self.pos] == ",":
+            self.pos += 1
             params.append(self.expression())
         self.expect(")")
         return tuple(params)
 
-    def operand_list(self, allow_bare: bool) -> list[tuple[int, _Token]]:
+    def operand_list(self, allow_bare: bool) -> list[int]:
         out = [self.qubit_operand(allow_bare)]
-        while self.peek().kind == ",":
-            self.next()
+        while self.toks[self.pos] == ",":
+            self.pos += 1
             out.append(self.qubit_operand(allow_bare))
         return out
 
-    def qubit_operand(self, allow_bare: bool) -> tuple[int, _Token]:
+    def qubit_operand(self, allow_bare: bool) -> int:
+        at = self.pos
         name = self.expect("name")
-        if name.text not in self.registers:
-            self.fail(f"undeclared quantum register {name.text!r}", name)
-        offset, size = self.registers[name.text]
-        if self.peek().kind != "[":
+        if name not in self.registers:
+            raise self.error(f"undeclared quantum register {name!r}", at)
+        offset, size = self.registers[name]
+        if self.toks[self.pos] != "[":
             if allow_bare:
-                return offset, name
-            self.fail("expected an indexed qubit like q[0]", name)
-        self.next()
+                return offset
+            raise self.error("expected an indexed qubit like q[0]", at)
+        self.pos += 1
         idx_tok = self.expect("number")
         try:
-            idx = int(idx_tok.text)
+            idx = int(idx_tok)
         except ValueError:
             idx = -1
         if idx < 0 or idx >= size:
-            self.fail(f"index {idx_tok.text} out of range for {name.text}[{size}]", idx_tok)
+            raise self.error(f"index {idx_tok} out of range for {name}[{size}]", self.pos - 1)
         self.expect("]")
-        return offset + idx, name
+        return offset + idx
 
-    def measure_args(self) -> None:
-        self.qubit_measure_side(self.registers)
-        self.expect("->")
-        self.qubit_measure_side(self.cregs)
-
-    def qubit_measure_side(self, table) -> None:
+    def measure_side(self, table) -> None:
+        at = self.pos
         name = self.expect("name")
-        if name.text not in table:
-            self.fail(f"undeclared register {name.text!r}", name)
-        if self.peek().kind == "[":
-            self.next()
+        if name not in table:
+            raise self.error(f"undeclared register {name!r}", at)
+        if self.toks[self.pos] == "[":
+            self.pos += 1
             self.expect("number")
             self.expect("]")
 
@@ -281,52 +244,55 @@ class _Parser:
 
     def expression(self) -> float:
         val = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        while (op := self.toks[self.pos]) in ("+", "-"):
+            self.pos += 1
             rhs = self.term()
             val = val + rhs if op == "+" else val - rhs
         return val
 
     def term(self) -> float:
         val = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next()
+        while (op := self.toks[self.pos]) in ("*", "/"):
+            at = self.pos
+            self.pos += 1
             rhs = self.unary()
-            if op.kind == "/":
+            if op == "/":
                 if rhs == 0:
-                    self.fail("division by zero in angle expression", op)
+                    raise self.error("division by zero in angle expression", at)
                 val = val / rhs
             else:
                 val = val * rhs
         return val
 
     def unary(self) -> float:
-        t = self.peek()
-        if t.kind == "-":
-            self.next()
+        t = self.toks[self.pos]
+        if t == "-":
+            self.pos += 1
             return -self.unary()
-        if t.kind == "+":
-            self.next()
+        if t == "+":
+            self.pos += 1
             return self.unary()
         return self.atom()
 
     def atom(self) -> float:
-        t = self.next()
-        if t.kind == "number":
+        at = self.pos
+        t = self.toks[at]
+        self.pos += 1
+        kind = self.kinds[t]
+        if kind == "number":
             try:
-                return float(t.text)
+                return float(t)
             except ValueError:
-                self.fail(f"malformed number {t.text!r}", t)
-        if t.kind == "name":
-            if t.text in _CONSTANTS:
-                return _CONSTANTS[t.text]
-            self.fail(f"unknown constant {t.text!r} in angle expression", t)
-        if t.kind == "(":
+                raise self.error(f"malformed number {t!r}", at) from None
+        if kind == "name":
+            if t in _CONSTANTS:
+                return _CONSTANTS[t]
+            raise self.error(f"unknown constant {t!r} in angle expression", at)
+        if t == "(":
             val = self.expression()
             self.expect(")")
             return val
-        self.fail(f"expected a number, got {t.text or t.kind!r}", t)
-        raise AssertionError  # fail() always raises
+        raise self.error(f"expected a number, got {_text(t) or kind!r}", at)
 
 
 def parse_qasm(text: str, name: str = "") -> Circuit:
@@ -335,7 +301,7 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
     Registers are flattened to 0-based indices in declaration order.
     Raises QasmError with source position on anything outside the subset.
     """
-    circ = _Parser(_tokenize(text)).run()
+    circ = _Parser(text).run()
     circ.name = name
     return circ
 

@@ -286,10 +286,14 @@ class TestExitCodes:
             {"technology": "quantum-dots"},
             {"fidelity_2q": 1.5},
             None,
+            {"fidelity_1q": {"rx": 0.9998, "rz": 0.9998}},
+            {"num_qubits": 1e7},
+            {"num_qubits": True},
         ],
         ids=["num-qubits-word", "num-qubits-inf", "fidelity-1q-list", "fidelity-2q-key",
              "coupling-short-pair", "basis-number", "technology", "fidelity-range",
-             "not-a-profile-object"],
+             "not-a-profile-object", "fidelity-1q-missing-gate", "num-qubits-float",
+             "num-qubits-bool"],
     )
     def test_label_malformed_profile_file(self, pipeline, tmp_path, capsys, edit):
         _, corpus, _ = pipeline
@@ -587,6 +591,22 @@ class TestFuzzedInputs:
         assert main([
             "label", "--circuits", str(one), "--profiles", str(bad), "ibm-eagle-like",
             "--out", str(root / "fuzz" / "label" / "m.json"),
+        ]) in (0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_coupled_profile(self, pipeline, data):
+        root, corpus, _ = pipeline
+        src = Path(qtp.devices.__file__).parent / "profiles" / "ibm-eagle-like.json"
+        one = root / "fuzz" / "one-circuit"
+        one.mkdir(parents=True, exist_ok=True)
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        (one / circuit.name).write_bytes(circuit.read_bytes())
+        bad = root / "fuzz" / "coupled-profile.json"
+        bad.write_bytes(data.draw(_mangled(src.read_bytes())))
+        assert main([
+            "label", "--circuits", str(one), "--profiles", str(bad), "ionq-forte-like",
+            "--out", str(root / "fuzz" / "label-coupled" / "m.json"),
         ]) in (0, 2)
 
 

@@ -55,6 +55,18 @@ class TestValidation:
         with pytest.raises(DeviceError):
             _line3(fidelity_1q={"rz": -0.1, "id": 0.9, "sx": 0.9, "x": 0.9})
 
+    @pytest.mark.parametrize("missing", ["id", "rz", "sx", "x"])
+    def test_every_one_qubit_basis_gate_needs_a_fidelity(self, missing):
+        fidelities = {"id": 0.999, "rz": 1.0, "sx": 0.999, "x": 0.999}
+        del fidelities[missing]
+        with pytest.raises(DeviceError, match=f"fidelity_1q has no entry for basis gate '{missing}'"):
+            _line3(fidelity_1q=fidelities)
+
+    @pytest.mark.parametrize("count", [3.0, 1e7, True, "3"])
+    def test_num_qubits_must_be_a_json_integer(self, count):
+        with pytest.raises(DeviceError, match="num_qubits must be an integer"):
+            _line3(num_qubits=count)
+
 
 class TestCoupling:
     def test_line_adjacency(self):
@@ -89,6 +101,22 @@ class TestCoupling:
         p = _line3(num_qubits=4, coupling=[[0, 1], [2, 3]])
         with pytest.raises(DeviceError):
             p.qubit_distance(0, 3)
+
+    def test_hop_rows_built_on_first_use(self):
+        # a long line: building every row at load would be 10^10 entries
+        n = 100_000
+        p = _line3(num_qubits=n, coupling=[[q, q + 1] for q in range(n - 1)])
+        assert p._hops == {}
+        assert p.qubit_distance(n - 1, 0) == n - 1
+        assert p.next_hop(5, 0) == 4 and p.next_hop(5, n - 1) == 6
+        assert sorted(p._hops) == [0, n - 1]
+
+    def test_next_hop_takes_the_smallest_closer_neighbor(self):
+        # a 4-cycle: both neighbors of 0 are one hop from 2
+        p = _line3(num_qubits=4, coupling=[[0, 3], [3, 2], [2, 1], [1, 0]])
+        assert p.neighbors(0) == (1, 3)
+        assert p.qubit_distance(0, 2) == 2
+        assert p.next_hop(0, 2) == 1
 
     def test_distance_range_check(self):
         with pytest.raises(DeviceError):

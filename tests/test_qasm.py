@@ -1,10 +1,13 @@
 import math
+import re
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qasm_reference as reference
 from qtp.circuit import Circuit, GateInstance
+from qtp.corpus import gen_corpus
 from qtp.gates import GateKind, VOCABULARY
 from qtp.qasm import QasmError, QasmWarning, fmt_angle, parse_qasm, serialize_qasm
 
@@ -112,6 +115,23 @@ class TestParse:
             circ = parse_qasm("qreg q[1];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];")
         assert circ.gate_count == 1
 
+    def test_measure_warning_names_its_line_and_the_caller(self):
+        with pytest.warns(QasmWarning) as record:
+            parse_qasm("qreg q[1];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];")
+        (w,) = record
+        assert "line 4" in str(w.message)
+        assert w.filename == __file__
+
+    @pytest.mark.parametrize(
+        "stray, message, col",
+        [("$", "unexpected character '$'", 9), ('"open', "unterminated string", 9)],
+        ids=["character", "string"],
+    )
+    def test_stray_text_reported_ahead_of_parse_errors(self, stray, message, col):
+        with pytest.raises(QasmError, match=re.escape(message)) as exc:
+            parse_qasm(f"qreg q[1];\nmystery q[0];\nx q[0]; {stray}\nx q[0];")
+        assert (exc.value.line, exc.value.col) == (3, col)
+
     def test_unknown_gate(self):
         with pytest.raises(QasmError):
             parse_qasm("qreg q[1];\nmystery q[0];")
@@ -213,3 +233,128 @@ class TestRoundTrip:
         assert back.ops == circ.ops
         # serialization is a fixed point
         assert serialize_qasm(back) == text
+
+
+# Differential check against the per-character reader in tests/qasm_reference.py.
+
+_CORPUS = [serialize_qasm(c) for c in gen_corpus(4, seed=5)]
+_NOISE = st.sampled_from([
+    '"', "//", "/", "\n", "\r", "\t", " ", ";", "(", ")", "[", "]", ",", "->", "-", "+",
+    "*", ".", "e", "E", "0", "9", "_", "pi", "q", "é", "½", "٣", "ℵ", "\u00a0", "\ufffd",
+    "\x0c", "$",
+])
+_ANGLE = st.recursive(
+    st.sampled_from(["pi", "0", "1.5", "2e-3", ".5", "3.", "1e999", "1.2.3", "2e", "٣", "tau"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", " - ", "*", "/"]), inner).map("".join),
+        inner.map(lambda a: f"-{a}"),
+        inner.map(lambda a: f"( {a} )"),
+        st.tuples(inner, inner).map(", ".join),
+    ),
+    max_leaves=6,
+)
+_STATEMENT = st.one_of(
+    st.sampled_from([
+        "OPENQASM 2.0;", "OPENQASM 3.0;", 'include "qelib1.inc";', 'include "other.inc";',
+        "qreg q[3];", "qreg r[2];", "qreg q[0];", "creg c[2];", "barrier q;",
+        "barrier q[0],r[1];", "measure q[0] -> c[1];", "measure q -> c;", "measure r[1] -> q[0];",
+        "h q[0];", "cx q[0],q[2];", "cx q[1],q[1];", "ccx q[0],q[1],r[0];", "x q[3];", "h q;",
+        "u3 q[0];", '"a string";', "// a comment", "mystery q[0];", "x q[0]", "",
+    ]),
+    st.builds(lambda g, a, q: f"{g}({a}) q[{q}];",
+              st.sampled_from(["rz", "rx", "u3", "cp", "h"]), _ANGLE, st.integers(0, 3)),
+)
+_SEPARATOR = st.sampled_from(["\n", " ", "\r\n", "\t", "", " // note\n", "\n\n", "//end"])
+
+
+@st.composite
+def qasm_texts(draw):
+    """Corpus QASM or statements from the subset, then up to four edits with noise."""
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(_CORPUS))
+        text = text[: draw(st.integers(0, len(text)))]
+    else:
+        parts = draw(st.lists(st.tuples(_STATEMENT, _SEPARATOR), max_size=12))
+        text = "".join(a + b for a, b in parts)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(_NOISE) + text[i + draw(st.integers(0, 2)):]
+    return text
+
+
+def _outcome(parse, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            circ = parse(text)
+            result = ("circuit", circ.num_qubits, circ.ops)
+        except QasmError as exc:
+            result = ("error", str(exc), exc.line, exc.col)
+    return result, [str(w.message) for w in caught]
+
+
+def _without_positions(outcome):
+    result, warned = outcome
+    if result[0] == "error":
+        result = ("error", result[1].split(": ", 1)[1])
+    return result, len(warned)
+
+
+def _positions_agree(text):
+    """False where the reference reported positions wrongly (see TestDeliberateDifferences)."""
+    pieces = re.findall(r'//[^\n]*|"[^"]*"', text)  # comments and closed strings, in order
+    multi_line_string = any(p[0] == '"' and "\n" in p for p in pieces)
+    trailing_comment = bool(pieces) and pieces[-1][:2] == "//" and text.endswith(pieces[-1])
+    return not (multi_line_string or trailing_comment)
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(qasm_texts())
+    def test_same_circuit_or_same_error(self, text):
+        new, old = _outcome(parse_qasm, text), _outcome(reference.parse_qasm, text)
+        if _positions_agree(text):
+            assert new == old
+        else:
+            assert _without_positions(new) == _without_positions(old)
+
+    def test_corpus_parses_the_same(self):
+        for text in _CORPUS:
+            assert _outcome(parse_qasm, text) == _outcome(reference.parse_qasm, text)
+
+
+class TestDeliberateDifferences:
+    """Inputs where parse_qasm and the reference part on purpose; each pins both sides."""
+
+    @staticmethod
+    def _error(parse, text):
+        with pytest.raises(QasmError) as exc:
+            parse(text)
+        return str(exc.value).split(": ", 1)[1], exc.value.line, exc.value.col
+
+    def test_string_spanning_lines_counts_its_newlines(self):
+        # the reference kept the line of the string's start and counted its newlines as columns
+        text = 'qreg q[1];\n"two\nlines" $'
+        assert self._error(parse_qasm, text) == ("unexpected character '$'", 3, 8)
+        assert self._error(reference.parse_qasm, text) == ("unexpected character '$'", 2, 13)
+
+    def test_end_of_input_after_a_trailing_comment(self):
+        # the end of input is where the text ends, not where its last comment starts
+        text = "qreg q[1];\nx q[0] // no semicolon"
+        assert self._error(parse_qasm, text) == ("expected ';', got 'eof'", 2, 23)
+        assert self._error(reference.parse_qasm, text) == ("expected ';', got 'eof'", 2, 8)
+
+    @pytest.mark.parametrize("digit", ["²", "①", "₃"])
+    def test_digits_that_are_not_decimal_are_stray_characters(self, digit):
+        # str.isdigit took them for number characters, the regex's \d does not
+        angle = f"qreg q[1];\nrz({digit}) q[0];"
+        assert self._error(parse_qasm, angle) == (f"unexpected character {digit!r}", 2, 4)
+        assert self._error(reference.parse_qasm, angle) == (f"malformed number {digit!r}", 2, 4)
+        glued = f"qreg q[3];\nx q[1{digit}];"
+        assert self._error(parse_qasm, glued) == (f"unexpected character {digit!r}", 2, 6)
+        assert self._error(reference.parse_qasm, glued)[0] == f"index 1{digit} out of range for q[3]"
+        # the reference never converted a measured index, so it accepted this one
+        measured = f"qreg q[1];\ncreg c[1];\nmeasure q[{digit}] -> c[0];"
+        assert self._error(parse_qasm, measured) == (f"unexpected character {digit!r}", 3, 11)
+        with pytest.warns(QasmWarning):
+            assert reference.parse_qasm(measured).ops == []
