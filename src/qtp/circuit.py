@@ -6,8 +6,9 @@ measurements and barriers never reach this layer.
 
 `GateInstance` is a plain record.  `check_gate` validates it where it enters a
 `Circuit` (constructor and `append`); the parser appends each gate once and
-adds line and column to the error.  Compiler output is not a `Circuit`: see
-`transpile.route` for why its ops need no second check.
+adds line and column to the error.  `transpile.rebase` checks each expansion
+once when it is made and assigns its op list, and routed output is not a
+`Circuit`: see `transpile.route` for why its ops need no second check.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .circuit import Circuit, GateInstance
+from .circuit import Circuit, GateInstance, check_gate
 from .gates import GateKind, gate_by_name
 
 TECHNOLOGIES = ("trapped-ion", "superconducting")
@@ -44,6 +44,7 @@ class DeviceProfile:
     _next_hop: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _fidelities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _swaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _swap_template: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -143,6 +144,27 @@ class DeviceProfile:
             hop = next(w for w in self.neighbors(a) if to_b[w] == closer)
             self._next_hop[a, b] = hop
         return hop
+
+    def native_cx(self, a: int, b: int) -> tuple[GateInstance, ...]:
+        """cx(a, b) in basis gates; memoized, each op checked when its entry is filled.
+
+        The (0, 1) entry is the template every other pair relabels.  a and b
+        come from a checked cx, so the check is on the template's kinds,
+        distinct qubits and angles.
+        """
+        ops = self._cxs.get((a, b))
+        if ops is None:
+            if (a, b) == (0, 1):
+                from .transpile.rebase import cx_template  # the transpiler imports this module
+
+                ops = cx_template(self)
+            else:
+                ops = tuple(GateInstance(op.kind, tuple((a, b)[q] for q in op.qubits), op.params)
+                            for op in self.native_cx(0, 1))
+            for op in ops:
+                check_gate(op, max(a, b) + 1)
+            self._cxs[a, b] = ops
+        return ops
 
     def native_swap(self, u: int, v: int) -> tuple:
         """SWAP of coupled qubits u, v in basis gates: (ops, fidelities, reach); memoized.

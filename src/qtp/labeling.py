@@ -40,11 +40,12 @@ def cost(compiled: CompiledCircuit) -> float:
     fids = compiled.fidelities
     if not fids:
         raise LabelError("cost is undefined for an empty compiled circuit")
-    for f in fids:
-        if not 0.0 < f <= 1.0:
-            raise LabelError(f"gate fidelity {f!r} outside (0, 1]")
-    k = (max(fids) + min(fids)) / 2.0
-    return -compiled.depth * math.log(k) - sum(math.log(f) for f in fids)
+    lo, hi = min(fids), max(fids)
+    logs = sum(map(math.log, fids)) if 0.0 < lo and hi <= 1.0 else math.nan
+    if logs != logs:  # out of range, or a NaN that min and max stepped over
+        bad = next(f for f in fids if not 0.0 < f <= 1.0)
+        raise LabelError(f"gate fidelity {bad!r} outside (0, 1]")
+    return -compiled.depth * math.log((hi + lo) / 2.0) - logs
 
 
 def score_devices(

@@ -220,6 +220,10 @@ class _Parser:
                 return offset
             raise self.error("expected an indexed qubit like q[0]", at)
         self.pos += 1
+        return offset + self.index(name, size)
+
+    def index(self, name: str, size: int) -> int:
+        """Read `i]` after `name[`, where i must be a decimal integer in 0..size-1."""
         idx_tok = self.expect("number")
         try:
             idx = int(idx_tok)
@@ -228,7 +232,7 @@ class _Parser:
         if idx < 0 or idx >= size:
             raise self.error(f"index {idx_tok} out of range for {name}[{size}]", self.pos - 1)
         self.expect("]")
-        return offset + idx
+        return idx
 
     def measure_side(self, table) -> None:
         at = self.pos
@@ -237,8 +241,7 @@ class _Parser:
             raise self.error(f"undeclared register {name!r}", at)
         if self.toks[self.pos] == "[":
             self.pos += 1
-            self.expect("number")
-            self.expect("]")
+            self.index(name, table[name] if table is self.cregs else table[name][1])
 
     # --- constant angle expressions --------------------------------------
 

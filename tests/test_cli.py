@@ -578,8 +578,8 @@ class TestFuzzedInputs:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_profile(self, pipeline, data):
-        # the all-to-all profile: a mangled width stays below 100, where a
-        # coupled profile's hop table would be built for any width
+        # the all-to-all profile; a coupled one is mangled in test_coupled_profile,
+        # which is cheap at any width since hop rows are built lazily, per source
         root, corpus, _ = pipeline
         src = Path(qtp.devices.__file__).parent / "profiles" / "ionq-forte-like.json"
         one = root / "fuzz" / "one-circuit"

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -76,6 +77,29 @@ class TestCost:
             cost(_compiled(1, [0.0]))
         with pytest.raises(LabelError):
             cost(_compiled(1, [1.2]))
+
+    @pytest.mark.parametrize("fids, named", [
+        ((0.9, math.nan, 0.8), "nan"),
+        ((math.nan, 0.9, 0.8), "nan"),
+        ((0.9, 0.8, math.nan), "nan"),
+        ((0.9, math.nan, -1.0), "nan"),
+        ((0.9, 1.5, math.nan), "1.5"),
+        ((0.9, 0.0, 2.0), "0.0"),
+        ((0.9, -0.0), "-0.0"),
+        ((0.5, math.inf), "inf"),
+        ((0.5, -math.inf, math.nan), "-inf"),
+    ])
+    def test_first_bad_fidelity_named_at_any_position(self, fids, named):
+        with pytest.raises(LabelError, match=re.escape(f"gate fidelity {named} outside (0, 1]")):
+            cost(_compiled(2, fids))
+
+    def test_bit_identical_to_the_generator_sum(self, rng):
+        for _ in range(200):
+            fids = tuple(map(float, rng.uniform(1e-6, 1.0, size=int(rng.integers(1, 300)))))
+            depth = int(rng.integers(1, 500))
+            k = (max(fids) + min(fids)) / 2.0
+            assert cost(_compiled(depth, fids)) == (
+                -depth * math.log(k) - sum(math.log(f) for f in fids))
 
 
 class TestLabeling:

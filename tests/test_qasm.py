@@ -258,6 +258,7 @@ _STATEMENT = st.one_of(
         "OPENQASM 2.0;", "OPENQASM 3.0;", 'include "qelib1.inc";', 'include "other.inc";',
         "qreg q[3];", "qreg r[2];", "qreg q[0];", "creg c[2];", "barrier q;",
         "barrier q[0],r[1];", "measure q[0] -> c[1];", "measure q -> c;", "measure r[1] -> q[0];",
+        "measure q[7] -> c[0];", "measure q -> c[1.5e3];",
         "h q[0];", "cx q[0],q[2];", "cx q[1],q[1];", "ccx q[0],q[1],r[0];", "x q[3];", "h q;",
         "u3 q[0];", '"a string";', "// a comment", "mystery q[0];", "x q[0]", "",
     ]),
@@ -308,15 +309,56 @@ def _positions_agree(text):
     return not (multi_line_string or trailing_comment)
 
 
+_INDEX = st.one_of(st.integers(0, 12).map(str),
+                   st.sampled_from(["1.5e3", "1.", ".5", "2e", "00", "1.2.3", "0x1"]))
+_MEASURES = st.lists(st.one_of(
+    st.builds("measure q[{}] -> c[{}];".format, _INDEX, _INDEX),
+    st.builds("measure q -> c[{}];".format, _INDEX),
+    st.sampled_from(["x q[0];", "cx q[0],q[2];", "measure q -> c;", "x q[3];", "x q[1.5];"]),
+), max_size=6).map(lambda statements: "qreg q[3];\ncreg c[2];\n" + "\n".join(statements))
+_INDEX_ERROR = re.compile(r"line (\d+), column (\d+): index \S+ out of range for ")
+_NUMBER = re.compile(r"\.?\d[\d.]*(?:[eE][+-]?[\d.]*)?")
+
+
+def _measured_indices_zeroed(text, old):
+    """text with each index parse_qasm rejects but the reference never read written as zeros.
+
+    parse_qasm checks a measured index like a gate operand; the reference
+    skipped it (see TestDeliberateDifferences).  An index counts as measured
+    only if zeroing it leaves the reference's outcome `old` as it was, so a
+    rejected gate operand is never zeroed.  Zeros of the token's length keep
+    every position.
+    """
+    while True:
+        result, _ = _outcome(parse_qasm, text)
+        m = result[0] == "error" and _INDEX_ERROR.match(result[1])
+        if not m:
+            return text
+        line, col = int(m[1]), int(m[2])
+        at = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + col - 1
+        end = _NUMBER.match(text, at).end()
+        zeroed = text[:at] + "0" * (end - at) + text[end:]
+        if _outcome(reference.parse_qasm, zeroed) != old:
+            return text
+        text = zeroed
+
+
 class TestAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(qasm_texts())
     def test_same_circuit_or_same_error(self, text):
-        new, old = _outcome(parse_qasm, text), _outcome(reference.parse_qasm, text)
+        old = _outcome(reference.parse_qasm, text)
+        new = _outcome(parse_qasm, _measured_indices_zeroed(text, old))
         if _positions_agree(text):
             assert new == old
         else:
             assert _without_positions(new) == _without_positions(old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MEASURES)
+    def test_measures_the_same_but_for_the_index_check(self, text):
+        old = _outcome(reference.parse_qasm, text)
+        assert _outcome(parse_qasm, _measured_indices_zeroed(text, old)) == old
 
     def test_corpus_parses_the_same(self):
         for text in _CORPUS:
@@ -358,3 +400,16 @@ class TestDeliberateDifferences:
         assert self._error(parse_qasm, measured) == (f"unexpected character {digit!r}", 3, 11)
         with pytest.warns(QasmWarning):
             assert reference.parse_qasm(measured).ops == []
+
+    @pytest.mark.parametrize("measure, error", [
+        ("measure q[99] -> c[7];", ("index 99 out of range for q[1]", 3, 11)),
+        ("measure q[0] -> c[7];", ("index 7 out of range for c[1]", 3, 19)),
+        ("measure q -> c[1.5e3];", ("index 1.5e3 out of range for c[1]", 3, 16)),
+        ("measure q[1.] -> c;", ("index 1. out of range for q[1]", 3, 11)),
+    ])
+    def test_measured_index_checked(self, measure, error):
+        # the reference read a measured index as a number and dropped the measure
+        text = f"qreg q[1];\ncreg c[1];\n{measure}\nx q[0];"
+        assert self._error(parse_qasm, text) == error
+        with pytest.warns(QasmWarning, match="line 3: measure dropped"):
+            assert reference.parse_qasm(text).ops == [GateInstance(GateKind.X, (0,))]

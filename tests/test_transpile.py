@@ -1,14 +1,23 @@
 import dataclasses
+import importlib
 import math
+import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qtp.circuit import Circuit, GateInstance, circuit_depth
+import qtp.circuit
+import qtp.devices
+import rebase_reference as reference
+from qtp.circuit import Circuit, GateInstance, check_gate, circuit_depth
 from qtp.devices import load_profile
 from qtp.gates import GateKind, VOCABULARY
 from qtp.transpile import (
     CompiledCircuit,
+    RebaseError,
     RouteError,
     compile_for,
     compiled_from_circuit,
@@ -18,6 +27,8 @@ from qtp.transpile import (
 )
 from unitary import circuit_unitary, gate_matrix, phase_aligned_distance
 from util import compiled_distance, ops_unitary, random_circuit
+
+rebase_module = importlib.import_module("qtp.transpile.rebase")  # the package exports the function
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -142,6 +153,156 @@ class TestRebase:
         circ.add(GateKind.RZ, (0,), (0.0,))
         out = rebase(lower_to_canonical(circ), sc_line3)
         assert out.gate_count == 0
+
+    @pytest.mark.parametrize("profile_name", ["sc_line3", "ion_aa3"])
+    def test_each_rebased_gate_checked_once(self, profile_name, request, rng, monkeypatch):
+        # a fresh copy, so every cx expansion is made (and checked) in this test
+        profile = dataclasses.replace(request.getfixturevalue(profile_name))
+        checked = Counter()
+
+        def counting_check(op, num_qubits):
+            checked[id(op)] += 1
+            check_gate(op, num_qubits)
+
+        circ = lower_to_canonical(random_circuit(rng, 3, 40, gate_pool=[
+            GateKind.H, GateKind.T, GateKind.CX, GateKind.CZ, GateKind.SWAP, GateKind.CCX]))
+        circ.ops.insert(0, GateInstance(GateKind.CX, (0, 1)))
+        for module in (qtp.circuit, qtp.devices, rebase_module):
+            monkeypatch.setattr(module, "check_gate", counting_check)
+        out = rebase(circ, profile).ops
+        assert set(checked) == {id(op) for op in out}  # every emitted record was checked
+        assert set(checked.values()) == {1}  # each of them once
+        assert len(checked) < len(out) / 2  # records are shared
+        checked.clear()
+        again = rebase(circ, profile).ops
+        cx_records = {id(op) for ops in profile._cxs.values() for op in ops}
+        assert checked and not cx_records & set(checked)  # cx expansions stay checked
+        assert set(checked.values()) == {1}
+        assert again == out
+
+    def test_cx_memo_empty_on_a_replace_copy(self, sc_line3):
+        profile = dataclasses.replace(sc_line3)
+        circ = Circuit(3, [GateInstance(GateKind.CX, pair) for pair in ((0, 2), (2, 0), (0, 2))])
+        ecr = rebase(circ, profile).ops
+        assert set(profile._cxs) == {(0, 1), (0, 2), (2, 0)}  # the template, then one per pair
+        copy = dataclasses.replace(profile, fidelity_2q=0.9)
+        assert copy._cxs == {}
+        assert rebase(circ, copy).ops == ecr
+        cx_native = dataclasses.replace(
+            profile, basis_gates=("cx", "rz", "sx"), fidelity_1q={"rz": 1.0, "sx": 0.9999})
+        assert cx_native._cxs == {}
+        assert [op.kind for op in rebase(circ, cx_native).ops] == [GateKind.CX] * 3
+        assert GateKind.ECR in {op.kind for op in rebase(circ, profile).ops}
+
+
+# Canonical circuits for the differential check against tests/rebase_reference.py:
+# a few (qubit, angles) keys used again and again, angles at the identity tests'
+# edges (within 1e-12 of multiples of pi/2 and 2 pi), signed zeros, the int 0
+# of lowering templates, and finite angles whose sums overflow.
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 2 * math.pi,
+                     1e308, -1e308, sys.float_info.max, -sys.float_info.max, 5e-324]),
+    st.builds(lambda k, d: k * math.pi / 2 + d, st.integers(-8, 8), st.floats(-2e-12, 2e-12)),
+    st.builds(lambda k, d: k * 2 * math.pi + d, st.integers(-10**6, 10**6),
+              st.floats(-2e-12, 2e-12)),
+    st.floats(-10, 10),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def canonical_circuits(draw):
+    n = draw(st.integers(2, 3))
+    keys = draw(st.lists(st.tuples(st.integers(0, n - 1), st.tuples(_ANGLES, _ANGLES, _ANGLES)),
+                         min_size=1, max_size=6))
+    circ = Circuit(n, name="canonical")
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.booleans()):
+            q, angles = draw(st.sampled_from(keys))
+            circ.append(GateInstance(GateKind.U3, (q,), angles))
+        else:
+            pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            circ.append(GateInstance(GateKind.CX, tuple(pair)))
+    return circ
+
+
+def _rebased(rebase_fn, circ, profile):
+    """Ops with params compared by repr (bit patterns and types), or the error."""
+    try:
+        out = rebase_fn(circ, profile)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    return "ops", out.num_qubits, out.name, [
+        (op.kind, op.qubits, tuple(map(repr, op.params))) for op in out.ops
+    ]
+
+
+@pytest.fixture(scope="module")
+def sc_cx3():
+    """cx native with {rz, sx} and no x: the zxzxz branches the bundled profiles skip."""
+    return load_profile(
+        {
+            "name": "sc-cx3",
+            "technology": "superconducting",
+            "num_qubits": 3,
+            "basis_gates": ["cx", "rz", "sx"],
+            "coupling": [[0, 1], [1, 2]],
+            "fidelity_1q": {"rz": 1.0, "sx": 0.9999},
+            "fidelity_2q": 0.99,
+        }
+    )
+
+
+_PROFILES = ["sc_line3", "ion_aa3", "sc_cx3", "sc_profile", "ion_profile"]
+
+
+class TestAgainstReference:
+    """rebase against the expand-every-op oracle in tests/rebase_reference.py."""
+
+    @pytest.mark.parametrize("profile_name", _PROFILES)
+    @settings(max_examples=150, deadline=None)
+    @given(circ=canonical_circuits())
+    def test_same_ops_or_same_error(self, profile_name, request, circ):
+        profile = request.getfixturevalue(profile_name)
+        assert _rebased(rebase, circ, profile) == _rebased(reference.rebase, circ, profile)
+
+    @pytest.mark.parametrize("profile_name", ["sc_profile", "ion_profile"])
+    def test_corpus_rebases_the_same(self, corpus200, profile_name, request):
+        profile = request.getfixturevalue(profile_name)
+        for circ in corpus200[::10]:
+            lowered = lower_to_canonical(circ)
+            assert _rebased(rebase, lowered, profile) == _rebased(reference.rebase, lowered, profile)
+
+    @pytest.mark.parametrize("basis, message", [
+        (("rz", "sx", "cz"), "no supported 2q native"),
+        (("rz", "x", "cx"), "lacks universal 1q coverage"),
+        (("rz", "sx", "cx"), "expects canonical {u3, cx} input, got h"),
+    ])
+    def test_same_rebase_error(self, sc_cx3, basis, message):
+        profile = dataclasses.replace(sc_cx3, basis_gates=basis, fidelity_1q={
+            g: 0.999 for g in basis if g in ("rz", "sx", "x")})
+        circ = Circuit(2, [GateInstance(GateKind.U3, (0,), (1.0, 2.0, 3.0)),
+                           GateInstance(GateKind.H, (1,))])
+        with pytest.raises(RebaseError, match=re.escape(message)):
+            rebase(circ, profile)
+        assert _rebased(rebase, circ, profile) == _rebased(reference.rebase, circ, profile)
+
+    @pytest.mark.parametrize("profile_name", _PROFILES)
+    @pytest.mark.parametrize("first, second", [
+        ((1.0, 0.0, 2.0), (1.0, -0.0, 2.0)),
+        ((0.0, 0.5, -0.0), (-0.0, 0.5, 0.0)),
+        ((2.0, 0.0, -0.0), (2.0, -0.0, 0.0)),
+        ((0.5, -0.0, -0.0), (0.5, 0, 0)),
+    ])
+    def test_signed_zeros_share_an_expansion(self, profile_name, request, first, second):
+        # equal keys, one expansion; the output is still the oracle's, as no zero is emitted
+        profile = request.getfixturevalue(profile_name)
+        circ = Circuit(1, [GateInstance(GateKind.U3, (0,), first),
+                           GateInstance(GateKind.U3, (0,), second)])
+        out = rebase(circ, profile).ops
+        half = len(out) // 2
+        assert all(a is b for a, b in zip(out[:half], out[half:]))
+        assert _rebased(rebase, circ, profile) == _rebased(reference.rebase, circ, profile)
 
 
 class TestRoute:
