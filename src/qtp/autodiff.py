@@ -3,9 +3,15 @@
 A Tape records every op in execution order together with a closure that
 pushes the output adjoint back to the inputs; backward() replays the records
 in reverse (execution order is already topological).  The op set is what
-the graph network and its loss need; `segment_sum`, `segment_softmax` and
-`gather_rows` are no longer called by the model, but `bench/spans.py` still
-traces them by name.
+the graph network and its loss need.  Each graph layer is one op:
+`gcn_layer` and `gat_layer` run their message passing on `NeighborTable`
+row blocks and keep only the buffers their backward reads.  `concat`,
+`segment_sum`, `segment_softmax` and `gather_rows` are no longer called by
+the model, but `bench/spans.py` still traces them by name.
+
+LeakyReLU slopes are computed without a branch, as (x > 0) * (1 - alpha) +
+alpha; for every slope the model uses, (1 - alpha) + alpha is exactly 1.0,
+so this gives the same bits as selecting 1 or alpha.
 
 A gradient buffer exists only where backward reaches: the first adjoint
 pushed into a tensor becomes its gradient, later ones add to it, and
@@ -116,6 +122,13 @@ def accumulate(t: Tensor, g: Array) -> None:
         t.grad += g
 
 
+def _same_tape(tensors: Sequence[Tensor]) -> "Tape":
+    tape = tensors[0].tape
+    if any(t.tape is not tape for t in tensors):
+        raise ValueError("operands recorded on different tapes")
+    return tape
+
+
 def _pair(a: Tensor, b) -> tuple[Tensor, Tensor]:
     if not isinstance(a, Tensor):
         raise TypeError("first operand must be a Tensor")
@@ -192,10 +205,7 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate along the last axis."""
     if not tensors:
         raise ValueError("concat of nothing")
-    tape = tensors[0].tape
-    for t in tensors:
-        if t.tape is not tape:
-            raise ValueError("operands recorded on different tapes")
+    tape = _same_tape(tensors)
     widths = [t.data.shape[-1] for t in tensors]
     bounds = np.cumsum([0] + widths)
 
@@ -206,9 +216,19 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
     return tape.record(np.concatenate([t.data for t in tensors], axis=-1), push)
 
 
+def _gain(x: Array, alpha: float) -> Array:
+    """LeakyReLU's slope at x: 1.0 where x > 0, alpha elsewhere.
+
+    Exact when (1.0 - alpha) + alpha == 1.0, which holds for the model's
+    slopes (a test pins them).
+    """
+    gain = (x > 0) * (1.0 - alpha)
+    gain += alpha
+    return gain
+
+
 def leaky_relu(a: Tensor, alpha: float) -> Tensor:
-    mask = a.data > 0
-    slope = np.where(mask, 1.0, alpha)
+    slope = _gain(a.data, alpha)
 
     def push(g: Array) -> None:
         accumulate(a, g * slope)
@@ -357,6 +377,8 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 # --- neighbor tables ----------------------------------------------------------
 
+BLOCK = 256  # rows per gather_sum block; at width 128 its temporaries fit a core's L2
+
 
 class NeighborTable:
     """Entries (row, col[, val]) of a sparse matrix regrouped into degree-sorted slots.
@@ -390,27 +412,39 @@ class NeighborTable:
         self.cols = np.asarray(cols, dtype=np.int64)[self.entries]
         self.vals = None if vals is None else np.asarray(vals).reshape(-1)[self.entries]
 
-    def _unsort(self, acc: Array) -> Array:
-        out = np.empty_like(acc)
-        out[self.order] = acc
-        return out
-
     def reduce(self, x: Array, op=np.add, start: float = 0.0) -> Array:
         """Per-row `op`-reduction of a value per position; (num_rows,) in row-id order."""
         acc = np.full(self.num_rows, start)
         for lo, hi in self.slots:
             head = acc[: hi - lo]
             op(head, x[lo:hi], out=head)
-        return self._unsort(acc)
+        out = np.empty_like(acc)
+        out[self.order] = acc
+        return out
 
-    def gather_sum(self, x: Array, weights: Array) -> Array:
-        """out[i] = sum of weights[p] * x[cols[p]] over the positions p of row i."""
-        acc = np.zeros((self.num_rows, x.shape[1]))
-        for lo, hi in self.slots:
-            term = x[self.cols[lo:hi]]
-            term *= weights[lo:hi, None]
-            acc[: hi - lo] += term
-        return self._unsort(acc)
+    def gather_sum(self, x: Array, weights: Array, out: Array | None = None) -> Array:
+        """out[i] = sum of weights[p] * x[cols[p]] over the positions p of row i.
+
+        Works through `order` BLOCK rows at a time: a block takes its part of
+        every slot that reaches it, then goes straight to its rows of `out`,
+        so the (rows, width) temporaries stay in cache.  `out` may be a
+        column slice of a wider array.
+        """
+        if out is None:
+            out = np.empty((self.num_rows, x.shape[1]))
+        weights = weights.reshape(-1, 1)
+        for r0 in range(0, self.num_rows, BLOCK):
+            r1 = min(r0 + BLOCK, self.num_rows)
+            acc = np.zeros((r1 - r0, x.shape[1]))
+            for lo, hi in self.slots:
+                end = min(hi - lo, r1)  # slot rows r0 .. end fall in this block
+                if end <= r0:
+                    break  # slots only narrow from here
+                term = x[self.cols[lo + r0 : lo + end]]
+                term *= weights[lo + r0 : lo + end]
+                acc[: end - r0] += term
+            out[self.order[r0:r1]] = acc
+        return out
 
     def pair_dots(self, left: Array, right: Array) -> Array:
         """left[rows[p]] . right[cols[p]] for every position p."""
@@ -421,47 +455,113 @@ class NeighborTable:
         return out
 
 
-def sym_spmm(h: Tensor, adj: NeighborTable) -> Tensor:
-    """A @ H for a symmetric A held as a table with values; its backward is A @ G."""
+# --- graph layers ---------------------------------------------------------------
+
+
+def gcn_layer(
+    h: Tensor, table: NeighborTable, w: Tensor, b: Tensor, slope: float, residual: bool
+) -> Tensor:
+    """LeakyReLU(Â H W + b, slope), plus H itself when `residual`, as one op.
+
+    `table` holds a symmetric Â with values, so the backward's Âᵀ G is the same
+    table sum.  The forward works in place on the product's buffer, and only
+    ÂH and the slopes are kept for the backward.
+    """
+    tape = _same_tape((h, w, b))
+    width = w.data.shape[1]
+    if h.data.shape[1] != w.data.shape[0] or b.data.shape != (width,) or (
+        residual and h.data.shape[1] != width
+    ):
+        raise ValueError(
+            f"gcn_layer shapes {h.data.shape}, {w.data.shape}, {b.data.shape} do not align"
+        )
+    ah = table.gather_sum(h.data, table.vals)
+    out = ah @ w.data
+    out += b.data
+    gain = _gain(out, slope)
+    out *= gain
+    if residual:
+        out += h.data
 
     def push(g: Array) -> None:
+        d = g * gain
+        if residual:
+            accumulate(h, g)
+        accumulate(b, d.sum(axis=0))
+        accumulate(w, ah.T @ d)
         if h.requires_grad:
-            accumulate(h, adj.gather_sum(g, adj.vals))
+            accumulate(h, table.gather_sum(d @ w.data.T, table.vals))
 
-    return h.tape.record(adj.gather_sum(h.data, adj.vals), push)
+    return tape.record(out, push)
 
 
-def neighbor_attention(
-    wh: Tensor,
-    score_dst: Tensor,
-    score_src: Tensor,
+def gat_layer(
+    h: Tensor,
+    heads: Sequence[tuple[Tensor, Tensor, Tensor]],
     into: NeighborTable,
     out_of: NeighborTable,
     slope: float,
 ) -> Tensor:
-    """out[i] = sum_p alpha_p wh[src_p] over the positions p of `into` row i.
+    """Multi-head graph attention as one op; head k fills its own column slice.
 
-    `into` lists each destination's sources (rows = destinations, cols =
-    sources); `out_of` is its transpose, built over `into` positions so that
-    `out_of.entries` maps back to them.  The attention weights alpha are the
-    row softmax of LeakyReLU(score_dst[dst_p] + score_src[src_p], slope).
-    The backward reaches sources through `out_of` and never scatters.
+    Each head is (W, a_dst, a_src).  With HW = H @ W, output row i of a head
+    is the sum over the positions p of `into` row i of alpha_p HW[src_p],
+    where alpha is the row softmax of LeakyReLU(HW[dst_p] a_dst + HW[src_p]
+    a_src, slope).  `into` lists each destination's sources (rows =
+    destinations, cols = sources); `out_of` is its transpose, built over
+    `into` positions so that `out_of.entries` maps back to them.
+
+    Finiteness is checked on the output, as for every op, and on the
+    attention scores.  The backward reaches sources through `out_of` and
+    never scatters.  It takes the heads last to first and, within a head,
+    adds HW's gradient terms as separate ops would: attention, then a_src,
+    then a_dst, then W.
     """
-    z = score_dst.data[into.rows, 0] + score_src.data[into.cols, 0]
-    gain = np.where(z > 0, 1.0, slope)
-    logit = z * gain
-    e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
-    alpha = e / into.reduce(e)[into.rows]
+    if not heads:
+        raise ValueError("gat_layer needs at least one head")
+    tape = _same_tape([h] + [t for head in heads for t in head])
+    bounds = np.cumsum([0] + [w.data.shape[1] for w, _, _ in heads]).tolist()
+    for w, a_dst, a_src in heads:
+        score = (w.data.shape[1], 1)
+        if h.data.shape[1] != w.data.shape[0] or not a_dst.shape == a_src.shape == score:
+            raise ValueError(
+                f"gat_layer head shapes {w.data.shape}, {a_dst.data.shape}, {a_src.data.shape} "
+                f"do not fit input {h.data.shape}"
+            )
+    out = np.empty((h.data.shape[0], bounds[-1]))
+    kept = []
+    for (w, a_dst, a_src), lo, hi in zip(heads, bounds, bounds[1:]):
+        wh = h.data @ w.data
+        z = (wh @ a_dst.data)[into.rows, 0] + (wh @ a_src.data)[into.cols, 0]
+        if not np.all(np.isfinite(z)):
+            # an overflowed score of -inf would give a zero weight, not a non-finite output
+            raise FloatingPointError("op produced a non-finite attention score")
+        gain = _gain(z, slope)
+        logit = z * gain
+        e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
+        alpha = e / into.reduce(e)[into.rows]
+        into.gather_sum(wh, alpha, out=out[:, lo:hi])
+        kept.append((wh, alpha, gain))
 
     def push(g: Array) -> None:
-        d_alpha = into.pair_dots(g, wh.data)
-        d_z = alpha * (d_alpha - into.reduce(alpha * d_alpha)[into.rows]) * gain
         back = out_of.entries
-        accumulate(wh, out_of.gather_sum(g, alpha[back]))
-        accumulate(score_dst, into.reduce(d_z)[:, None])
-        accumulate(score_src, out_of.reduce(d_z[back])[:, None])
+        for k in reversed(range(len(heads))):
+            (w, a_dst, a_src), (wh, alpha, gain) = heads[k], kept[k]
+            g_head = g[:, bounds[k] : bounds[k + 1]]
+            d_alpha = into.pair_dots(g_head, wh)
+            d_z = alpha * (d_alpha - into.reduce(alpha * d_alpha)[into.rows]) * gain
+            d_wh = out_of.gather_sum(g_head, alpha[back])
+            d_src = out_of.reduce(d_z[back])[:, None]
+            d_dst = into.reduce(d_z)[:, None]
+            d_wh += d_src @ a_src.data.T
+            accumulate(a_src, wh.T @ d_src)
+            d_wh += d_dst @ a_dst.data.T
+            accumulate(a_dst, wh.T @ d_dst)
+            accumulate(w, h.data.T @ d_wh)
+            if h.requires_grad:
+                accumulate(h, d_wh @ w.data.T)
 
-    return wh.tape.record(into.gather_sum(wh.data, alpha), push)
+    return tape.record(out, push)
 
 
 # --- gradient verification ---------------------------------------------------

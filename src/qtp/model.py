@@ -1,7 +1,8 @@
 """Graph classifier: GAT/GCN first layer, residual GCN blocks, mean pool, FFNN.
 
 Everything runs through the autodiff tape in :mod:`qtp.autodiff`; the only
-dense linear algebra is the per-layer weight matmul.  Message passing goes
+dense linear algebra is the per-layer weight matmul.  Each graph layer is one
+tape op (`autodiff.gcn_layer`, `autodiff.gat_layer`).  Message passing goes
 through neighbor tables (:class:`qtp.autodiff.NeighborTable`) built once per
 batch from the batch's edge list: one for the normalized adjacency, and one
 per direction for GAT attention.  A batch's edges are offset per graph, so it
@@ -27,6 +28,8 @@ GCN_HIDDEN = (32, 64, 128)
 BLOCK_CHOICES = (1, 2)
 FFNN_FIRST = (32, 64, 128, 256, 512, 1024, 2048)
 FFNN_FLOOR = 16
+LEAKY_SLOPE = 0.01  # GCN layers and the FFNN
+ATTENTION_SLOPE = 0.2  # GAT attention logits
 
 CHECKPOINT_MAGIC = b"QTPCKPT1"
 
@@ -192,22 +195,19 @@ def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseAdj:
     return SparseAdj(rows, cols, vals, num_nodes, ad.NeighborTable(rows, cols, num_nodes, vals))
 
 
-def spmm(adj: SparseAdj, h: Tensor) -> Tensor:
-    """Â @ H; Â is symmetric, so the backward is the same table sum."""
-    return ad.sym_spmm(h, adj.table)
-
-
 # --- layers -------------------------------------------------------------------
 
 
 def gcn_forward(h: Tensor, adj: SparseAdj, w: Tensor, b: Tensor) -> Tensor:
-    return ad.leaky_relu(ad.add(ad.matmul(spmm(adj, h), w), b), 0.01)
+    """LeakyReLU(Â H W + b)."""
+    return ad.gcn_layer(h, adj.table, w, b, LEAKY_SLOPE, residual=False)
 
 
 def residual_gcn(h: Tensor, adj: SparseAdj, w: Tensor, b: Tensor) -> Tensor:
+    """H + LeakyReLU(Â H W + b), with a square W."""
     if w.shape[0] != w.shape[1] or w.shape[0] != h.shape[1]:
         raise ModelError(f"residual weight {w.shape} must be square at width {h.shape[1]}")
-    return ad.add(h, gcn_forward(h, adj, w, b))
+    return ad.gcn_layer(h, adj.table, w, b, LEAKY_SLOPE, residual=True)
 
 
 def gat_forward(
@@ -222,6 +222,7 @@ def gat_forward(
     halves applied to the destination and source embeddings; head outputs are
     concatenated, with no bias and no activation beyond the internal LeakyReLU.
     A node's attention terms follow the edge list, with its self-loop last.
+    All heads run as one op.
     """
     edges = _checked_edges(edges, num_nodes)
     loops = np.arange(num_nodes, dtype=np.int64)
@@ -229,13 +230,7 @@ def gat_forward(
     dst = np.concatenate([edges[:, 1], loops])
     into = ad.NeighborTable(dst, src, num_nodes)
     out_of = ad.NeighborTable(into.cols, into.rows, num_nodes)
-    outs = []
-    for w, a_dst, a_src in heads:
-        wh = ad.matmul(h, w)
-        outs.append(ad.neighbor_attention(
-            wh, ad.matmul(wh, a_dst), ad.matmul(wh, a_src), into, out_of, 0.2
-        ))
-    return outs[0] if len(outs) == 1 else ad.concat(outs)
+    return ad.gat_layer(h, heads, into, out_of, ATTENTION_SLOPE)
 
 
 def global_mean_pool(h: Tensor, graph_ids: np.ndarray, num_graphs: int) -> Tensor:
@@ -363,7 +358,8 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], batch: GraphBa
         h = residual_gcn(h, adj, params[f"res{i}.w"], params[f"res{i}.b"])
     h = global_mean_pool(h, batch.graph_ids, batch.num_graphs)
     for j in range(1, len(config.ffnn) + 1):
-        h = ad.leaky_relu(ad.add(ad.matmul(h, params[f"ffnn{j}.w"]), params[f"ffnn{j}.b"]), 0.01)
+        h = ad.add(ad.matmul(h, params[f"ffnn{j}.w"]), params[f"ffnn{j}.b"])
+        h = ad.leaky_relu(h, LEAKY_SLOPE)
     logits = ad.add(ad.matmul(h, params["out.w"]), params["out.b"])
     return ad.row_softmax(logits)
 

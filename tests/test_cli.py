@@ -19,7 +19,7 @@ import qtp.devices
 from qtp.cli import TABLE_COLUMNS, main
 from qtp.dag import load_graph
 from qtp.labeling import load_manifest, resolve_dag_paths
-from qtp.model import load_checkpoint, save_checkpoint
+from qtp.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 
 _CONFIG = '{"first_layer": "gcn", "hidden": 8, "blocks": 1, "ffnn": [8]}'
 _CONFIG_NAME = "GCN_1GCN_0FFNN_8_8"
@@ -436,6 +436,29 @@ class TestExitCodes:
         circuit = sorted(corpus.glob("*.qasm"))[0]
         with np.errstate(over="ignore"):
             assert main(["predict", str(circuit), "--checkpoint", str(bad)]) == 2
+
+    @pytest.mark.parametrize("first_layer", ["gcn", "gat"])
+    def test_predict_overflow_inside_first_layer(
+        self, pipeline, trained, tmp_path, capsys, first_layer
+    ):
+        # every node has a gate and a qubit feature set to 1, so H W (GAT)
+        # and, for some node, Â H W (GCN) exceed the largest double
+        _, corpus, _ = pipeline
+        config, weights, seed, _ = load_checkpoint(trained / "fold0.ckpt")
+        if first_layer == "gat":
+            config = ModelConfig("gat", 4, 1, (8,), heads=2)
+            weights = init_weights(config, seed)
+        for name in weights:
+            if name.startswith("first.") and name.endswith(".w"):
+                weights[name] = np.full_like(weights[name], 1e308)
+        bad = tmp_path / f"{first_layer}-huge.ckpt"
+        save_checkpoint(bad, config, weights, seed)
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["predict", str(circuit), "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"qtp predict: {bad}: weights give a non-finite forward pass"
+        )
 
     def test_predict_undecodable_circuit(self, trained, tmp_path):
         bad = tmp_path / "bad.qasm"

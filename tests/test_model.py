@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+import layers_reference as ref
 from qtp import autodiff as ad
-from qtp.dag import FEATURE_DIM, GraphData
+from qtp.dag import FEATURE_DIM, GraphData, featurize_circuit
 from qtp.model import (
+    ATTENTION_SLOPE,
     BLOCK_CHOICES,
     CHECKPOINT_MAGIC,
     CheckpointError,
     GraphBatch,
+    LEAKY_SLOPE,
     ModelConfig,
     ModelError,
     _ffnn_tuples,
     batch_graphs,
+    bind_params,
     gat_forward,
     gcn_forward,
     global_mean_pool,
@@ -26,8 +30,8 @@ from qtp.model import (
     predict_proba,
     residual_gcn,
     save_checkpoint,
-    spmm,
 )
+from qtp.training import weighted_cross_entropy
 
 # --- oracles -------------------------------------------------------------------
 
@@ -299,8 +303,7 @@ class TestLayers:
             adj = normalize_adjacency(edges, n)
             # one slot per entry of the fullest row, however full it is
             assert len(adj.table.slots) == np.bincount(adj.rows).max()
-            tape = ad.Tape()
-            got = spmm(adj, tape.const(x)).data
+            got = adj.table.gather_sum(x, adj.table.vals)
             assert np.max(np.abs(got - _dense_normalized(edges, n) @ x)) < 1e-12
         assert len(normalize_adjacency(_hub_edges()[1], 12).table.slots) == 10
 
@@ -402,7 +405,12 @@ class TestLayers:
             x = rng.standard_normal((n, 6))
             adj = normalize_adjacency(edges, n)
             tape = ad.Tape()
-            assert np.max(np.abs(spmm(adj, tape.const(x)).data - _scatter_spmm(adj, x))) == 0.0
+            w, b = rng.standard_normal((6, 6)), rng.standard_normal(6)
+            want = _leaky(_scatter_spmm(adj, x) @ w + b, LEAKY_SLOPE)
+            got = gcn_forward(tape.const(x), adj, tape.const(w), tape.const(b)).data
+            assert np.max(np.abs(got - want)) == 0.0
+            got = residual_gcn(tape.const(x), adj, tape.const(w), tape.const(b)).data
+            assert np.max(np.abs(got - (x + want))) == 0.0
             heads_np = _head_arrays(rng, 6, 5, 3)
             heads = [tuple(tape.const(a) for a in head) for head in heads_np]
             got = gat_forward(tape.const(x), edges, n, heads).data
@@ -421,36 +429,33 @@ class TestLayers:
         adj = normalize_adjacency(edges, n)
         weight = rng.standard_normal((n, 3))
 
-        def spmm_loss(ts):
-            out = ad.sym_spmm(ts["x"], adj.table)
-            return ad.mean_all(ad.mul(out, ts["x"].tape.const(weight)))
+        for residual in (False, True):
+            def gcn_loss(ts, residual=residual):
+                out = ad.gcn_layer(ts["x"], adj.table, ts["w"], ts["b"], LEAKY_SLOPE, residual)
+                return ad.mean_all(ad.mul(out, ts["x"].tape.const(weight)))
 
-        assert ad.finite_diff_check(spmm_loss, {"x": rng.standard_normal((n, 3))}) <= 1e-4
+            params = {"x": rng.standard_normal((n, 3)), "w": rng.standard_normal((3, 3)),
+                      "b": rng.standard_normal(3)}
+            assert ad.finite_diff_check(gcn_loss, params) <= 1e-4
 
         loops = np.arange(n)
         into = ad.NeighborTable(np.r_[edges[:, 1], loops], np.r_[edges[:, 0], loops], n)
         out_of = ad.NeighborTable(into.cols, into.rows, n)
-
-        def attention_loss(ts):
-            out = ad.neighbor_attention(ts["wh"], ts["sd"], ts["ss"], into, out_of, 0.2)
-            return ad.mean_all(ad.mul(out, ts["wh"].tape.const(weight)))
-
-        params = {"wh": rng.standard_normal((n, 3)), "sd": rng.standard_normal((n, 1)),
-                  "ss": rng.standard_normal((n, 1))}
-        assert ad.finite_diff_check(attention_loss, params) <= 1e-4
-
-        x = rng.standard_normal((n, 4))
-        a_dst = rng.standard_normal((3, 1))
+        a_dst = [rng.standard_normal((2, 1)) for _ in range(3)]
+        weight = rng.standard_normal((n, 6))
 
         def gat_loss(ts):
             # a_dst shifts a whole softmax row, so its gradient is near zero and
             # a relative check on it measures rounding; it stays fixed here
-            tape = ts["w"].tape
-            heads = [(ts["w"], tape.const(a_dst), ts["a_src"])]
-            out = gat_forward(tape.const(x), edges, n, heads)
+            tape = ts["x"].tape
+            heads = [(ts[f"w{k}"], tape.const(a_dst[k]), ts[f"a_src{k}"]) for k in range(3)]
+            out = ad.gat_layer(ts["x"], heads, into, out_of, ATTENTION_SLOPE)
             return ad.mean_all(ad.mul(out, tape.const(weight)))
 
-        params = {"w": rng.standard_normal((4, 3)), "a_src": rng.standard_normal((3, 1))}
+        params = {"x": rng.standard_normal((n, 4))}
+        for k in range(3):
+            params[f"w{k}"] = rng.standard_normal((4, 2))
+            params[f"a_src{k}"] = rng.standard_normal((2, 1))
         assert ad.finite_diff_check(gat_loss, params) <= 1e-4
 
     def test_edges_out_of_range_rejected(self):
@@ -467,6 +472,175 @@ class TestLayers:
         h = tape.const(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         out = global_mean_pool(h, np.array([0, 0, 1]), 2).data
         assert np.array_equal(out, [[2.0, 3.0], [5.0, 6.0]])
+
+
+# --- fused layers against the unfused reference -----------------------------------
+
+
+_REFERENCE_CONFIGS = [
+    ModelConfig("gat", 32, 1, (256, 32), heads=4),  # the acceptance config
+    ModelConfig("gat", 8, 2, (16,), heads=1),
+    ModelConfig("gcn", 16, 0, (16,)),
+    ModelConfig("gcn", 16, 2, (32, 16)),
+]
+
+
+@pytest.fixture(scope="module")
+def reference_batches(corpus200):
+    """Two 32-graph batches of the acceptance corpus and one of the table cases."""
+    graphs = [featurize_circuit(c, label=i % 2) for i, c in enumerate(corpus200[:64])]
+    rng = np.random.default_rng(73)
+    cases = [GraphData(f"t{k}", 3, rng.standard_normal((n, FEATURE_DIM)), edges, label=k % 2)
+             for k, (n, edges) in enumerate(_table_cases(rng))]
+    return [batch_graphs(graphs[:32]), batch_graphs(graphs[32:]), batch_graphs(cases)]
+
+
+def _loss_and_grads(forward, config, weights, batch):
+    tape = ad.Tape()
+    probs = forward(config, bind_params(tape, weights), batch)
+    loss = weighted_cross_entropy(probs, batch.labels, np.array([1.25, 0.8]))
+    return probs.data, loss.data, tape.backward(loss)
+
+
+def _gather_table(rng, num_rows, widths):
+    """Entries (rows, cols, vals) whose table has slot widths `widths`, in shuffled order."""
+    counts = (np.asarray(widths)[None, :] > np.arange(num_rows)[:, None]).sum(axis=1)
+    ids = rng.permutation(num_rows)
+    rows = rng.permutation(np.repeat(ids, counts))
+    cols = rng.integers(0, num_rows, size=rows.size)
+    vals = rng.standard_normal(rows.size)
+    return rows, cols, vals
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("config", _REFERENCE_CONFIGS, ids=lambda c: c.name)
+    def test_model_bit_identical_to_reference(self, config, reference_batches):
+        weights = init_weights(config, seed=5)
+        for batch in reference_batches:
+            probs, loss, grads = _loss_and_grads(model_forward, config, weights, batch)
+            want_probs, want_loss, want_grads = _loss_and_grads(
+                ref.model_forward, config, weights, batch
+            )
+            assert np.array_equal(probs, want_probs)
+            assert np.array_equal(loss, want_loss)
+            assert list(grads) == list(want_grads)
+            for name, grad in grads.items():
+                assert np.array_equal(grad, want_grads[name]), name
+
+    def test_layers_bit_identical_with_input_gradient(self):
+        rng = np.random.default_rng(79)
+        big = 3 * ad.BLOCK + 17
+        cases = _table_cases(rng) + [(big, _random_edges(rng, big, 2 * big))]
+        layers = [
+            (gcn_forward, ref.gcn_forward, False),
+            (residual_gcn, ref.residual_gcn, False),
+            (gat_forward, ref.gat_forward, True),
+        ]
+        for n, edges in cases:
+            adj = normalize_adjacency(edges, n)
+            arrays = {"x": rng.standard_normal((n, 6)), "w": rng.standard_normal((6, 6)),
+                      "b": rng.standard_normal(6)}
+            for k in range(3):
+                arrays[f"w{k}"] = rng.standard_normal((6, 2))
+                arrays[f"d{k}"] = rng.standard_normal((2, 1))
+                arrays[f"s{k}"] = rng.standard_normal((2, 1))
+            weight = rng.standard_normal((n, 6))
+            for fused, unfused, attention in layers:
+                seen = []
+                for layer in (fused, unfused):
+                    tape = ad.Tape()
+                    t = {name: tape.param(name, a) for name, a in arrays.items()}
+                    if attention:
+                        heads = [(t[f"w{k}"], t[f"d{k}"], t[f"s{k}"]) for k in range(3)]
+                        out = layer(t["x"], edges, n, heads)
+                    else:
+                        out = layer(t["x"], adj, t["w"], t["b"])
+                    grads = tape.backward(ad.mean_all(ad.mul(out, tape.const(weight))))
+                    seen.append((out.data, grads))
+                (got, got_grads), (want, want_grads) = seen
+                assert np.array_equal(got, want), fused.__name__
+                for name in arrays:
+                    assert np.array_equal(got_grads[name], want_grads[name]), (fused.__name__, name)
+
+    @pytest.mark.parametrize("full", [True, False], ids=["every-row", "empty-rows"])
+    @pytest.mark.parametrize(
+        "num_rows", [1, ad.BLOCK - 1, ad.BLOCK, ad.BLOCK + 1, 3 * ad.BLOCK + 17]
+    )
+    def test_gather_sum_across_block_edges(self, num_rows, full):
+        # slots that end on a block edge (BLOCK, 2 BLOCK) and inside one
+        rng = np.random.default_rng(num_rows)
+        first = num_rows if full else num_rows - 1
+        widths = [first, 2 * ad.BLOCK, ad.BLOCK + 1, ad.BLOCK, ad.BLOCK - 1, 7, 7, 1]
+        widths = sorted((w for w in widths if 0 < w <= first), reverse=True)
+        rows, cols, vals = _gather_table(rng, num_rows, widths)
+        table = ad.NeighborTable(rows, cols, num_rows, vals)
+        assert [hi - lo for lo, hi in table.slots] == widths
+        x = rng.standard_normal((num_rows, 5))
+        want = np.zeros((num_rows, 5))
+        np.add.at(want, rows, x[cols] * vals[:, None])
+        assert np.array_equal(table.gather_sum(x, table.vals), want)
+        wide = np.full((num_rows, 9), 7.0)
+        table.gather_sum(x, table.vals, out=wide[:, 2:7])
+        assert np.array_equal(wide[:, 2:7], want)
+        assert np.all(wide[:, :2] == 7.0) and np.all(wide[:, 7:] == 7.0)
+
+    def test_slopes_are_exact(self):
+        rng = np.random.default_rng(83)
+        x = np.r_[rng.standard_normal(64), -0.0, 0.0, 5e-324, -5e-324]
+        for alpha in (LEAKY_SLOPE, ATTENTION_SLOPE):
+            assert (1.0 - alpha) + alpha == 1.0
+            g = rng.standard_normal(x.size)
+            seen = []
+            for leaky_relu in (ad.leaky_relu, ref.leaky_relu):
+                tape = ad.Tape()
+                t = tape.param("x", x)
+                out = leaky_relu(t, alpha)
+                seen.append((out.data, tape.backward(ad.mean_all(ad.mul(out, tape.const(g))))))
+            (got, got_grads), (want, want_grads) = seen
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_grads["x"], want_grads["x"])
+
+    def test_shape_errors(self):
+        tape = ad.Tape()
+        table = normalize_adjacency(np.zeros((0, 2), np.int64), 3).table
+        h = tape.const(np.ones((3, 4)))
+
+        def ones(*shape):
+            return tape.const(np.ones(shape))
+
+        for w, b, residual in [((5, 4), (4,), False), ((4, 3), (4,), False),
+                               ((4, 3), (3,), True)]:
+            with pytest.raises(ValueError, match="do not align"):
+                ad.gcn_layer(h, table, ones(*w), ones(*b), LEAKY_SLOPE, residual)
+        with pytest.raises(ValueError, match="different tapes"):
+            ad.gcn_layer(h, table, ad.Tape().const(np.ones((4, 4))), ones(4), LEAKY_SLOPE, True)
+        for head in [((5, 2), (2, 1), (2, 1)), ((4, 2), (3, 1), (2, 1)),
+                     ((4, 2), (2, 1), (2, 2))]:
+            with pytest.raises(ValueError, match="do not fit"):
+                ad.gat_layer(h, [tuple(ones(*s) for s in head)], table, table, ATTENTION_SLOPE)
+        with pytest.raises(ValueError, match="at least one head"):
+            ad.gat_layer(h, [], table, table, ATTENTION_SLOPE)
+
+    def test_overflow_inside_fused_layers_raises(self):
+        n, edges = _hub_edges()
+        adj = normalize_adjacency(edges, n)
+        tape = ad.Tape()
+        x = tape.const(np.full((n, 3), 1e200))
+        w = tape.const(np.full((3, 3), 1e200))  # ÂH is finite, ÂHW is not
+        b = tape.const(np.zeros(3))
+        heads = [(w, tape.const(np.ones((3, 1))), tape.const(np.ones((3, 1))))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for residual in (False, True):
+                with pytest.raises(FloatingPointError):
+                    ad.gcn_layer(x, adj.table, w, b, LEAKY_SLOPE, residual)
+            with pytest.raises(FloatingPointError):
+                gat_forward(x, edges, n, heads)
+            # HW stays finite, but node 0's source score overflows to -inf
+            x = tape.const(np.array([[1.0], [1e-300], [1e-300]]))
+            head = (tape.const(np.full((1, 2), 1e300)), tape.const(np.zeros((2, 1))),
+                    tape.const(np.full((2, 1), -1e10)))
+            with pytest.raises(FloatingPointError, match="attention score"):
+                gat_forward(x, np.array([[1, 0], [0, 1], [2, 1], [0, 2]]), 3, [head])
 
 
 # --- batching ---------------------------------------------------------------------
