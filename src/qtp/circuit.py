@@ -33,10 +33,9 @@ class GateInstance:
 
 
 def check_gate(op: GateInstance, num_qubits: int) -> None:
-    """Raise CircuitError unless op is a real gate on distinct qubits in 0..num_qubits-1."""
+    """Raise CircuitError unless op has its kind's arity and parameter count, on
+    distinct qubits in 0..num_qubits-1, with finite parameters."""
     kind = op.kind
-    if kind is GateKind.INPUT:
-        raise CircuitError("INPUT is reserved for DAG source nodes")
     if len(op.qubits) != kind.arity:
         raise CircuitError(
             f"{kind.value} expects {kind.arity} qubit(s), got {len(op.qubits)}"

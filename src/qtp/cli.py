@@ -19,6 +19,8 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .circuit import CircuitError
 from .corpus import CorpusError, CorpusParams, FAMILIES, gen_corpus
 from .dag import FeaturizeError, GraphData, featurize_circuit, load_graph, write_graph
@@ -132,9 +134,11 @@ def _load_circuit(path: Path):
 
 @contextlib.contextmanager
 def _running(checkpoint):
-    """Blame a forward pass that overflows on the checkpoint whose weights it ran."""
+    """Blame a forward pass that overflows on the checkpoint whose weights it ran;
+    numpy's warnings stay quiet, since the tape's finiteness check raises."""
     try:
-        yield
+        with np.errstate(all="ignore"):
+            yield
     except FloatingPointError as exc:
         raise CheckpointError(
             f"{checkpoint}: weights give a non-finite forward pass ({exc})"

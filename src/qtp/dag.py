@@ -1,11 +1,11 @@
 """Circuit DAGs and their fixed-width feature encoding.
 
 Every circuit becomes a directed acyclic graph: one source node per qubit
-(the reserved INPUT kind) plus one node per gate, with edges following qubit
-wires from each op to the next op touching that wire.
+plus one node per gate, with edges following qubit wires from each op to the
+next op touching that wire.  A source node is a feature slot, not a gate.
 
 Node features are 66 floats:
-  0..35   gate-type one-hot (35 gates + INPUT)
+  0..35   gate-type one-hot (35 gates + source slot)
   36..62  qubit participation multi-hot, one slot per qubit up to 27
   63..65  up to three angle parameters, normalized to [0, 1) by 2*pi
 
@@ -24,13 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, GateInstance
-from .gates import ONE_HOT_INDEX, VOCABULARY_SIZE, GateKind, gate_by_name
+from .gates import VOCABULARY, GateKind, gate_by_name
 from .jsonio import dumps as json_dumps
 
 MAX_FEATURE_QUBITS = 27
-GATE_SLOTS = VOCABULARY_SIZE  # 36
+ONE_HOT_INDEX: dict[GateKind, int] = {k: i for i, k in enumerate(VOCABULARY)}
+INPUT_SLOT = len(VOCABULARY)  # 35: the one-hot of a source node
+GATE_SLOTS = INPUT_SLOT + 1  # 36
 ANGLE_SLOTS = 3
 FEATURE_DIM = GATE_SLOTS + MAX_FEATURE_QUBITS + ANGLE_SLOTS  # 66
+_ANGLE_OFFSET = GATE_SLOTS + MAX_FEATURE_QUBITS
 
 _TWO_PI = 2.0 * math.pi
 
@@ -41,37 +44,6 @@ class FeaturizeError(ValueError):
     """Circuit cannot be encoded (too many qubits, bad graph file, ...)."""
 
 
-@dataclass
-class CircuitDag:
-    """Nodes are the INPUT sources then the circuit's ops; a node's id is its index."""
-
-    name: str
-    num_qubits: int
-    nodes: list[GateInstance]
-    edges: list[tuple[int, int]]
-
-
-def build_dag(circ: Circuit) -> CircuitDag:
-    """Wire-following DAG: INPUT sources, then one node per op in order."""
-    if circ.num_qubits > MAX_FEATURE_QUBITS:
-        raise FeaturizeError(
-            f"{circ.num_qubits} qubits exceed the {MAX_FEATURE_QUBITS}-qubit feature layout"
-        )
-    nodes = [GateInstance(GateKind.INPUT, (q,)) for q in range(circ.num_qubits)]
-    nodes += circ.ops
-    edges: list[tuple[int, int]] = []
-    last = list(range(circ.num_qubits))  # qubit -> newest node on its wire
-    for nid, op in enumerate(circ.ops, start=circ.num_qubits):
-        seen: set[int] = set()
-        for q in op.qubits:
-            pred = last[q]
-            if pred not in seen:
-                seen.add(pred)
-                edges.append((pred, nid))
-            last[q] = nid
-    return CircuitDag(circ.name, circ.num_qubits, nodes, edges)
-
-
 def encode_angle(theta: float) -> float:
     """Map an angle onto [0, 1) with period 2*pi."""
     frac = math.fmod(theta, _TWO_PI)
@@ -79,18 +51,6 @@ def encode_angle(theta: float) -> float:
         frac += _TWO_PI
     frac /= _TWO_PI
     return frac if frac < 1.0 else 0.0
-
-
-def encode_features(dag: CircuitDag) -> np.ndarray:
-    """(num_nodes, 66) float64 feature matrix in node-id order."""
-    feats = np.zeros((len(dag.nodes), FEATURE_DIM), dtype=np.float64)
-    for i, node in enumerate(dag.nodes):
-        feats[i, ONE_HOT_INDEX[node.kind]] = 1.0
-        for q in node.qubits:
-            feats[i, GATE_SLOTS + q] = 1.0
-        for j, theta in enumerate(node.params):
-            feats[i, GATE_SLOTS + MAX_FEATURE_QUBITS + j] = encode_angle(theta)
-    return feats
 
 
 @dataclass
@@ -106,11 +66,6 @@ class GraphData:
     @property
     def num_nodes(self) -> int:
         return int(self.features.shape[0])
-
-
-def graph_from_dag(dag: CircuitDag, label: int | None = None) -> GraphData:
-    edges = np.asarray(dag.edges, dtype=np.int64).reshape(-1, 2)
-    return GraphData(dag.name, dag.num_qubits, encode_features(dag), edges, label)
 
 
 def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Path:
@@ -156,4 +111,32 @@ def load_graph(path: str | Path) -> GraphData:
 
 
 def featurize_circuit(circ: Circuit, label: int | None = None) -> GraphData:
-    return graph_from_dag(build_dag(circ), label)
+    """One walk over the ops: source rows first, then one row per op.
+
+    A source row is slot INPUT_SLOT plus its own qubit flag.  Each op gets an
+    edge from the newest node on each of its wires, once per distinct node.
+    """
+    n = circ.num_qubits
+    if n > MAX_FEATURE_QUBITS:
+        raise FeaturizeError(f"{n} qubits exceed the {MAX_FEATURE_QUBITS}-qubit feature layout")
+    feats = np.zeros((n + len(circ.ops), FEATURE_DIM), dtype=np.float64)
+    sources = np.arange(n)
+    feats[sources, INPUT_SLOT] = 1.0
+    feats[sources, GATE_SLOTS + sources] = 1.0
+    edges: list[tuple[int, int]] = []
+    last = list(range(n))  # qubit -> newest node on its wire
+    for nid, op in enumerate(circ.ops, start=n):
+        row = feats[nid]
+        row[ONE_HOT_INDEX[op.kind]] = 1.0
+        seen: set[int] = set()
+        for q in op.qubits:
+            row[GATE_SLOTS + q] = 1.0
+            pred = last[q]
+            if pred not in seen:
+                seen.add(pred)
+                edges.append((pred, nid))
+            last[q] = nid
+        for j, theta in enumerate(op.params):
+            row[_ANGLE_OFFSET + j] = encode_angle(theta)
+    edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return GraphData(circ.name, n, feats, edge_array, label)

@@ -1,7 +1,6 @@
 """Gate vocabulary shared by the parser, the featurizer and the transpiler.
 
-The vocabulary is the qelib1 subset we accept on input: 35 gates plus a
-reserved INPUT kind used only for the source nodes of circuit DAGs.  The
+The vocabulary is the qelib1 subset we accept on input: 35 gates.  The
 order of VOCABULARY is load-bearing: the featurizer derives one-hot slots
 from list position, so it must never be reordered.
 """
@@ -47,8 +46,6 @@ class GateKind(Enum):
     RYY = "ryy"
     RZZ = "rzz"
     ECR = "ecr"
-    # Reserved for DAG source nodes, never a real instruction.
-    INPUT = "input"
 
     # Set on every member by _register below: plain attributes, so the
     # per-gate check reads them without a property call or a dict lookup.
@@ -88,20 +85,14 @@ for _k in (GateKind.CP, GateKind.CRX, GateKind.CRY, GateKind.CRZ,
 _register(GateKind.CU, 2, 3)
 _register(GateKind.CCX, 3, 0)
 _register(GateKind.CSWAP, 3, 0)
-_register(GateKind.INPUT, 1, 0)
 
-# Real instructions, in feature-slot order.  INPUT takes the slot after them.
-VOCABULARY: tuple[GateKind, ...] = tuple(k for k in GateKind if k is not GateKind.INPUT)
-VOCABULARY_SIZE = len(VOCABULARY) + 1  # + INPUT
-
-ONE_HOT_INDEX: dict[GateKind, int] = {k: i for i, k in enumerate(VOCABULARY)}
-ONE_HOT_INDEX[GateKind.INPUT] = len(VOCABULARY)
+VOCABULARY: tuple[GateKind, ...] = tuple(GateKind)
 
 _BY_NAME = {k.value: k for k in VOCABULARY}
 
 
 def gate_by_name(name: str) -> GateKind:
-    """Look up a vocabulary gate by its qelib1 name; INPUT is not addressable."""
+    """Look up a vocabulary gate by its qelib1 name."""
     try:
         return _BY_NAME[name]
     except KeyError:

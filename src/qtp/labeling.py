@@ -115,7 +115,7 @@ class Manifest:
 def _load_precompiled(
     circuit_path: Path, profiles: list[DeviceProfile], precompiled_dir: Path
 ) -> dict[str, list[CompiledCircuit]]:
-    """Variants follow the convention <circuit>.<device-name>[.*].qasm."""
+    """Variants follow <circuit>.<device-name>[.*].qasm; a bad one raises LabelError naming it."""
     stem = circuit_path.name[: -len(".qasm")]
     out: dict[str, list[CompiledCircuit]] = {}
     for profile in profiles:
@@ -126,8 +126,11 @@ def _load_precompiled(
         )
         variants = []
         for path in hits:
-            circ = parse_qasm(path.read_text(), name=path.stem)
-            variants.append(compiled_from_circuit(circ, profile))
+            try:
+                circ = parse_qasm(path.read_text(), name=path.stem)
+                variants.append(compiled_from_circuit(circ, profile))
+            except (ValueError, KeyError) as exc:
+                raise LabelError(f"{path}: {exc}") from None
         if variants:
             out[profile.name] = variants
     return out
@@ -137,10 +140,10 @@ def build_manifest(
     circuits_dir: str | Path,
     profiles: list[DeviceProfile],
     out_path: str | Path,
-    dag_dir: str | Path | None = None,
     precompiled_dir: str | Path | None = None,
 ) -> Manifest:
-    """Label every .qasm under circuits_dir and write manifest + graph files.
+    """Label every .qasm under circuits_dir and write the manifest, with the
+    graph files in a `dags` directory next to it.
 
     Per-file failures (parse errors, unscorable circuits) are collected into
     the manifest's skipped list rather than aborting the run.
@@ -152,7 +155,7 @@ def build_manifest(
     if not files:
         raise LabelError(f"no .qasm files under {circuits_dir}")
     out_path = Path(out_path)
-    dag_dir = out_path.parent / "dags" if dag_dir is None else Path(dag_dir)
+    dag_dir = out_path.parent / "dags"
     dag_dir.mkdir(parents=True, exist_ok=True)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 

@@ -3,22 +3,17 @@ import math
 import pytest
 
 from qtp.circuit import Circuit, CircuitError, GateInstance, circuit_depth
-from qtp.gates import (
-    GateKind,
-    ONE_HOT_INDEX,
-    VOCABULARY,
-    VOCABULARY_SIZE,
-    gate_by_name,
-)
+from qtp.gates import GateKind, VOCABULARY, gate_by_name
 
 
 class TestVocabulary:
     def test_size_and_input_slot(self):
-        # 35 instantiable gates; the reserved INPUT marker takes slot 35
-        assert VOCABULARY_SIZE == 36
+        # 35 gates and nothing else: a DAG source node is a feature slot
+        # (qtp.dag.INPUT_SLOT), not a gate kind
         assert len(VOCABULARY) == 35
-        assert GateKind.INPUT not in VOCABULARY
-        assert ONE_HOT_INDEX[GateKind.INPUT] == 35
+        assert VOCABULARY == tuple(GateKind)
+        with pytest.raises(KeyError):
+            gate_by_name("input")
 
     def test_order_is_frozen(self):
         names = [k.value for k in VOCABULARY]
@@ -28,7 +23,6 @@ class TestVocabulary:
             "cx", "cy", "cz", "ch", "cp", "crx", "cry", "crz", "cu",
             "swap", "ccx", "cswap", "rxx", "ryy", "rzz", "ecr",
         ]
-        assert [ONE_HOT_INDEX[k] for k in VOCABULARY] == list(range(35))
 
     def test_arity_and_params(self):
         assert GateKind.H.arity == 1 and GateKind.H.param_count == 0
@@ -74,9 +68,6 @@ class TestGateInstance:
     def test_wrong_param_count(self):
         _assert_rejected(1, GateInstance(GateKind.RX, (0,)))
         _assert_rejected(1, GateInstance(GateKind.H, (0,), (1.0,)))
-
-    def test_input_not_instantiable(self):
-        _assert_rejected(1, GateInstance(GateKind.INPUT, (0,)))
 
 
 class TestCircuit:

@@ -655,6 +655,29 @@ class TestProcessEntry:
         assert proc.returncode == 0
         assert "entries" in proc.stderr
 
+    def test_non_finite_forward_pass_is_one_stderr_line(self, pipeline, tmp_path):
+        # a GAT first layer at 1e308 overflows inside its matmuls; numpy's own
+        # warnings stay quiet and only the error naming the checkpoint prints
+        _, corpus, _ = pipeline
+        config = ModelConfig("gat", 4, 1, (8,), heads=2)
+        weights = init_weights(config, 0)
+        for name in weights:
+            if name.startswith("first.") and name.endswith(".w"):
+                weights[name] = np.full_like(weights[name], 1e308)
+        bad = tmp_path / "gat-huge.ckpt"
+        save_checkpoint(bad, config, weights, 0)
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtp.cli", "predict", str(circuit), "--checkpoint", str(bad)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"qtp predict: {bad}: weights give a non-finite forward pass"
+            " (op produced a non-finite attention score)\n"
+        )
+
     def test_optimized_run_checks_finiteness(self, pipeline, trained, tmp_path):
         _, corpus, _ = pipeline
         config, weights, seed, _ = load_checkpoint(trained / "fold0.ckpt")

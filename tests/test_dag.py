@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,21 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtp.circuit import Circuit
+from qtp.corpus import gen_corpus
 from qtp.dag import (
     ANGLE_SLOTS,
     FEATURE_DIM,
     FeaturizeError,
     GATE_SLOTS,
+    INPUT_SLOT,
     MAX_FEATURE_QUBITS,
-    build_dag,
+    ONE_HOT_INDEX,
     encode_angle,
-    encode_features,
     featurize_circuit,
-    graph_from_dag,
     load_graph,
     write_graph,
 )
-from qtp.gates import GateKind, ONE_HOT_INDEX
+from qtp.gates import GateKind, VOCABULARY
 
 
 TWO_PI = 2.0 * math.pi
@@ -33,33 +34,43 @@ def _bell() -> Circuit:
     return circ
 
 
+def _edges(graph) -> list[tuple[int, int]]:
+    return [tuple(e) for e in graph.edges.tolist()]
+
+
 class TestBuildDag:
+    """The wire-following DAG that featurize_circuit encodes."""
+
     def test_input_nodes_first(self):
-        dag = build_dag(_bell())
-        assert [n.kind for n in dag.nodes[:2]] == [GateKind.INPUT, GateKind.INPUT]
-        assert [n.qubits for n in dag.nodes[:2]] == [(0,), (1,)]
-        assert [n.kind for n in dag.nodes[2:]] == [GateKind.H, GateKind.CX]
+        feats = featurize_circuit(_bell()).features
+        # one source row per qubit, then the ops in order
+        assert feats.shape[0] == 4
+        assert feats[:2, INPUT_SLOT].tolist() == [1.0, 1.0]
+        assert feats[:2, GATE_SLOTS : GATE_SLOTS + 2].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert feats[2, ONE_HOT_INDEX[GateKind.H]] == 1.0
+        assert feats[3, ONE_HOT_INDEX[GateKind.CX]] == 1.0
+        assert feats[2:, INPUT_SLOT].tolist() == [0.0, 0.0]
 
     def test_wire_edges(self):
-        dag = build_dag(_bell())
-        # INPUT0 -> h, h -> cx, INPUT1 -> cx
-        assert sorted(dag.edges) == [(0, 2), (1, 3), (2, 3)]
+        graph = featurize_circuit(_bell())
+        # source0 -> h, h -> cx, source1 -> cx
+        assert sorted(_edges(graph)) == [(0, 2), (1, 3), (2, 3)]
 
     def test_shared_predecessor_edge_deduped(self):
         circ = Circuit(2)
         circ.add(GateKind.CX, (0, 1))
         circ.add(GateKind.CX, (0, 1))
-        dag = build_dag(circ)
         # both wires of the second cx come from the first: one edge, not two
-        assert sorted(dag.edges) == [(0, 2), (1, 2), (2, 3)]
+        assert _edges(featurize_circuit(circ)) == [(0, 2), (1, 2), (2, 3)]
 
     def test_too_many_qubits(self):
         with pytest.raises(FeaturizeError):
-            build_dag(Circuit(MAX_FEATURE_QUBITS + 1))
+            featurize_circuit(Circuit(MAX_FEATURE_QUBITS + 1))
 
     def test_empty_circuit(self):
-        dag = build_dag(Circuit(3))
-        assert len(dag.nodes) == 3 and dag.edges == []
+        graph = featurize_circuit(Circuit(3))
+        assert graph.num_nodes == 3
+        assert graph.edges.shape == (0, 2) and graph.edges.dtype == np.int64
 
 
 class TestAngleEncoding:
@@ -95,13 +106,16 @@ class TestAngleEncoding:
 class TestFeatures:
     def test_dimensions(self):
         assert FEATURE_DIM == GATE_SLOTS + MAX_FEATURE_QUBITS + ANGLE_SLOTS == 66
+        # 35 gate slots in vocabulary order, then the source slot
+        assert [ONE_HOT_INDEX[k] for k in VOCABULARY] == list(range(35))
+        assert INPUT_SLOT == 35 and GATE_SLOTS == 36
 
     def test_layout(self):
         circ = Circuit(3)
         circ.add(GateKind.CRZ, (2, 0), (math.pi / 2,))
-        feats = encode_features(build_dag(circ))
+        feats = featurize_circuit(circ).features
         assert feats.shape == (4, 66)
-        # INPUT rows: one-hot slot 35 plus own qubit flag
+        # source rows: one-hot slot 35 plus own qubit flag
         for q in range(3):
             row = feats[q]
             assert row[35] == 1.0
@@ -116,7 +130,7 @@ class TestFeatures:
     def test_three_angle_gate(self):
         circ = Circuit(1)
         circ.add(GateKind.U3, (0,), (math.pi, math.pi / 2, math.pi / 4))
-        feats = encode_features(build_dag(circ))
+        feats = featurize_circuit(circ).features
         angles = feats[1, GATE_SLOTS + MAX_FEATURE_QUBITS :]
         assert np.allclose(angles, [0.5, 0.25, 0.125])
 
@@ -192,7 +206,21 @@ class TestGraphIO:
             load_graph(path)
 
     def test_graph_matches_dag(self):
-        dag = build_dag(_bell())
-        graph = graph_from_dag(dag)
-        assert graph.num_nodes == len(dag.nodes)
-        assert graph.edges.shape == (len(dag.edges), 2)
+        graph = featurize_circuit(_bell(), label=0)
+        assert graph.name == "bell" and graph.num_qubits == 2 and graph.label == 0
+        assert graph.num_nodes == 2 + 2
+        assert graph.edges.shape == (3, 2)
+
+    def test_corpus_bytes_pinned(self):
+        # features then edges of every circuit, in order: any change to the
+        # layout, the angle encoding or the edge order moves this digest
+        digest, nodes = hashlib.sha256(), 0
+        for circ in gen_corpus(200, seed=11):
+            graph = featurize_circuit(circ)
+            digest.update(graph.features.tobytes())
+            digest.update(graph.edges.tobytes())
+            nodes += graph.num_nodes
+        assert nodes == 27_112
+        assert digest.hexdigest() == (
+            "2eab345bbfaaac2ffe865394699a21050c487a12a9429382e91aec68050333ce"
+        )

@@ -193,6 +193,29 @@ class TestManifest:
             {"circuit": "u3.qasm", "error": "math domain error"},
         ]
 
+    @pytest.mark.parametrize(
+        "variant, error",
+        [
+            ("qreg q[2];\nh q[0];\ncx q[0],q[1] $;\n", "line 3, column 14: unexpected character '$'"),
+            # parses, but h is not an ion-aa3 basis gate
+            ("qreg q[2];\nh q[0];\n", "h is outside the ion-aa3 basis"),
+        ],
+        ids=["parse", "device"],
+    )
+    def test_bad_precompiled_variant_named(self, tmp_path, ion_aa3, sc_line3, variant, error):
+        circuits, pre = tmp_path / "circuits", tmp_path / "pre"
+        circuits.mkdir()
+        pre.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        (circuits / "bell.qasm").write_text(bell)
+        (circuits / "other.qasm").write_text(bell)
+        bad = pre / "bell.ion-aa3.qasm"
+        bad.write_text(variant)
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json",
+                                  precompiled_dir=pre)
+        assert [e.name for e in manifest.entries] == ["other"]
+        assert manifest.skipped == [{"circuit": "bell.qasm", "error": f"{bad}: {error}"}]
+
     def test_missing_directory_rejected(self, tmp_path, ion_aa3, sc_line3):
         with pytest.raises(LabelError, match="not a directory"):
             build_manifest(tmp_path / "nowhere", [ion_aa3, sc_line3], tmp_path / "m.json")
@@ -229,11 +252,11 @@ class TestManifest:
             circ = random_circuit(rng, 2, 4, name=f"c{i}")
             (circuits / f"{circ.name}.qasm").write_text(serialize_qasm(circ))
         out = tmp_path / "out" / "manifest.json"
-        build_manifest(circuits, [ion_aa3, sc_line3], out, dag_dir=tmp_path / "graphs")
+        build_manifest(circuits, [ion_aa3, sc_line3], out)
         manifest = load_manifest(out)
         for entry, dag_path in zip(manifest.entries, resolve_dag_paths(out, manifest)):
             assert entry.circuit_path == f"../in/circuits/{entry.name}.qasm"
-            assert entry.dag_path.startswith("../graphs/")
+            assert entry.dag_path == f"dags/{entry.name}.dag.json"
             assert (out.parent / entry.circuit_path).is_file()
             assert dag_path.is_file()
 
