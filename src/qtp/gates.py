@@ -52,6 +52,11 @@ class GateKind(Enum):
     arity: int
     param_count: int
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality; Enum's own hashes the name in Python,
+    # and the (kind, qubits) memo keys of routing hash a kind per lookup.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return f"GateKind.{self.name}"
 

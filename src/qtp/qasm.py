@@ -14,7 +14,7 @@ import re
 import warnings
 
 from .circuit import Circuit, CircuitError, GateInstance
-from .gates import gate_by_name
+from .gates import VOCABULARY, gate_by_name
 
 __all__ = ["QasmError", "QasmWarning", "parse_qasm", "serialize_qasm", "fmt_angle"]
 
@@ -309,6 +309,9 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
     return circ
 
 
+_NAMES = {k: k.value for k in VOCABULARY}  # Enum's .value is a property call per op
+
+
 def fmt_angle(x: float) -> str:
     """Format a float with 17 significant digits (lossless for doubles)."""
     return format(float(x), ".17g")
@@ -317,9 +320,13 @@ def fmt_angle(x: float) -> str:
 def serialize_qasm(circ: Circuit) -> str:
     """Render a Circuit back to OpenQASM 2.0, one statement per line."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circ.num_qubits}];"]
+    wire = [f"q[{q}]" for q in range(circ.num_qubits)]
     for op in circ.ops:
-        args = ",".join(fmt_angle(p) for p in op.params)
-        head = f"{op.kind.value}({args})" if args else op.kind.value
-        operands = ",".join(f"q[{q}]" for q in op.qubits)
-        lines.append(f"{head} {operands};")
-    return "\n".join(lines) + "\n"
+        operands = ",".join([wire[q] for q in op.qubits])
+        if op.params:
+            args = ",".join([fmt_angle(p) for p in op.params])
+            lines.append(f"{_NAMES[op.kind]}({args}) {operands};")
+        else:
+            lines.append(f"{_NAMES[op.kind]} {operands};")
+    lines.append("")
+    return "\n".join(lines)

@@ -1,6 +1,10 @@
 """Tape autodiff: finite-difference checks per primitive, mechanics, errors."""
 
 import math
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,3 +473,33 @@ def test_row_softmax_normalization_property(rows, cols, offset):
     tape = ad.Tape()
     out = ad.row_softmax(tape.const(x)).data
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+
+
+# Eight live 4 MiB arrays a round, freed at its end: the shape of a training
+# step's transient buffers.  Prints the minor page faults per measured round.
+_FAULTS_PER_ROUND = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import qtp.autodiff
+
+def one_round():
+    held = [np.ones(1 << 19) for _ in range(8)]
+    del held
+
+one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    one_round()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator policy is glibc-only")
+def test_freed_buffers_stay_in_the_process():
+    # the default policy returns the rounds' memory to the OS and re-faults
+    # it every round (about 4 k faults); importing autodiff keeps it
+    src = str(Path(ad.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_ROUND, src],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert float(proc.stdout) < 100

@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 import qtp.devices
 from qtp.cli import TABLE_COLUMNS, main
 from qtp.dag import load_graph
-from qtp.labeling import load_manifest, resolve_dag_paths
+from qtp.labeling import cost, load_manifest, resolve_dag_paths
 from qtp.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
+from qtp.qasm import parse_qasm
+from qtp.transpile.pipeline import compile_for, compiled_from_circuit
 
 _CONFIG = '{"first_layer": "gcn", "hidden": 8, "blocks": 1, "ffnn": [8]}'
 _CONFIG_NAME = "GCN_1GCN_0FFNN_8_8"
@@ -234,6 +236,48 @@ class TestFeaturize:
         local.write_text(src.read_text())
         assert main(["featurize", str(local)]) == 0
         assert (tmp_path / f"{local.stem}.dag.json").exists()
+
+
+_BELL = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+
+
+class TestPrecompiled:
+    @pytest.fixture()
+    def dirs(self, tmp_path):
+        circuits, pre = tmp_path / "circuits", tmp_path / "pre"
+        circuits.mkdir()
+        pre.mkdir()
+        (circuits / "bell.qasm").write_text(_BELL)
+        (circuits / "other.qasm").write_text(_BELL)
+        return circuits, pre, tmp_path / "m.json"
+
+    def test_winning_variant_sets_the_cost(self, dirs):
+        circuits, pre, out = dirs
+        # one native sx: cheaper than the pipeline's compile of h + cx
+        variant = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nsx q[0];\n'
+        (pre / "bell.ibm-eagle-like.qasm").write_text(variant)
+        assert main(["label", "--circuits", str(circuits), "--out", str(out),
+                     "--precompiled-dir", str(pre)]) == 0
+        profile = qtp.devices.bundled_profile("ibm-eagle-like")
+        expected = cost(compiled_from_circuit(parse_qasm(variant), profile))
+        assert expected < cost(compile_for(parse_qasm(_BELL), profile))
+        entries = {e.name: e for e in load_manifest(out).entries}
+        assert entries["bell"].costs["ibm-eagle-like"] == expected
+        # the variant is for bell only; other keeps the pipeline's cost
+        assert entries["other"].costs["ibm-eagle-like"] > expected
+
+    def test_malformed_variant_skips_its_circuit(self, dirs):
+        circuits, pre, out = dirs
+        bad = pre / "bell.ionq-forte-like.qasm"
+        bad.write_text("qreg q[2];\nh q[0];\ncx q[0],q[1] $;\n")
+        assert main(["label", "--circuits", str(circuits), "--out", str(out),
+                     "--precompiled-dir", str(pre)]) == 0
+        manifest = load_manifest(out)
+        assert [e.name for e in manifest.entries] == ["other"]
+        assert manifest.skipped == [{
+            "circuit": "bell.qasm",
+            "error": f"{bad}: line 3, column 14: unexpected character '$'",
+        }]
 
 
 class TestExitCodes:
