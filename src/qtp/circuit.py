@@ -4,11 +4,14 @@ A circuit is an ordered list of gate applications on qubits 0..n-1.  Register
 structure from source files is flattened away at parse time; classical bits,
 measurements and barriers never reach this layer.
 
-`GateInstance` is a plain record.  `check_gate` validates it where it enters a
-`Circuit` (constructor and `append`); the parser appends each gate once and
-adds line and column to the error.  `transpile.rebase` checks each expansion
-once when it is made and assigns its op list, and routed output is not a
-`Circuit`: see `transpile.route` for why its ops need no second check.
+`GateInstance` is a plain record with slots: no equality with tuples and no
+unpacking.  `check_gate` validates it where it enters a `Circuit` (constructor
+and `append`); both parser paths append each gate once, and the token parser
+adds line and column to the error.  Passes that build their output from
+checked ops assign the op list instead: `transpile.lower_to_canonical` checks
+only an expansion with a non-finite computed angle, `transpile.rebase` checks
+each expansion once when it is made, and routed output is not a `Circuit`: see
+`transpile.route` for why its ops need no second check.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class CircuitError(ValueError):
     """Raised when a gate application or circuit is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateInstance:
     """One gate applied to a tuple of qubits; see `check_gate` for validity."""
 

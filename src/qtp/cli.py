@@ -184,7 +184,6 @@ def _cmd_featurize(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     for path in targets:
         circ = _load_circuit(path)
-        featurize_circuit(circ)  # refuses circuits too wide for the feature layout
         dest_dir = out_dir if out_dir else path.parent
         dest = write_graph(circ, dest_dir / f"{path.stem}.dag.json")
         log.info("featurize %s -> %s", path, dest)

@@ -68,8 +68,19 @@ class GraphData:
         return int(self.features.shape[0])
 
 
+def _check_width(num_qubits: int) -> None:
+    if num_qubits > MAX_FEATURE_QUBITS:
+        raise FeaturizeError(
+            f"{num_qubits} qubits exceed the {MAX_FEATURE_QUBITS}-qubit feature layout")
+
+
 def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Path:
-    """Write {name, num_qubits, label?, ops: [[gate, qubits, params], ...]}."""
+    """Write {name, num_qubits, label?, ops: [[gate, qubits, params], ...]}.
+
+    A circuit too wide for the feature layout is refused before anything is
+    written, with featurize_circuit's FeaturizeError.
+    """
+    _check_width(circ.num_qubits)
     path = Path(path)
     if not path.name.endswith(GRAPH_SUFFIX):
         path = path.with_name(path.name + GRAPH_SUFFIX)
@@ -117,8 +128,7 @@ def featurize_circuit(circ: Circuit, label: int | None = None) -> GraphData:
     edge from the newest node on each of its wires, once per distinct node.
     """
     n = circ.num_qubits
-    if n > MAX_FEATURE_QUBITS:
-        raise FeaturizeError(f"{n} qubits exceed the {MAX_FEATURE_QUBITS}-qubit feature layout")
+    _check_width(n)
     feats = np.zeros((n + len(circ.ops), FEATURE_DIM), dtype=np.float64)
     sources = np.arange(n)
     feats[sources, INPUT_SLOT] = 1.0

@@ -5,6 +5,11 @@ optional version header, qelib1 include, qreg/creg declarations, vocabulary
 gates with constant angle expressions, barrier and measure.  Measures are
 dropped with a warning (this IR has no classical side), barriers are dropped
 silently.  Anything else is a syntax error with a line/column position.
+
+Text in exactly the form `serialize_qasm` writes is read by a statement
+scanner, one regex match per line.  Everything else, and anything the scanner
+does not take, goes to the token parser, which alone reads expressions,
+comments and other layouts and reports every error with its position.
 """
 
 from __future__ import annotations
@@ -298,13 +303,55 @@ class _Parser:
         raise self.error(f"expected a number, got {_text(t) or kind!r}", at)
 
 
+# The statement scanner reads serialize_qasm's form and nothing else: the
+# three header lines, then one `gate[(a,b,c)] r[i][,r[j][,r[k]]];` per line.
+# An argument is a plain decimal literal, whose float() is the token parser's
+# value bit for bit: that parser negates the float of the unsigned literal,
+# which is exact, so "-0" is -0.0 on both paths.
+_HEADER = re.compile(
+    r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg ([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\];\n'
+)
+_LITERAL = r"[-+]?[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?"
+# {reg} is the declared register's name, escaped
+_GATE = (rf"([a-z][a-z0-9]*)(?:\(({_LITERAL}(?:,{_LITERAL})*)\))? "
+         r"{reg}\[([0-9]+)\](?:,{reg}\[([0-9]+)\])?(?:,{reg}\[([0-9]+)\])?;\n")
+
+
+def _scan(text: str) -> Circuit | None:
+    """The circuit of a text in serialize_qasm's form; None at the first thing
+    it does not take, so that the token parser reads the text instead."""
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    reg, size = head.groups()
+    statement = re.compile(_GATE.format(reg=re.escape(reg)))
+    pos = head.end()
+    try:
+        circ = Circuit(int(size))
+        for m in statement.finditer(text, pos):
+            if m.start() != pos:
+                return None
+            pos = m.end()
+            name, args, a, b, c = m.groups()
+            kind = gate_by_name(name)
+            qubits = (int(a),) if b is None else (int(a), int(b)) if c is None else (
+                int(a), int(b), int(c))
+            params = () if args is None else tuple(map(float, args.split(",")))
+            circ.append(GateInstance(kind, qubits, params))
+    except (KeyError, ValueError):  # an unknown gate, a CircuitError, digits too many for int()
+        return None
+    return circ if pos == len(text) else None
+
+
 def parse_qasm(text: str, name: str = "") -> Circuit:
     """Parse OpenQASM 2.0 text into a Circuit.
 
     Registers are flattened to 0-based indices in declaration order.
     Raises QasmError with source position on anything outside the subset.
     """
-    circ = _Parser(text).run()
+    circ = _scan(text)
+    if circ is None:
+        circ = _Parser(text).run()
     circ.name = name
     return circ
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..circuit import Circuit, GateInstance
+from ..circuit import Circuit, GateInstance, check_gate
 from ..gates import GateKind
 
 PI = math.pi
@@ -172,8 +172,22 @@ def _lower_one(op: GateInstance) -> list[GateInstance]:
 
 
 def lower_to_canonical(circ: Circuit) -> Circuit:
-    """Expand every op into u3/cx; output touches the same qubits."""
+    """Expand every op into u3/cx; output touches the same qubits.
+
+    The templates fix each lowered op's arity and parameter count, and its
+    qubits are the checked input op's, so only computed angles can be wrong:
+    the expansion of a parameterised op is checked when one of its angles is
+    not finite, which raises for the first such op (an overflowed `cu` sum).
+    """
+    n = circ.num_qubits
     out: list[GateInstance] = []
     for op in circ.ops:
-        out.extend(_lower_one(op))
-    return Circuit(circ.num_qubits, out, name=circ.name)
+        expansion = _lower_one(op)
+        if op.params:
+            for g in expansion:
+                if not all(map(math.isfinite, g.params)):
+                    check_gate(g, n)
+        out.extend(expansion)
+    lowered = Circuit(n, name=circ.name)
+    lowered.ops = out
+    return lowered

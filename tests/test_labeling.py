@@ -193,6 +193,21 @@ class TestManifest:
             {"circuit": "u3.qasm", "error": "math domain error"},
         ]
 
+    def test_too_wide_for_the_feature_layout_skipped(self, tmp_path, ion_profile, sc_profile):
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        wide = Circuit(28, name="wide")
+        wide.add(GateKind.H, (0,))
+        for q in range(27):
+            wide.add(GateKind.CX, (q, q + 1))
+        (circuits / "wide.qasm").write_text(serialize_qasm(wide))
+        manifest = build_manifest(circuits, [ion_profile, sc_profile], tmp_path / "m.json")
+        assert not manifest.entries
+        assert manifest.skipped == [
+            {"circuit": "wide.qasm", "error": "28 qubits exceed the 27-qubit feature layout"},
+        ]
+        assert list((tmp_path / "dags").iterdir()) == []
+
     @pytest.mark.parametrize(
         "variant, error",
         [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qasm_reference as reference
+import qtp.qasm
 from qtp.circuit import Circuit, GateInstance
 from qtp.corpus import gen_corpus
 from qtp.gates import GateKind, VOCABULARY
@@ -413,3 +414,74 @@ class TestDeliberateDifferences:
         assert self._error(parse_qasm, text) == error
         with pytest.warns(QasmWarning, match="line 3: measure dropped"):
             assert reference.parse_qasm(text).ops == [GateInstance(GateKind.X, (0,))]
+
+
+# Text in serialize_qasm's form is read by the statement scanner; the token
+# parser, qtp.qasm._Parser, reads everything else.  Parameters compare by repr,
+# so that the sign of zero counts.
+
+def _exact(parse, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            circ = parse(text)
+            result = ("circuit", circ.num_qubits,
+                      [(op.kind, op.qubits, tuple(map(repr, op.params))) for op in circ.ops])
+        except QasmError as exc:
+            result = ("error", str(exc), exc.line, exc.col)
+    return result, [str(w.message) for w in caught]
+
+
+def _token_parser(text):
+    return qtp.qasm._Parser(text).run()
+
+
+_SERIALIZED = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nh q[0];\nrz(0.5) q[1];\ncx q[0],q[2];\n'
+
+
+class TestStatementScanner:
+    def test_corpus_read_by_the_scanner_as_by_the_token_parser(self):
+        for circ in gen_corpus(200, seed=11):
+            text = serialize_qasm(circ)
+            assert qtp.qasm._scan(text) is not None, circ.name
+            assert _exact(parse_qasm, text) == _exact(_token_parser, text), circ.name
+
+    def test_serialized_text_never_reaches_the_token_parser(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("token parser called")
+
+        monkeypatch.setattr(qtp.qasm, "_Parser", refuse)
+        circ = Circuit(3)
+        circ.add(GateKind.CCX, (2, 0, 1))
+        circ.add(GateKind.U3, (1,), (-0.0, 1e-300, -2.5e17))
+        circ.add(GateKind.H, (0,))
+        back = parse_qasm(serialize_qasm(circ), name="three")
+        assert (back.name, back.num_qubits, back.ops) == ("three", 3, circ.ops)
+        assert math.copysign(1.0, back.ops[1].params[0]) == -1.0
+
+    @pytest.mark.parametrize("old, new", [
+        ("rz(0.5)", "rz(pi/2)"),
+        ("rz(0.5)", "rz(1e999)"),
+        ("rz(0.5)", "rz(+1)"),
+        ("rz(0.5)", "rz(-0)"),
+        ("rz(0.5)", "rz(1_0)"),
+        ("\n", "\r\n"),
+        ("h q[0];", "h  q[0];"),
+        ("h q[0];\n", "h q[0]; // note\n"),
+        ("q[2];\n", "q[2];"),
+        ("h q[0];", "h q[3];"),
+        ("h q[0];", "h q[٣];"),
+        ("cx q[0],q[2];", "cx q[1],q[1];"),
+        ("h q[0];", "h(0.5) q[0];"),
+        ("h q[0];", "mystery q[0];"),
+        ("cx q[0],q[2];", "cx q[0],r[0];"),
+        ("h q[0];", "qreg r[2];\ncx q[0],r[1];"),
+        ("h q[0];", "creg c[3];\nmeasure q[0] -> c[0];"),
+    ], ids=["pi/2", "1e999", "+1", "-0", "1_0", "crlf", "double-space", "comment",
+            "no-final-newline", "q[3]", "arabic-indic-digit", "duplicate-qubits",
+            "extra-parameter", "unknown-gate", "undeclared-register", "second-register",
+            "measure"])
+    def test_one_statement_edits_read_as_the_token_parser_reads_them(self, old, new):
+        text = _SERIALIZED.replace(old, new)
+        assert text != _SERIALIZED
+        assert _exact(parse_qasm, text) == _exact(_token_parser, text)
