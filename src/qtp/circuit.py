@@ -9,9 +9,11 @@ unpacking.  `check_gate` validates it where it enters a `Circuit` (constructor
 and `append`); both parser paths append each gate once, and the token parser
 adds line and column to the error.  Passes that build their output from
 checked ops assign the op list instead: `transpile.lower_to_canonical` checks
-only an expansion with a non-finite computed angle, `transpile.rebase` checks
-each expansion once when it is made, and routed output is not a `Circuit`: see
-`transpile.route` for why its ops need no second check.
+only an expansion with a non-finite computed angle; `transpile.rebase` checks
+none of its u3 expansions (templates on checked input, see its docstring) and
+takes each cx expansion from the profile's memo, checked once when filled;
+routed output is not a `Circuit`: see `transpile.route` for why its ops need
+no second check.
 """
 
 from __future__ import annotations

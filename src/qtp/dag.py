@@ -11,7 +11,9 @@ Node features are 66 floats:
 
 A graph file (`*.dag.json`) stores the circuit's ops, not these features.
 Loading rebuilds the `Circuit`, so `check_gate` checks every op, and then
-featurizes it; the edges follow from op order.
+featurizes it; the edges follow from op order.  This module owns the file's
+layout: `write_graph` renders each op row itself, in the form
+`jsonio.dumps` gives it, and `load_graph` reads it back.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .circuit import Circuit, GateInstance
 from .gates import VOCABULARY, GateKind, gate_by_name
-from .jsonio import dumps as json_dumps
+from .jsonio import dumps as json_dumps, scalar as json_scalar
 
 MAX_FEATURE_QUBITS = 27
 ONE_HOT_INDEX: dict[GateKind, int] = {k: i for i, k in enumerate(VOCABULARY)}
@@ -74,11 +76,27 @@ def _check_width(num_qubits: int) -> None:
             f"{num_qubits} qubits exceed the {MAX_FEATURE_QUBITS}-qubit feature layout")
 
 
+_ROW_HEAD = {k: f"[{json_scalar(k.value)},[" for k in GateKind}
+
+
+def _ops_row(op: GateInstance) -> str:
+    """["kind",[q,...],[p,...]]: the one-line row jsonio.dumps writes for the op.
+
+    Each number goes through jsonio's scalar rendering, which raises on a
+    non-finite float or a non-scalar.
+    """
+    qubits = ",".join(map(json_scalar, op.qubits))
+    return f"{_ROW_HEAD[op.kind]}{qubits}],[{','.join(map(json_scalar, op.params))}]]"
+
+
 def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Path:
     """Write {name, num_qubits, label?, ops: [[gate, qubits, params], ...]}.
 
-    A circuit too wide for the feature layout is refused before anything is
-    written, with featurize_circuit's FeaturizeError.
+    The bytes are `jsonio.dumps` of that document.  The envelope goes through
+    `jsonio.dumps`; the `ops` rows, nearly all of the file, are rendered one
+    f-string each, not walked by the generic writer.  A circuit too wide for
+    the feature layout is refused before anything is written, with
+    featurize_circuit's FeaturizeError.
     """
     _check_width(circ.num_qubits)
     path = Path(path)
@@ -87,8 +105,10 @@ def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Pa
     doc: dict = {"name": circ.name, "num_qubits": circ.num_qubits}
     if label is not None:
         doc["label"] = int(label)
-    doc["ops"] = [[op.kind.value, list(op.qubits), list(op.params)] for op in circ.ops]
-    path.write_text(json_dumps(doc))
+    head = json_dumps(doc)[: -len("\n}\n")]  # reopened to add "ops" as the last key
+    rows = ",\n    ".join(map(_ops_row, circ.ops))
+    ops = f"[\n    {rows}\n  ]" if rows else "[]"
+    path.write_text(f'{head},\n  "ops": {ops}\n}}\n')
     return path
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-__all__ = ["dumps"]
+__all__ = ["dumps", "scalar"]
 
 
 def _fmt(x: float) -> str:
@@ -35,6 +35,14 @@ def _scalar(x) -> str | None:
     if isinstance(x, float):
         return _fmt(x)
     return None
+
+
+def scalar(x) -> str:
+    """x's JSON text as `dumps` writes it; TypeError if x is not a scalar."""
+    s = _scalar(x)
+    if s is None:
+        raise TypeError(f"cannot serialize {type(x).__name__}")
+    return s
 
 
 def _row(obj) -> str | None:
@@ -88,10 +96,7 @@ def _write(obj, out: list[str], pad: str) -> None:
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
         return
-    s = _scalar(obj)
-    if s is None:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    out.append(s)
+    out.append(scalar(obj))
 
 
 def dumps(obj) -> str:

@@ -12,6 +12,7 @@ better; the winning device's technology becomes the class label (trapped-ion
 
 from __future__ import annotations
 
+import glob
 import json
 import logging
 import math
@@ -26,7 +27,10 @@ from .dag import featurize_circuit, write_graph  # noqa: F401
 from .devices import TECHNOLOGY_CLASS, DeviceProfile
 from .jsonio import dumps as json_dumps
 from .qasm import parse_qasm
-from .transpile import CompiledCircuit, compile_for, compiled_from_circuit
+from .transpile import CompiledCircuit, compile_each, compiled_from_circuit
+# compile_for is not called here either (score_devices lowers once through
+# compile_each), but the tracer hooks it at this module's name too
+from .transpile import compile_for  # noqa: F401
 
 import warnings
 
@@ -55,12 +59,15 @@ def score_devices(
     profiles: list[DeviceProfile],
     extra_variants: dict[str, list[CompiledCircuit]] | None = None,
 ) -> dict[str, float]:
-    """Best (minimum) cost per device, over the pipeline and any variants."""
+    """Best (minimum) cost per device, over the pipeline and any variants.
+
+    The circuit is lowered once for all profiles (`compile_each`).
+    """
     if not profiles:
         raise LabelError("need at least one device profile")
     costs: dict[str, float] = {}
-    for profile in profiles:
-        candidates = [compile_for(circ, profile)]
+    for profile, compiled in zip(profiles, compile_each(circ, profiles)):
+        candidates = [compiled]
         if extra_variants:
             candidates.extend(extra_variants.get(profile.name, []))
         costs[profile.name] = min(cost(c) for c in candidates)
@@ -122,8 +129,9 @@ def _load_precompiled(
     out: dict[str, list[CompiledCircuit]] = {}
     for profile in profiles:
         prefix = f"{stem}.{profile.name}"
+        # the stem may hold glob metacharacters (`qft[3]`), so it is matched literally
         hits = sorted(
-            p for p in precompiled_dir.glob(f"{prefix}*.qasm")
+            p for p in precompiled_dir.glob(f"{glob.escape(prefix)}*.qasm")
             if p.name == f"{prefix}.qasm" or p.name.startswith(f"{prefix}.")
         )
         variants = []

@@ -28,6 +28,9 @@ from .model import (
 
 QUBIT_BUCKETS = (("2-7", 2, 7), ("8-15", 8, 15), ("16-27", 16, 27))
 PROB_FLOOR = 1e-12
+# graphs per predict_proba call in evaluate: the training batch size, so held-out
+# scoring never needs larger arrays than a training step
+EVAL_BATCH = 32
 
 
 class TrainingError(ValueError):
@@ -253,8 +256,8 @@ def evaluate(
     if np.any(labels < 0):
         raise TrainingError("evaluation graphs must carry labels")
     probs = np.concatenate([
-        predict_proba(config, weights, graphs[lo : lo + 256])
-        for lo in range(0, len(graphs), 256)
+        predict_proba(config, weights, graphs[lo : lo + EVAL_BATCH])
+        for lo in range(0, len(graphs), EVAL_BATCH)
     ])
     preds = probs.argmax(axis=1)
     qubits = np.array([g.num_qubits for g in graphs], dtype=np.int64)

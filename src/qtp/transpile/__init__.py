@@ -6,7 +6,7 @@ rotations.
 """
 
 from .lower import lower_to_canonical
-from .pipeline import compile_for, compiled_from_circuit
+from .pipeline import compile_each, compile_for, compiled_from_circuit
 from .rebase import RebaseError, rebase
 from .route import CompiledCircuit, RouteError, route
 
@@ -14,6 +14,7 @@ __all__ = [
     "CompiledCircuit",
     "RebaseError",
     "RouteError",
+    "compile_each",
     "compile_for",
     "compiled_from_circuit",
     "lower_to_canonical",

@@ -1,6 +1,13 @@
-"""Full lower -> rebase -> route pipeline, and the wrapper for precompiled circuits."""
+"""Full lower -> rebase -> route pipeline, and the wrapper for precompiled circuits.
+
+Lowering to {u3, cx} does not depend on the device, so `compile_each` lowers
+a circuit once and runs only `rebase` and `route` per profile; `compile_for`
+is its one-profile case.
+"""
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 from ..circuit import Circuit, circuit_depth
 from ..devices import DeviceProfile
@@ -9,9 +16,22 @@ from .rebase import rebase
 from .route import CompiledCircuit, route
 
 
+def compile_each(circ: Circuit, profiles: Iterable[DeviceProfile]) -> Iterator[CompiledCircuit]:
+    """Compile a circuit for each profile in turn, lowering it once.
+
+    Yields one CompiledCircuit per profile, in order.  Nothing runs until the
+    caller asks for the first one, and each later profile is compiled only
+    when asked for, so an error surfaces after the caller has used every
+    compilation before it, as with one `compile_for` call per profile.
+    """
+    lowered = lower_to_canonical(circ)
+    for profile in profiles:
+        yield route(rebase(lowered, profile), profile)[0]
+
+
 def compile_for(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
     """Compile a circuit for a device and collect its per-gate fidelities."""
-    return route(rebase(lower_to_canonical(circ), profile), profile)[0]
+    return next(compile_each(circ, (profile,)))
 
 
 def compiled_from_circuit(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtp.circuit import Circuit
+from qtp.circuit import Circuit, GateInstance
 from qtp.corpus import gen_corpus
 from qtp.dag import (
     ANGLE_SLOTS,
@@ -22,6 +22,7 @@ from qtp.dag import (
     write_graph,
 )
 from qtp.gates import GateKind, VOCABULARY
+from qtp.jsonio import dumps
 
 
 TWO_PI = 2.0 * math.pi
@@ -141,6 +142,15 @@ def _rewrite(path, edit):
     path.write_text(json.dumps(blob))  # non-finite floats become Infinity / NaN
 
 
+def _dumps_oracle(circ: Circuit, label) -> str:
+    """The graph document as the generic writer renders it."""
+    doc = {"name": circ.name, "num_qubits": circ.num_qubits}
+    if label is not None:
+        doc["label"] = label
+    doc["ops"] = [[op.kind.value, list(op.qubits), list(op.params)] for op in circ.ops]
+    return dumps(doc)
+
+
 class TestGraphIO:
     def test_round_trip(self, tmp_path):
         graph = featurize_circuit(_bell(), label=1)
@@ -172,6 +182,48 @@ class TestGraphIO:
         assert np.array_equal(back.features, fresh.features)
         assert np.array_equal(back.edges, fresh.edges)
         assert back.edges.dtype == fresh.edges.dtype == np.int64
+
+    def test_corpus_files_are_jsonio_dumps(self, tmp_path, corpus200):
+        # write_graph renders the rows itself; its bytes stay those of the generic writer
+        for circ in corpus200:
+            if circ.num_qubits > MAX_FEATURE_QUBITS:
+                continue
+            for label in (None, 1):
+                path = write_graph(circ, tmp_path / circ.name, label)
+                assert path.read_text() == _dumps_oracle(circ, label), circ.name
+
+    @pytest.mark.parametrize("params", [
+        (-0.0, 5e-324, 1e300),  # signed zero, the least subnormal, a 17-digit exponent
+        (3, -7, 0),  # ints, as a hand-built op may carry
+        (True, False, 1.0),  # bools render as JSON true / false
+        (-math.pi, 2.0**63, -1e-300),
+    ])
+    def test_hand_built_params_render_as_jsonio_does(self, tmp_path, params):
+        ops = [GateInstance(GateKind.U3, (1,), params), GateInstance(GateKind.CX, (0, 1)),
+               GateInstance(GateKind.RZ, (0,), params[:1])]
+        circ = Circuit(2, ops, name="hand")
+        for label in (None, 0):
+            assert write_graph(circ, tmp_path / "hand", label).read_text() == (
+                _dumps_oracle(circ, label))
+        assert write_graph(Circuit(3, name="empty"), tmp_path / "empty").read_text() == (
+            _dumps_oracle(Circuit(3, name="empty"), None))
+
+    @pytest.mark.parametrize("param", [float("inf"), float("nan")])
+    def test_non_finite_params_raise_as_jsonio_does(self, tmp_path, param):
+        circ = Circuit(1, name="bad")
+        circ.ops = [GateInstance(GateKind.RZ, (0,), (param,))]  # past check_gate
+        with pytest.raises(ValueError) as want:
+            _dumps_oracle(circ, None)
+        with pytest.raises(ValueError) as got:
+            write_graph(circ, tmp_path / "bad")
+        assert str(got.value) == str(want.value)
+
+    def test_non_scalar_param_refused(self, tmp_path):
+        # the generic writer would spread it over lines into a file load_graph rejects
+        circ = Circuit(1, name="bad")
+        circ.ops = [GateInstance(GateKind.RZ, (0,), ([0.5],))]
+        with pytest.raises(TypeError, match="cannot serialize list"):
+            write_graph(circ, tmp_path / "bad")
 
     @pytest.mark.parametrize(
         "ops",

@@ -22,6 +22,7 @@ from qtp.labeling import (
 )
 from qtp.qasm import parse_qasm, serialize_qasm
 from qtp.transpile import CompiledCircuit, compile_for, compiled_from_circuit
+from qtp.transpile import pipeline as pipeline_module
 from util import random_circuit
 
 
@@ -159,6 +160,29 @@ class TestScoreDevices:
         got = score_devices(circ, [sc_line3], {"sc-line3": [variant]})["sc-line3"]
         assert got <= min(pipeline_cost, cost(variant))
 
+    def test_costs_match_one_compile_per_profile(self, corpus200, ion_profile, sc_profile):
+        profiles = [ion_profile, sc_profile]
+        for circ in corpus200:
+            got = score_devices(circ, profiles)
+            want = {p.name: cost(compile_for(circ, p)) for p in profiles}
+            assert list(map(repr, got.values())) == list(map(repr, want.values())), circ.name
+            assert got == want
+
+    def test_lowered_once_for_all_profiles(self, ion_aa3, sc_line3, monkeypatch):
+        lowered = []
+        original = pipeline_module.lower_to_canonical
+
+        def counting_lower(circ):
+            lowered.append(circ.name)
+            return original(circ)
+
+        monkeypatch.setattr(pipeline_module, "lower_to_canonical", counting_lower)
+        circ = Circuit(2, name="bell")
+        circ.add(GateKind.H, (0,))
+        circ.add(GateKind.CX, (0, 1))
+        score_devices(circ, [ion_aa3, sc_line3])
+        assert lowered == ["bell"]
+
 
 class TestManifest:
     @pytest.fixture()
@@ -230,6 +254,27 @@ class TestManifest:
                                   precompiled_dir=pre)
         assert [e.name for e in manifest.entries] == ["other"]
         assert manifest.skipped == [{"circuit": "bell.qasm", "error": f"{bad}: {error}"}]
+
+    def test_variants_of_a_circuit_named_with_glob_metacharacters(
+            self, tmp_path, ion_aa3, sc_line3):
+        circuits, pre = tmp_path / "circuits", tmp_path / "pre"
+        circuits.mkdir()
+        pre.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        (circuits / "qft[3].qasm").write_text(bell)
+        # one cheap native gate each: both beat the pipeline's compile of h + cx
+        head = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+        (pre / "qft[3].sc-line3.qasm").write_text(head + "sx q[0];\n")
+        (pre / "qft[3].sc-line3.v2.qasm").write_text(head + "rz(0.1) q[0];\n")
+        (pre / "qft3.sc-line3.qasm").write_text(head + "x q[0];\n")  # what `[3]` would match
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json",
+                                  precompiled_dir=pre)
+        [entry] = manifest.entries
+        variants = [cost(compiled_from_circuit(parse_qasm(head + g), sc_line3))
+                    for g in ("sx q[0];\n", "rz(0.1) q[0];\n")]
+        assert min(variants) < cost(compile_for(parse_qasm(bell), sc_line3))
+        assert entry.name == "qft[3]"
+        assert entry.costs["sc-line3"] == min(variants)
 
     def test_missing_directory_rejected(self, tmp_path, ion_aa3, sc_line3):
         with pytest.raises(LabelError, match="not a directory"):

@@ -460,6 +460,24 @@ class TestTrainLoop:
         assert set(np.unique(preds)) <= {0, 1}
         assert 0.0 <= body["accuracy"] <= 1.0
 
+    def test_evaluate_predicts_at_most_a_training_batch_per_call(self, monkeypatch):
+        # held-out scoring must not build arrays wider than a training step's
+        graphs = _toy_dataset(70)
+        weights = train(_TOY_CONFIG, graphs[:12], k=2, epochs=1, seed=0).weights[0]
+        whole = tr.predict_proba(_TOY_CONFIG, weights, graphs).argmax(axis=1)
+        sizes = []
+        original = tr.predict_proba
+
+        def spy(config, w, chunk):
+            sizes.append(len(chunk))
+            return original(config, w, chunk)
+
+        monkeypatch.setattr(tr, "predict_proba", spy)
+        _, preds = evaluate(_TOY_CONFIG, weights, graphs)
+        assert sizes == [32, 32, 6]
+        assert tr.EVAL_BATCH == 32
+        assert np.array_equal(preds, whole)
+
     def test_evaluate_rejects_negative_labels(self):
         graphs = _toy_dataset(4)
         bad = [GraphData("n", 4, g.features, g.edges, -1) for g in graphs]

@@ -19,6 +19,7 @@ from qtp.transpile import (
     CompiledCircuit,
     RebaseError,
     RouteError,
+    compile_each,
     compile_for,
     compiled_from_circuit,
     lower_to_canonical,
@@ -29,6 +30,7 @@ from unitary import circuit_unitary, gate_matrix, phase_aligned_distance
 from util import compiled_distance, ops_unitary, random_circuit
 
 rebase_module = importlib.import_module("qtp.transpile.rebase")  # the package exports the function
+pipeline_module = importlib.import_module("qtp.transpile.pipeline")
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -155,7 +157,7 @@ class TestRebase:
         assert out.gate_count == 0
 
     @pytest.mark.parametrize("profile_name", ["sc_line3", "ion_aa3"])
-    def test_each_rebased_gate_checked_once(self, profile_name, request, rng, monkeypatch):
+    def test_only_cx_memo_entries_checked(self, profile_name, request, rng, monkeypatch):
         # a fresh copy, so every cx expansion is made (and checked) in this test
         profile = dataclasses.replace(request.getfixturevalue(profile_name))
         checked = Counter()
@@ -168,16 +170,20 @@ class TestRebase:
             GateKind.H, GateKind.T, GateKind.CX, GateKind.CZ, GateKind.SWAP, GateKind.CCX]))
         circ.ops.insert(0, GateInstance(GateKind.CX, (0, 1)))
         for module in (qtp.circuit, qtp.devices, rebase_module):
-            monkeypatch.setattr(module, "check_gate", counting_check)
+            # rebase no longer imports check_gate; a call it gained would be counted here
+            monkeypatch.setattr(module, "check_gate", counting_check, raising=False)
         out = rebase(circ, profile).ops
-        assert set(checked) == {id(op) for op in out}  # every emitted record was checked
-        assert set(checked.values()) == {1}  # each of them once
-        assert len(checked) < len(out) / 2  # records are shared
+        cx_records = {id(op) for ops in profile._cxs.values() for op in ops}
+        # cx expansions come from the profile memo, checked once when it is filled;
+        # u3 expansions are built by templates from checked input and not checked
+        assert set(checked) == cx_records
+        assert set(checked.values()) == {1}
+        emitted = {id(op) for op in out}
+        assert cx_records <= emitted and emitted - cx_records  # both kinds were emitted
+        assert len(emitted) < len(out) / 2  # records are shared
         checked.clear()
         again = rebase(circ, profile).ops
-        cx_records = {id(op) for ops in profile._cxs.values() for op in ops}
-        assert checked and not cx_records & set(checked)  # cx expansions stay checked
-        assert set(checked.values()) == {1}
+        assert not checked  # a filled memo is not checked again
         assert again == out
 
     def test_cx_memo_empty_on_a_replace_copy(self, sc_line3):
@@ -457,6 +463,30 @@ class TestCompileFor:
     def test_empty_circuit(self, sc_line3):
         cc = compile_for(Circuit(2), sc_line3)
         assert cc.gate_count == 0 and cc.depth == 0
+
+    def test_compile_each_lowers_once(self, sc_line3, ion_aa3, rng, monkeypatch):
+        lowered = []
+
+        def counting_lower(circ):
+            lowered.append(circ)
+            return lower_to_canonical(circ)
+
+        monkeypatch.setattr(pipeline_module, "lower_to_canonical", counting_lower)
+        for _ in range(5):
+            circ = random_circuit(rng, 3, 12)
+            lowered.clear()
+            got = list(compile_each(circ, [sc_line3, ion_aa3, sc_line3]))
+            assert lowered == [circ]
+            assert got == [route(rebase(lower_to_canonical(circ), p), p)[0]
+                           for p in (sc_line3, ion_aa3, sc_line3)]
+
+    def test_compile_each_compiles_when_asked(self, ion_profile, sc_line3):
+        circ = Circuit(4)
+        circ.add(GateKind.CX, (0, 3))
+        each = compile_each(circ, [ion_profile, sc_line3])
+        assert next(each) == compile_for(circ, ion_profile)
+        with pytest.raises(RouteError, match="device has 3"):  # only now is sc_line3 tried
+            next(each)
 
 
 class TestPrecompiled:
