@@ -5,7 +5,9 @@ pushes the output adjoint back to the inputs; backward() replays the records
 in reverse (execution order is already topological).  The op set is what
 the graph network and its loss need.  Each graph layer is one op:
 `gcn_layer` and `gat_layer` run their message passing on `NeighborTable`
-row blocks and keep only the buffers their backward reads.  `concat`,
+row blocks, sized by width, and keep only the buffers their backward reads.
+`gat_layer` runs all its heads side by side in one pass over the table, and
+only its backward builds the transposed table.  `concat`,
 `segment_sum`, `segment_softmax` and `gather_rows` are no longer called by
 the model, but `bench/spans.py` still traces them by name.
 
@@ -106,7 +108,9 @@ class Tape:
 
     def record(self, data: Array, backward: Callable[[Array], None]) -> Tensor:
         """Adopt an op's output; `backward(g)` pushes g into the inputs with `accumulate`."""
-        if not np.all(np.isfinite(data)):
+        # the method form skips np.all's Python-level dispatch, which costs
+        # as much as the check itself on a small graph's arrays
+        if not np.isfinite(data).all():
             raise FloatingPointError("op produced a non-finite value")
         out = Tensor(data, self)
         self._records.append((out, backward))
@@ -287,7 +291,7 @@ def row_softmax(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
+    if (a.data <= 0).any():
         raise ValueError("log needs strictly positive inputs")
 
     def push(g: Array) -> None:
@@ -319,11 +323,11 @@ def segment_sum(a: Tensor, ids, num_segments: int) -> Tensor:
 def segment_mean(a: Tensor, ids, num_segments: int) -> Tensor:
     ids = _check_ids(ids, a.data.shape[0], num_segments)
     counts = np.bincount(ids, minlength=num_segments)
-    if np.any(counts == 0):
+    if (counts == 0).any():
         empty = int(np.argmin(counts))
         raise ValueError(f"segment {empty} is empty")
     rows = a.data
-    if np.any(ids[1:] < ids[:-1]):
+    if (ids[1:] < ids[:-1]).any():
         rows = rows[np.argsort(ids, kind="stable")]
     # With two or more columns a slice sum adds its rows in order, as a
     # scatter-add does; numpy pairs terms up only along one contiguous axis.
@@ -413,7 +417,14 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 # --- neighbor tables ----------------------------------------------------------
 
-BLOCK = 256  # rows per gather_sum block; at width 128 its temporaries fit a core's L2
+# Elements in one row block of a table op, so that a block's (rows, width)
+# temporaries fit a core's L2: 256 rows at width 128, 64 rows at width 512.
+BLOCK_ELEMENTS = 1 << 15
+
+
+def block_rows(width: int) -> int:
+    """Rows per table block at `width` columns."""
+    return max(1, BLOCK_ELEMENTS // width)
 
 
 class NeighborTable:
@@ -428,6 +439,9 @@ class NeighborTable:
 
     `entries[p]` is the input index of position p; `rows`, `cols` and `vals`
     are the input arrays taken in position order.
+
+    Position values may carry trailing axes, one column per attention head:
+    each column is reduced on its own, with the same bits as a 1-D call.
     """
 
     def __init__(self, rows, cols, num_rows: int, vals=None):
@@ -449,8 +463,8 @@ class NeighborTable:
         self.vals = None if vals is None else np.asarray(vals).reshape(-1)[self.entries]
 
     def reduce(self, x: Array, op=np.add, start: float = 0.0) -> Array:
-        """Per-row `op`-reduction of a value per position; (num_rows,) in row-id order."""
-        acc = np.full(self.num_rows, start)
+        """Per-row `op`-reduction of x (positions, ...); (num_rows, ...) in row-id order."""
+        acc = np.full((self.num_rows,) + x.shape[1:], start)
         for lo, hi in self.slots:
             head = acc[: hi - lo]
             op(head, x[lo:hi], out=head)
@@ -458,20 +472,25 @@ class NeighborTable:
         out[self.order] = acc
         return out
 
-    def gather_sum(self, x: Array, weights: Array, out: Array | None = None) -> Array:
+    def gather_sum(self, x: Array, weights: Array) -> Array:
         """out[i] = sum of weights[p] * x[cols[p]] over the positions p of row i.
 
-        Works through `order` BLOCK rows at a time: a block takes its part of
-        every slot that reaches it, then goes straight to its rows of `out`,
-        so the (rows, width) temporaries stay in cache.  `out` may be a
-        column slice of a wider array.
+        `weights` is (positions,), or (positions, groups) with column k
+        scaling the k-th of `groups` equal column groups of x.  Works through
+        `order` `block_rows(width)` rows at a time: a block takes its part of
+        every slot that reaches it, then goes straight to its rows of the
+        output, so the (rows, width) temporaries stay in cache.
         """
-        if out is None:
-            out = np.empty((self.num_rows, x.shape[1]))
-        weights = weights.reshape(-1, 1)
-        for r0 in range(0, self.num_rows, BLOCK):
-            r1 = min(r0 + BLOCK, self.num_rows)
-            acc = np.zeros((r1 - r0, x.shape[1]))
+        num_rows, width = self.num_rows, x.shape[1]
+        # a row of x, split into its column groups when there are several
+        row = (width,) if weights.ndim == 1 else (weights.shape[1], width // weights.shape[1])
+        x = x.reshape((-1,) + row)
+        weights = weights.reshape((-1,) + row[:-1] + (1,))
+        out = np.empty((num_rows,) + row)
+        step = block_rows(width)
+        for r0 in range(0, num_rows, step):
+            r1 = min(r0 + step, num_rows)
+            acc = np.zeros((r1 - r0,) + row)
             for lo, hi in self.slots:
                 end = min(hi - lo, r1)  # slot rows r0 .. end fall in this block
                 if end <= r0:
@@ -480,14 +499,27 @@ class NeighborTable:
                 term *= weights[lo + r0 : lo + end]
                 acc[: end - r0] += term
             out[self.order[r0:r1]] = acc
-        return out
+        return out.reshape(num_rows, width)
 
-    def pair_dots(self, left: Array, right: Array) -> Array:
-        """left[rows[p]] . right[cols[p]] for every position p."""
-        left = left[self.order]
-        out = np.empty(self.cols.size)
-        for lo, hi in self.slots:
-            out[lo:hi] = np.einsum("ij,ij->i", left[: hi - lo], right[self.cols[lo:hi]])
+    def pair_dots(self, left: Array, right: Array, groups: int) -> Array:
+        """(positions, groups): left[rows[p]] . right[cols[p]] within each column group.
+
+        Works through `order` in the row blocks of `gather_sum`, so its
+        temporaries stay as small.
+        """
+        out = np.empty((self.cols.size, groups))
+        step = block_rows(left.shape[1])
+        left = left.reshape(self.num_rows, groups, -1)
+        right = right.reshape(right.shape[0], groups, -1)
+        for r0 in range(0, self.num_rows, step):
+            r1 = min(r0 + step, self.num_rows)
+            block = left[self.order[r0:r1]]
+            for lo, hi in self.slots:
+                end = min(hi - lo, r1)
+                if end <= r0:
+                    break
+                term = right[self.cols[lo + r0 : lo + end]]
+                out[lo + r0 : lo + end] = np.einsum("ikj,ikj->ik", block[: end - r0], term)
         return out
 
 
@@ -535,64 +567,85 @@ def gat_layer(
     h: Tensor,
     heads: Sequence[tuple[Tensor, Tensor, Tensor]],
     into: NeighborTable,
-    out_of: NeighborTable,
     slope: float,
 ) -> Tensor:
-    """Multi-head graph attention as one op; head k fills its own column slice.
+    """Multi-head graph attention as one op; head k fills its own column group.
 
-    Each head is (W, a_dst, a_src).  With HW = H @ W, output row i of a head
-    is the sum over the positions p of `into` row i of alpha_p HW[src_p],
-    where alpha is the row softmax of LeakyReLU(HW[dst_p] a_dst + HW[src_p]
-    a_src, slope).  `into` lists each destination's sources (rows =
-    destinations, cols = sources); `out_of` is its transpose, built over
-    `into` positions so that `out_of.entries` maps back to them.
+    Each head is (W, a_dst, a_src), and every head has the same width.  With
+    HW = H @ W, output row i of a head is the sum over the positions p of
+    `into` row i of alpha_p HW[src_p], where alpha is the row softmax of
+    LeakyReLU(HW[dst_p] a_dst + HW[src_p] a_src, slope).  `into` lists each
+    destination's sources (rows = destinations, cols = sources).
+
+    Each head keeps its own matmuls and writes its HW into its column group
+    of one (n, heads * width) array.  The per-position work (scores,
+    softmax and message sum; in the backward the dot products and score
+    gradients) runs once on (positions, heads) arrays, so one pass over the
+    table serves every head, and every column adds its terms in the order of
+    a per-head pass.  The backward's transposed message sum runs per head, so
+    only one head's (n, width) gradient is alive at a time.
 
     Finiteness is checked on the output, as for every op, and on the
-    attention scores.  The backward reaches sources through `out_of` and
-    never scatters.  It takes the heads last to first and, within a head,
+    attention scores.  The backward builds the transposed table (over `into`
+    positions, so its `entries` map back to them), reaches sources through it
+    and never scatters.  It takes the heads last to first and, within a head,
     adds HW's gradient terms as separate ops would: attention, then a_src,
     then a_dst, then W.
     """
     if not heads:
         raise ValueError("gat_layer needs at least one head")
     tape = _same_tape([h] + [t for head in heads for t in head])
-    bounds = np.cumsum([0] + [w.data.shape[1] for w, _, _ in heads]).tolist()
+    width = heads[0][0].data.shape[1]
     for w, a_dst, a_src in heads:
-        score = (w.data.shape[1], 1)
-        if h.data.shape[1] != w.data.shape[0] or not a_dst.shape == a_src.shape == score:
+        if (
+            h.data.shape[1] != w.data.shape[0]
+            or w.data.shape[1] != width
+            or not a_dst.shape == a_src.shape == (width, 1)
+        ):
             raise ValueError(
                 f"gat_layer head shapes {w.data.shape}, {a_dst.data.shape}, {a_src.data.shape} "
-                f"do not fit input {h.data.shape}"
+                f"do not fit input {h.data.shape} and head width {width}"
             )
-    out = np.empty((h.data.shape[0], bounds[-1]))
-    kept = []
-    for (w, a_dst, a_src), lo, hi in zip(heads, bounds, bounds[1:]):
+    num_heads = len(heads)
+    n = h.data.shape[0]
+    hw = np.empty((n, num_heads * width))
+    s_dst = np.empty((n, num_heads))
+    s_src = np.empty((n, num_heads))
+    for k, (w, a_dst, a_src) in enumerate(heads):
         wh = h.data @ w.data
-        z = (wh @ a_dst.data)[into.rows, 0] + (wh @ a_src.data)[into.cols, 0]
-        if not np.all(np.isfinite(z)):
-            # an overflowed score of -inf would give a zero weight, not a non-finite output
-            raise FloatingPointError("op produced a non-finite attention score")
-        gain = _gain(z, slope)
-        logit = z * gain
-        e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
-        alpha = e / into.reduce(e)[into.rows]
-        into.gather_sum(wh, alpha, out=out[:, lo:hi])
-        kept.append((wh, alpha, gain))
+        hw[:, k * width : (k + 1) * width] = wh
+        s_dst[:, k] = (wh @ a_dst.data)[:, 0]
+        s_src[:, k] = (wh @ a_src.data)[:, 0]
+    z = s_dst[into.rows] + s_src[into.cols]
+    if not np.isfinite(z).all():
+        # an overflowed score of -inf would give a zero weight, not a non-finite output
+        raise FloatingPointError("op produced a non-finite attention score")
+    gain = _gain(z, slope)
+    logit = z * gain
+    e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
+    alpha = e / into.reduce(e)[into.rows]
+    out = into.gather_sum(hw, alpha)
 
     def push(g: Array) -> None:
+        out_of = NeighborTable(into.cols, into.rows, into.num_rows)
         back = out_of.entries
-        for k in reversed(range(len(heads))):
-            (w, a_dst, a_src), (wh, alpha, gain) = heads[k], kept[k]
-            g_head = g[:, bounds[k] : bounds[k + 1]]
-            d_alpha = into.pair_dots(g_head, wh)
-            d_z = alpha * (d_alpha - into.reduce(alpha * d_alpha)[into.rows]) * gain
-            d_wh = out_of.gather_sum(g_head, alpha[back])
-            d_src = out_of.reduce(d_z[back])[:, None]
-            d_dst = into.reduce(d_z)[:, None]
-            d_wh += d_src @ a_src.data.T
-            accumulate(a_src, wh.T @ d_src)
-            d_wh += d_dst @ a_dst.data.T
-            accumulate(a_dst, wh.T @ d_dst)
+        d_alpha = into.pair_dots(g, hw, num_heads)
+        d_z = alpha * (d_alpha - into.reduce(alpha * d_alpha)[into.rows]) * gain
+        d_src = out_of.reduce(d_z[back]).T.copy()
+        d_dst = into.reduce(d_z).T.copy()
+        for k in reversed(range(num_heads)):
+            w, a_dst, a_src = heads[k]
+            cut = slice(k * width, (k + 1) * width)
+            # one head's (n, width) gradient alive at a time, as in a per-head pass
+            d_wh = out_of.gather_sum(g[:, cut], alpha[back, k])
+            # Matmul operands are contiguous, as in a per-head pass: BLAS may
+            # round a strided operand differently (OpenBLAS does at width <= 3).
+            wh = hw[:, cut].copy()
+            d_src_k, d_dst_k = d_src[k][:, None], d_dst[k][:, None]
+            d_wh += d_src_k @ a_src.data.T
+            accumulate(a_src, wh.T @ d_src_k)
+            d_wh += d_dst_k @ a_dst.data.T
+            accumulate(a_dst, wh.T @ d_dst_k)
             accumulate(w, h.data.T @ d_wh)
             if h.requires_grad:
                 accumulate(h, d_wh @ w.data.T)

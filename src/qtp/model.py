@@ -4,9 +4,10 @@ Everything runs through the autodiff tape in :mod:`qtp.autodiff`; the only
 dense linear algebra is the per-layer weight matmul.  Each graph layer is one
 tape op (`autodiff.gcn_layer`, `autodiff.gat_layer`).  Message passing goes
 through neighbor tables (:class:`qtp.autodiff.NeighborTable`) built once per
-batch from the batch's edge list: one for the normalized adjacency, and one
-per direction for GAT attention.  A batch's edges are offset per graph, so it
-is block-diagonal for free.
+batch from the batch's edge list: one for the normalized adjacency, and one of
+each node's in-neighbors for GAT attention.  The GAT op's backward builds the
+transposed attention table, so a forward-only pass never builds it.  A batch's
+edges are offset per graph, so it is block-diagonal for free.
 """
 
 from __future__ import annotations
@@ -222,15 +223,15 @@ def gat_forward(
     halves applied to the destination and source embeddings; head outputs are
     concatenated, with no bias and no activation beyond the internal LeakyReLU.
     A node's attention terms follow the edge list, with its self-loop last.
-    All heads run as one op.
+    All heads run as one op, side by side in one pass over the in-neighbor
+    table; the op's backward builds the transposed table it needs.
     """
     edges = _checked_edges(edges, num_nodes)
     loops = np.arange(num_nodes, dtype=np.int64)
     src = np.concatenate([edges[:, 0], loops])
     dst = np.concatenate([edges[:, 1], loops])
     into = ad.NeighborTable(dst, src, num_nodes)
-    out_of = ad.NeighborTable(into.cols, into.rows, num_nodes)
-    return ad.gat_layer(h, heads, into, out_of, ATTENTION_SLOPE)
+    return ad.gat_layer(h, heads, into, ATTENTION_SLOPE)
 
 
 def global_mean_pool(h: Tensor, graph_ids: np.ndarray, num_graphs: int) -> Tensor:
@@ -367,7 +368,12 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], batch: GraphBa
 def predict_proba(
     config: ModelConfig, weights: dict[str, np.ndarray], graphs: Sequence[GraphData]
 ) -> np.ndarray:
-    """Forward pass without gradient bookkeeping kept around."""
+    """Class probabilities, one row per graph of `graphs` (a list or a batch).
+
+    The forward runs on a tape like a training step's: every op is recorded
+    with its backward closure.  The tape is released once the probabilities
+    are read, so none of those records or intermediates outlive the call.
+    """
     tape = ad.Tape()
     batch = graphs if isinstance(graphs, GraphBatch) else batch_graphs(graphs)
     probs = model_forward(config, bind_params(tape, weights), batch).data

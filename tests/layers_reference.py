@@ -3,10 +3,11 @@
 Before `autodiff.gcn_layer` and `autodiff.gat_layer`, a GCN layer was a
 table sum, a matmul, a bias add and a LeakyReLU, and the GAT layer was three
 matmuls and an attention op per head plus a `concat`.  Those layers, the two
-table ops and the unblocked `NeighborTable.gather_sum` are copied here
-unchanged but for imports, with `leaky_relu` in its `np.where` form and a
-`model_forward` that calls them.  The fused layers must give the same bits:
-outputs, losses and every gradient.
+table ops, and the one-head `NeighborTable.reduce`, `pair_dots` and unblocked
+`gather_sum` they called, are copied here unchanged but for imports, with
+`leaky_relu` in its `np.where` form and a `model_forward` that calls them.
+The fused layers, which run every head in one pass over the tables, must give
+the same bits: outputs, losses and every gradient.
 """
 
 from __future__ import annotations
@@ -43,6 +44,24 @@ def leaky_relu(a: Tensor, alpha: float) -> Tensor:
 def _unsort(table: NeighborTable, acc: Array) -> Array:
     out = np.empty_like(acc)
     out[table.order] = acc
+    return out
+
+
+def reduce(table: NeighborTable, x: Array, op=np.add, start: float = 0.0) -> Array:
+    """Per-row `op`-reduction of a value per position; (num_rows,) in row-id order."""
+    acc = np.full(table.num_rows, start)
+    for lo, hi in table.slots:
+        head = acc[: hi - lo]
+        op(head, x[lo:hi], out=head)
+    return _unsort(table, acc)
+
+
+def pair_dots(table: NeighborTable, left: Array, right: Array) -> Array:
+    """left[rows[p]] . right[cols[p]] for every position p."""
+    left = left[table.order]
+    out = np.empty(table.cols.size)
+    for lo, hi in table.slots:
+        out[lo:hi] = np.einsum("ij,ij->i", left[: hi - lo], right[table.cols[lo:hi]])
     return out
 
 
@@ -85,16 +104,16 @@ def neighbor_attention(
     z = score_dst.data[into.rows, 0] + score_src.data[into.cols, 0]
     gain = np.where(z > 0, 1.0, slope)
     logit = z * gain
-    e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
-    alpha = e / into.reduce(e)[into.rows]
+    e = np.exp(logit - reduce(into, logit, np.maximum, -np.inf)[into.rows])
+    alpha = e / reduce(into, e)[into.rows]
 
     def push(g: Array) -> None:
-        d_alpha = into.pair_dots(g, wh.data)
-        d_z = alpha * (d_alpha - into.reduce(alpha * d_alpha)[into.rows]) * gain
+        d_alpha = pair_dots(into, g, wh.data)
+        d_z = alpha * (d_alpha - reduce(into, alpha * d_alpha)[into.rows]) * gain
         back = out_of.entries
         accumulate(wh, gather_sum(out_of, g, alpha[back]))
-        accumulate(score_dst, into.reduce(d_z)[:, None])
-        accumulate(score_src, out_of.reduce(d_z[back])[:, None])
+        accumulate(score_dst, reduce(into, d_z)[:, None])
+        accumulate(score_src, reduce(out_of, d_z[back])[:, None])
 
     return wh.tape.record(gather_sum(into, wh.data, alpha), push)
 

@@ -144,6 +144,12 @@ def _scatter_gat(x, edges, n, heads):
     return np.concatenate(outs, axis=1)
 
 
+def _into_table(n, edges):
+    """The GAT layer's table: each node's in-neighbors in edge order, then itself."""
+    loops = np.arange(n)
+    return ad.NeighborTable(np.r_[edges[:, 1], loops], np.r_[edges[:, 0], loops], n)
+
+
 def _head_arrays(rng, in_dim, hidden, count):
     return [
         (rng.standard_normal((in_dim, hidden)), rng.standard_normal((hidden, 1)),
@@ -438,9 +444,7 @@ class TestLayers:
                       "b": rng.standard_normal(3)}
             assert ad.finite_diff_check(gcn_loss, params) <= 1e-4
 
-        loops = np.arange(n)
-        into = ad.NeighborTable(np.r_[edges[:, 1], loops], np.r_[edges[:, 0], loops], n)
-        out_of = ad.NeighborTable(into.cols, into.rows, n)
+        into = _into_table(n, edges)
         a_dst = [rng.standard_normal((2, 1)) for _ in range(3)]
         weight = rng.standard_normal((n, 6))
 
@@ -449,7 +453,7 @@ class TestLayers:
             # a relative check on it measures rounding; it stays fixed here
             tape = ts["x"].tape
             heads = [(ts[f"w{k}"], tape.const(a_dst[k]), ts[f"a_src{k}"]) for k in range(3)]
-            out = ad.gat_layer(ts["x"], heads, into, out_of, ATTENTION_SLOPE)
+            out = ad.gat_layer(ts["x"], heads, into, ATTENTION_SLOPE)
             return ad.mean_all(ad.mul(out, tape.const(weight)))
 
         params = {"x": rng.standard_normal((n, 4))}
@@ -482,6 +486,7 @@ _REFERENCE_CONFIGS = [
     ModelConfig("gat", 8, 2, (16,), heads=1),
     ModelConfig("gcn", 16, 0, (16,)),
     ModelConfig("gcn", 16, 2, (32, 16)),
+    ModelConfig("gat", 64, 2, (32,), heads=8),  # width 512: 64-row table blocks
 ]
 
 
@@ -500,6 +505,20 @@ def _loss_and_grads(forward, config, weights, batch):
     probs = forward(config, bind_params(tape, weights), batch)
     loss = weighted_cross_entropy(probs, batch.labels, np.array([1.25, 0.8]))
     return probs.data, loss.data, tape.backward(loss)
+
+
+def _block_edges(width):
+    """Row counts around the table-block edges at `width` columns."""
+    rows = ad.block_rows(width)
+    return [1, rows - 1, rows, rows + 1, 3 * rows + 17]
+
+
+def _edge_widths(num_rows, full, width):
+    """Slot widths that end on block edges (B, 2 B) and inside a block, B rows at `width`."""
+    rows = ad.block_rows(width)
+    first = num_rows if full else num_rows - 1
+    widths = [first, 2 * rows, rows + 1, rows, rows - 1, 7, 7, 1]
+    return sorted((w for w in widths if 0 < w <= first), reverse=True)
 
 
 def _gather_table(rng, num_rows, widths):
@@ -529,8 +548,10 @@ class TestFusedLayers:
 
     def test_layers_bit_identical_with_input_gradient(self):
         rng = np.random.default_rng(79)
-        big = 3 * ad.BLOCK + 17
-        cases = _table_cases(rng) + [(big, _random_edges(rng, big, 2 * big))]
+        # spans three blocks at width 6; _random_edges would list all big² pairs
+        big = 3 * ad.block_rows(6) + 17
+        edges = rng.integers(0, big, size=(2 * big, 2))
+        cases = _table_cases(rng) + [(big, edges[edges[:, 0] != edges[:, 1]])]
         layers = [
             (gcn_forward, ref.gcn_forward, False),
             (residual_gcn, ref.residual_gcn, False),
@@ -562,27 +583,101 @@ class TestFusedLayers:
                 for name in arrays:
                     assert np.array_equal(got_grads[name], want_grads[name]), (fused.__name__, name)
 
+    def test_block_rows_by_width(self):
+        # about BLOCK_ELEMENTS elements a block, so width 128 keeps its 256 rows
+        assert [ad.block_rows(w) for w in (512, 256, 128, 64)] == [64, 128, 256, 512]
+        assert ad.block_rows(1 << 16) == 1
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_narrow_heads_bit_identical(self, width):
+        # four heads side by side; narrow ones meet BLAS's small-matrix kernels
+        rng = np.random.default_rng(101 + width)
+        for n, edges in _table_cases(rng):
+            arrays = {"x": rng.standard_normal((n, 6))}
+            for k in range(4):
+                arrays[f"w{k}"] = rng.standard_normal((6, width))
+                arrays[f"d{k}"] = rng.standard_normal((width, 1))
+                arrays[f"s{k}"] = rng.standard_normal((width, 1))
+            weight = rng.standard_normal((n, 4 * width))
+            seen = []
+            for layer in (gat_forward, ref.gat_forward):
+                tape = ad.Tape()
+                t = {name: tape.param(name, a) for name, a in arrays.items()}
+                heads = [(t[f"w{k}"], t[f"d{k}"], t[f"s{k}"]) for k in range(4)]
+                out = layer(t["x"], edges, n, heads)
+                grads = tape.backward(ad.mean_all(ad.mul(out, tape.const(weight))))
+                seen.append((out.data, grads))
+            (got, got_grads), (want, want_grads) = seen
+            assert np.array_equal(got, want)
+            for name in arrays:
+                assert np.array_equal(got_grads[name], want_grads[name]), name
+
     @pytest.mark.parametrize("full", [True, False], ids=["every-row", "empty-rows"])
-    @pytest.mark.parametrize(
-        "num_rows", [1, ad.BLOCK - 1, ad.BLOCK, ad.BLOCK + 1, 3 * ad.BLOCK + 17]
-    )
+    @pytest.mark.parametrize("num_rows", _block_edges(128))
     def test_gather_sum_across_block_edges(self, num_rows, full):
-        # slots that end on a block edge (BLOCK, 2 BLOCK) and inside one
+        # slots that end on a block edge (B, 2 B) and inside one, at width 128
         rng = np.random.default_rng(num_rows)
-        first = num_rows if full else num_rows - 1
-        widths = [first, 2 * ad.BLOCK, ad.BLOCK + 1, ad.BLOCK, ad.BLOCK - 1, 7, 7, 1]
-        widths = sorted((w for w in widths if 0 < w <= first), reverse=True)
-        rows, cols, vals = _gather_table(rng, num_rows, widths)
+        rows, cols, vals = _gather_table(rng, num_rows, _edge_widths(num_rows, full, 128))
         table = ad.NeighborTable(rows, cols, num_rows, vals)
-        assert [hi - lo for lo, hi in table.slots] == widths
-        x = rng.standard_normal((num_rows, 5))
-        want = np.zeros((num_rows, 5))
+        assert [hi - lo for lo, hi in table.slots] == _edge_widths(num_rows, full, 128)
+        x = rng.standard_normal((num_rows, 128))
+        want = np.zeros((num_rows, 128))
         np.add.at(want, rows, x[cols] * vals[:, None])
         assert np.array_equal(table.gather_sum(x, table.vals), want)
-        wide = np.full((num_rows, 9), 7.0)
-        table.gather_sum(x, table.vals, out=wide[:, 2:7])
-        assert np.array_equal(wide[:, 2:7], want)
-        assert np.all(wide[:, :2] == 7.0) and np.all(wide[:, 7:] == 7.0)
+
+    @pytest.mark.parametrize("full", [True, False], ids=["every-row", "empty-rows"])
+    @pytest.mark.parametrize(
+        "width,num_rows",
+        [(w, n) for w in (32, 128, 512) for n in _block_edges(w)],
+    )
+    def test_gather_sum_heads_match_per_head_calls(self, width, num_rows, full):
+        # (positions, heads) weights scale equal column groups, one head per group
+        rng = np.random.default_rng(width + num_rows)
+        widths = _edge_widths(num_rows, full, width)
+        rows, cols, _ = _gather_table(rng, num_rows, widths)
+        table = ad.NeighborTable(rows, cols, num_rows)
+        assert [hi - lo for lo, hi in table.slots] == widths
+        x = rng.standard_normal((num_rows, width))
+        for heads in (1, 4, 8):
+            weights = rng.standard_normal((rows.size, heads))
+            got = table.gather_sum(x, weights)
+            part = width // heads
+            for k in range(heads):
+                cut = np.ascontiguousarray(x[:, k * part : (k + 1) * part])
+                want = table.gather_sum(cut, weights[:, k].copy())
+                assert np.array_equal(got[:, k * part : (k + 1) * part], want), (heads, k)
+                assert np.array_equal(want, ref.gather_sum(table, cut, weights[:, k].copy()))
+
+    def test_reduce_per_column_matches_one_dimensional(self):
+        rng = np.random.default_rng(89)
+        for n, edges in _table_cases(rng):
+            table = _into_table(n, edges)
+            x = rng.standard_normal((table.cols.size, 5))
+            for op, start in ((np.add, 0.0), (np.maximum, -np.inf)):
+                got = table.reduce(x, op, start)
+                assert got.shape == (n, 5)
+                for k in range(5):
+                    want = ref.reduce(table, x[:, k].copy(), op, start)
+                    assert np.array_equal(table.reduce(x[:, k].copy(), op, start), want)
+                    assert np.array_equal(got[:, k], want)
+
+    @pytest.mark.parametrize("heads,part", [(1, 7), (4, 32), (8, 64)])
+    def test_pair_dots_per_head_match_one_dimensional(self, heads, part):
+        rng = np.random.default_rng(97 + heads)
+        tables = [_into_table(n, edges) for n, edges in _table_cases(rng)]
+        for num_rows in _block_edges(heads * part):
+            widths = _edge_widths(num_rows, True, heads * part)
+            rows, cols, _ = _gather_table(rng, num_rows, widths)
+            tables.append(ad.NeighborTable(rows, cols, num_rows))
+        for table in tables:
+            left = rng.standard_normal((table.num_rows, heads * part))
+            right = rng.standard_normal((table.num_rows, heads * part))
+            got = table.pair_dots(left, right, heads)
+            assert got.shape == (table.cols.size, heads)
+            for k in range(heads):
+                cut = slice(k * part, (k + 1) * part)
+                want = ref.pair_dots(table, left[:, cut], np.ascontiguousarray(right[:, cut]))
+                assert np.array_equal(got[:, k], want), (table.num_rows, heads, k)
 
     def test_slopes_are_exact(self):
         rng = np.random.default_rng(83)
@@ -617,9 +712,15 @@ class TestFusedLayers:
         for head in [((5, 2), (2, 1), (2, 1)), ((4, 2), (3, 1), (2, 1)),
                      ((4, 2), (2, 1), (2, 2))]:
             with pytest.raises(ValueError, match="do not fit"):
-                ad.gat_layer(h, [tuple(ones(*s) for s in head)], table, table, ATTENTION_SLOPE)
+                ad.gat_layer(h, [tuple(ones(*s) for s in head)], table, ATTENTION_SLOPE)
+        with pytest.raises(ValueError, match="do not fit"):
+            # heads of unequal width cannot share the (positions, heads) arrays
+            wide = ((4, 3), (3, 1), (3, 1))
+            narrow = ((4, 2), (2, 1), (2, 1))
+            ad.gat_layer(h, [tuple(ones(*s) for s in head) for head in (wide, narrow)],
+                         table, ATTENTION_SLOPE)
         with pytest.raises(ValueError, match="at least one head"):
-            ad.gat_layer(h, [], table, table, ATTENTION_SLOPE)
+            ad.gat_layer(h, [], table, ATTENTION_SLOPE)
 
     def test_overflow_inside_fused_layers_raises(self):
         n, edges = _hub_edges()
@@ -699,6 +800,32 @@ class TestForward:
         for i, g in enumerate(graphs):
             solo = predict_proba(config, weights, [g])
             assert np.max(np.abs(joint[i] - solo[0])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "config,forward,step", [(_small_configs()[0], 2, 3), (_small_configs()[1], 1, 1)],
+        ids=lambda v: v.first_layer if isinstance(v, ModelConfig) else str(v),
+    )
+    def test_tables_built_per_call(self, config, forward, step, monkeypatch):
+        # the transposed attention table is built only by the GAT backward
+        built = []
+        init = ad.NeighborTable.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.NeighborTable, "__init__", counted)
+        rng = np.random.default_rng(47)
+        graphs = [_random_graph(rng, dim=7, label=k % 2) for k in range(3)]
+        weights = init_weights(config, seed=4, in_dim=7)
+        predict_proba(config, weights, graphs)
+        assert len(built) == forward
+        built.clear()
+        tape = ad.Tape()
+        batch = batch_graphs(graphs)
+        probs = model_forward(config, bind_params(tape, weights), batch)
+        tape.backward(weighted_cross_entropy(probs, batch.labels, np.array([1.0, 1.0])))
+        assert len(built) == step
 
     @pytest.mark.parametrize("config", _small_configs(), ids=lambda c: c.first_layer)
     def test_node_permutation_invariance(self, config):
