@@ -1,6 +1,9 @@
+import hashlib
+import json
 import logging
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -378,3 +381,26 @@ class TestStats:
         ]
         for p in paths:
             assert p.exists() and p.read_text()
+
+
+# SHA-256 of manifest.json and of every graph file that labeling corpus200
+# against both bundled profiles writes, in name order.  A change that keeps
+# the label path's bytes leaves this file as it is; one that moves them on
+# purpose rewrites it and says so.
+LABEL_PIN = Path(__file__).with_name("label_pin.json")
+
+
+def _label_digests(manifest_path):
+    root = manifest_path.parent
+    files = [manifest_path, *sorted((root / "dags").glob("*.dag.json"))]
+    return [[p.relative_to(root).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest()]
+            for p in files]
+
+
+def test_label_bytes_pinned(labeled_manifest):
+    manifest_path, _ = labeled_manifest
+    got = _label_digests(manifest_path)
+    want = json.loads(LABEL_PIN.read_text())
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, digest), (_, pinned) in zip(got, want):
+        assert digest == pinned, f"{name} differs from the pinned label output"
