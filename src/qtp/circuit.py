@@ -4,16 +4,20 @@ A circuit is an ordered list of gate applications on qubits 0..n-1.  Register
 structure from source files is flattened away at parse time; classical bits,
 measurements and barriers never reach this layer.
 
-`GateInstance` is a plain record with slots: no equality with tuples and no
-unpacking.  `check_gate` validates it where it enters a `Circuit` (constructor
-and `append`); both parser paths append each gate once, and the token parser
-adds line and column to the error.  Passes that build their output from
-checked ops assign the op list instead: `transpile.lower_to_canonical` checks
-only an expansion with a non-finite computed angle; `transpile.rebase` checks
-none of its u3 expansions (templates on checked input, see its docstring) and
-takes each cx expansion from the profile's memo, checked once when filled;
-routed output is not a `Circuit`: see `transpile.route` for why its ops need
-no second check.
+`GateInstance` is a plain frozen record with slots: no equality with tuples
+and no unpacking.  Its `__init__` sets the slots through their descriptors,
+not through the frozen dataclass's `object.__setattr__`, since the parser,
+`dag.load_graph` and every transpile pass build one per op.  `check_gate`
+validates a record where it enters a `Circuit` (constructor and `append`); the
+token parser appends each gate once and adds line and column to the error.
+Code that builds its output from checked ops, or checks them itself, assigns
+the op list instead: `qasm`'s statement scanner makes `check_gate`'s checks
+inline and hands any miss to the token parser; `transpile.lower_to_canonical`
+checks only an expansion with a non-finite computed angle; `transpile.rebase`
+checks none of its u3 expansions (templates on checked input, see its
+docstring) and takes each cx expansion from the profile's memo, checked once
+when filled; routed output is not a `Circuit`: see `transpile.route` for why
+its ops need no second check.
 """
 
 from __future__ import annotations
@@ -28,13 +32,26 @@ class CircuitError(ValueError):
     """Raised when a gate application or circuit is malformed."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GateInstance:
     """One gate applied to a tuple of qubits; see `check_gate` for validity."""
 
     kind: GateKind
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
+
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...],
+                 params: tuple[float, ...] = ()) -> None:
+        # through the slots' own setters: the frozen dataclass __init__ sets
+        # each field with object.__setattr__, about 1.6x the cost per record
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+
+
+_set_kind = GateInstance.__dict__["kind"].__set__
+_set_qubits = GateInstance.__dict__["qubits"].__set__
+_set_params = GateInstance.__dict__["params"].__set__
 
 
 def check_gate(op: GateInstance, num_qubits: int) -> None:

@@ -9,6 +9,11 @@ Node features are 66 floats:
   36..62  qubit participation multi-hot, one slot per qubit up to 27
   63..65  up to three angle parameters, normalized to [0, 1) by 2*pi
 
+`featurize_circuit` walks the ops once, collecting edges and flat feature
+positions, and then writes the features in two fancy assignments: the ones
+(one-hot slots and qubit flags), and the angles, which `encode_angle`
+encodes as one array.
+
 A graph file (`*.dag.json`) stores the circuit's ops, not these features.
 Loading rebuilds the `Circuit`, so `check_gate` checks every op, and then
 featurizes it; the edges follow from op order.  This module owns the file's
@@ -46,13 +51,16 @@ class FeaturizeError(ValueError):
     """Circuit cannot be encoded (too many qubits, bad graph file, ...)."""
 
 
-def encode_angle(theta: float) -> float:
-    """Map an angle onto [0, 1) with period 2*pi."""
-    frac = math.fmod(theta, _TWO_PI)
-    if frac < 0.0:
-        frac += _TWO_PI
+def encode_angle(theta):
+    """Map angles onto [0, 1) with period 2*pi, elementwise.
+
+    Takes a float, giving a float, or a sequence or array, giving an array.
+    """
+    frac = np.fmod(np.asarray(theta, dtype=np.float64).reshape(-1), _TWO_PI)
+    frac[frac < 0.0] += _TWO_PI
     frac /= _TWO_PI
-    return frac if frac < 1.0 else 0.0
+    frac[~(frac < 1.0)] = 0.0
+    return frac.reshape(np.shape(theta)) if np.ndim(theta) else float(frac[0])
 
 
 @dataclass
@@ -146,27 +154,47 @@ def featurize_circuit(circ: Circuit, label: int | None = None) -> GraphData:
 
     A source row is slot INPUT_SLOT plus its own qubit flag.  Each op gets an
     edge from the newest node on each of its wires, once per distinct node.
+    The walk only collects flat feature positions: the one-hot slots and
+    qubit flags are written in one fancy assignment, the encoded angles in
+    another.
     """
     n = circ.num_qubits
     _check_width(n)
-    feats = np.zeros((n + len(circ.ops), FEATURE_DIM), dtype=np.float64)
-    sources = np.arange(n)
-    feats[sources, INPUT_SLOT] = 1.0
-    feats[sources, GATE_SLOTS + sources] = 1.0
-    edges: list[tuple[int, int]] = []
+    ops = circ.ops
+    feats = np.zeros((n + len(ops), FEATURE_DIM), dtype=np.float64)
+    ones: list[int] = []  # flat positions of the 1.0 entries
+    for r in range(n):  # source rows
+        ones += (r * FEATURE_DIM + INPUT_SLOT, r * FEATURE_DIM + GATE_SLOTS + r)
+    angle_at: list[int] = []
+    angles: list[float] = []
+    edges: list[int] = []  # flat (pred, node) pairs
     last = list(range(n))  # qubit -> newest node on its wire
-    for nid, op in enumerate(circ.ops, start=n):
-        row = feats[nid]
-        row[ONE_HOT_INDEX[op.kind]] = 1.0
-        seen: set[int] = set()
-        for q in op.qubits:
-            row[GATE_SLOTS + q] = 1.0
-            pred = last[q]
-            if pred not in seen:
-                seen.add(pred)
-                edges.append((pred, nid))
+    for nid, op in enumerate(ops, start=n):
+        row = nid * FEATURE_DIM
+        flags = row + GATE_SLOTS
+        qubits = op.qubits
+        ones.append(row + ONE_HOT_INDEX[op.kind])
+        if len(qubits) == 1:
+            q = qubits[0]
+            ones.append(flags + q)
+            edges += (last[q], nid)
             last[q] = nid
-        for j, theta in enumerate(op.params):
-            row[_ANGLE_OFFSET + j] = encode_angle(theta)
-    edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        else:
+            preds: list[int] = []
+            for q in qubits:
+                ones.append(flags + q)
+                pred = last[q]
+                if pred not in preds:
+                    preds.append(pred)
+                    edges += (pred, nid)
+                last[q] = nid
+        if op.params:
+            row += _ANGLE_OFFSET
+            angle_at.extend(range(row, row + len(op.params)))
+            angles.extend(op.params)
+    flat = feats.reshape(-1)
+    flat[ones] = 1.0
+    if angles:
+        flat[angle_at] = encode_angle(angles)
+    edge_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
     return GraphData(circ.name, n, feats, edge_array, label)

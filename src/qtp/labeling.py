@@ -47,7 +47,13 @@ def cost(compiled: CompiledCircuit) -> float:
     if not fids:
         raise LabelError("cost is undefined for an empty compiled circuit")
     lo, hi = min(fids), max(fids)
-    logs = sum(map(math.log, fids)) if 0.0 < lo and hi <= 1.0 else math.nan
+    logs = math.nan
+    if 0.0 < lo and hi <= 1.0:
+        # a plain left fold in gate order: sum() adds floats with compensation
+        # from Python 3.12 on, so its bits would depend on the interpreter
+        logs = 0.0
+        for x in map(math.log, fids):
+            logs += x
     if logs != logs:  # out of range, or a NaN that min and max stepped over
         bad = next(f for f in fids if not 0.0 < f <= 1.0)
         raise LabelError(f"gate fidelity {bad!r} outside (0, 1]")

@@ -189,7 +189,12 @@ def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseAdj:
     loops = np.arange(num_nodes, dtype=np.int64)
     rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
     cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
-    rows, cols = np.divmod(np.unique(rows * num_nodes + cols), num_nodes)
+    # sorted unique keys: np.unique's own sort and mask, without its overhead
+    keys = np.sort(rows * num_nodes + cols)
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True  # num_nodes >= 1, so there is a key
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    rows, cols = np.divmod(keys[first], num_nodes)
     deg = np.bincount(rows, minlength=num_nodes).astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)
     vals = (inv_sqrt[rows] * inv_sqrt[cols]).reshape(-1, 1)

@@ -7,9 +7,12 @@ dropped with a warning (this IR has no classical side), barriers are dropped
 silently.  Anything else is a syntax error with a line/column position.
 
 Text in exactly the form `serialize_qasm` writes is read by a statement
-scanner, one regex match per line.  Everything else, and anything the scanner
-does not take, goes to the token parser, which alone reads expressions,
-comments and other layouts and reports every error with its position.
+scanner: one `findall` over the text after the header, one match per line.
+The scanner checks each gate itself, as `check_gate` would, and assigns the
+op list to its `Circuit`.  Everything else, and anything the scanner does not
+take, goes to the token parser, which alone reads expressions, comments and
+other layouts, appends each gate through `Circuit.append` and reports every
+error with its position.
 """
 
 from __future__ import annotations
@@ -312,35 +315,70 @@ _HEADER = re.compile(
     r'OPENQASM 2\.0;\ninclude "qelib1\.inc";\nqreg ([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\];\n'
 )
 _LITERAL = r"[-+]?[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?"
-# {reg} is the declared register's name, escaped
-_GATE = (rf"([a-z][a-z0-9]*)(?:\(({_LITERAL}(?:,{_LITERAL})*)\))? "
+# {reg} is the declared register's name, escaped; no part of a match can hold
+# a newline, so under re.M each match is one whole line
+_GATE = (rf"^([a-z][a-z0-9]*)(?:\(({_LITERAL}(?:,{_LITERAL})*)\))? "
          r"{reg}\[([0-9]+)\](?:,{reg}\[([0-9]+)\])?(?:,{reg}\[([0-9]+)\])?;\n")
+# name -> (kind, arity, parameter count): the scanner's own check_gate
+_SCAN_KINDS = {k.value: (k, k.arity, k.param_count) for k in VOCABULARY}
 
 
 def _scan(text: str) -> Circuit | None:
     """The circuit of a text in serialize_qasm's form; None at the first thing
-    it does not take, so that the token parser reads the text instead."""
+    it does not take, so that the token parser reads the text instead.
+
+    Every line after the header must be one statement match, and each gate
+    must pass check_gate's checks, made here without building an error: a
+    gate that fails them goes to the token parser, which reports check_gate's
+    error with its position.
+    """
     head = _HEADER.match(text)
-    if head is None:
+    if head is None or text[-1] != "\n":
         return None
     reg, size = head.groups()
-    statement = re.compile(_GATE.format(reg=re.escape(reg)))
     pos = head.end()
-    try:
-        circ = Circuit(int(size))
-        for m in statement.finditer(text, pos):
-            if m.start() != pos:
-                return None
-            pos = m.end()
-            name, args, a, b, c = m.groups()
-            kind = gate_by_name(name)
-            qubits = (int(a),) if b is None else (int(a), int(b)) if c is None else (
-                int(a), int(b), int(c))
-            params = () if args is None else tuple(map(float, args.split(",")))
-            circ.append(GateInstance(kind, qubits, params))
-    except (KeyError, ValueError):  # an unknown gate, a CircuitError, digits too many for int()
+    statements = re.compile(_GATE.format(reg=re.escape(reg)), re.M).findall(text, pos)
+    if len(statements) != text.count("\n", pos):
         return None
-    return circ if pos == len(text) else None
+    isfinite = math.isfinite
+    try:
+        n = int(size)
+        circ = Circuit(n)
+        ops = []
+        for name, args, a, b, c in statements:
+            kind, arity, param_count = _SCAN_KINDS[name]
+            if c:
+                qubits = (int(a), int(b), int(c))
+                if arity != 3 or len(set(qubits)) != 3 or max(qubits) >= n:
+                    return None
+            elif b:
+                qubits = (i, j) = (int(a), int(b))
+                if arity != 2 or i == j or i >= n or j >= n:
+                    return None
+            else:
+                i = int(a)
+                if arity != 1 or i >= n:
+                    return None
+                qubits = (i,)
+            if param_count == 1:
+                p = float(args)  # ValueError on "" or on two arguments
+                if not isfinite(p):
+                    return None
+                params = (p,)
+            elif param_count:
+                params = tuple(map(float, args.split(",")))
+                if len(params) != param_count or not all(map(isfinite, params)):
+                    return None
+            elif args:
+                return None
+            else:
+                params = ()
+            ops.append(GateInstance(kind, qubits, params))
+    # an unknown gate, qreg q[0], digits too many for int(), a wrong argument count
+    except (KeyError, ValueError):
+        return None
+    circ.ops = ops
+    return circ
 
 
 def parse_qasm(text: str, name: str = "") -> Circuit:

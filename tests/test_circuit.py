@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -68,6 +71,27 @@ class TestGateInstance:
     def test_wrong_param_count(self):
         _assert_rejected(1, GateInstance(GateKind.RX, (0,)))
         _assert_rejected(1, GateInstance(GateKind.H, (0,), (1.0,)))
+
+    def test_frozen(self):
+        op = GateInstance(GateKind.RZ, (0,), (0.5,))
+        for name, value in (("kind", GateKind.X), ("qubits", (1,)), ("params", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(op, name, value)
+        assert op == GateInstance(GateKind.RZ, (0,), (0.5,))
+
+    def test_dataclass_behaviour_kept(self):
+        op = GateInstance(GateKind.CX, (0, 1))
+        assert op.params == ()
+        assert [f.name for f in dataclasses.fields(GateInstance)] == ["kind", "qubits", "params"]
+        assert GateInstance(kind=GateKind.CX, qubits=(0, 1), params=()) == op
+        assert op != GateInstance(GateKind.CX, (1, 0))
+        assert op != (GateKind.CX, (0, 1), ())
+        assert hash(op) == hash((GateKind.CX, (0, 1), ()))
+        assert repr(op) == "GateInstance(kind=GateKind.CX, qubits=(0, 1), params=())"
+        u3 = GateInstance(GateKind.U3, (2,), (0.1, -0.0, 3.0))
+        assert dataclasses.replace(u3, qubits=(0,)) == GateInstance(GateKind.U3, (0,), u3.params)
+        for back in (copy.copy(u3), copy.deepcopy(u3), pickle.loads(pickle.dumps(u3))):
+            assert back == u3 and repr(back) == repr(u3)
 
 
 class TestCircuit:

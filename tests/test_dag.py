@@ -94,6 +94,24 @@ class TestAngleEncoding:
         # 3*pi is exactly representable, so the fmod reduction is exact
         assert encode_angle(3 * math.pi) == encode_angle(math.pi)
 
+    def test_array_matches_the_scalar_rule(self):
+        # the rule as it stood for one float, against the array path; repr, so
+        # that the sign of zero counts
+        def scalar_rule(theta):
+            frac = math.fmod(theta, TWO_PI)
+            if frac < 0.0:
+                frac += TWO_PI
+            frac /= TWO_PI
+            return frac if frac < 1.0 else 0.0
+
+        thetas = [-1e-18, 3 * math.pi, -math.pi / 2, math.pi, -math.pi, 0.0, -0.0, TWO_PI,
+                  -TWO_PI, 1e-300, -5e-324, 1e300, -1e300, 7.5, -7.5, 2.0 ** 60]
+        got = encode_angle(thetas)
+        assert isinstance(got, np.ndarray) and got.shape == (len(thetas),)
+        assert [repr(float(x)) for x in got] == [repr(scalar_rule(t)) for t in thetas]
+        assert [repr(encode_angle(t)) for t in thetas] == [repr(scalar_rule(t)) for t in thetas]
+        assert encode_angle(np.array(thetas).reshape(4, 4)).shape == (4, 4)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, (1 << 32) - 1))
     def test_dyadic_period_exact(self, k):

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import json
 import logging
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -27,6 +29,10 @@ from qtp.qasm import parse_qasm, serialize_qasm
 from qtp.transpile import CompiledCircuit, compile_for, compiled_from_circuit
 from qtp.transpile import pipeline as pipeline_module
 from util import random_circuit
+
+
+def _left_fold(xs):
+    return functools.reduce(operator.add, xs, 0.0)
 
 
 def _compiled(depth, fidelities, name="dev"):
@@ -98,12 +104,22 @@ class TestCost:
             cost(_compiled(2, fids))
 
     def test_bit_identical_to_the_generator_sum(self, rng):
+        # the generator's sum as a left fold: sum() compensates from Python 3.12 on
         for _ in range(200):
             fids = tuple(map(float, rng.uniform(1e-6, 1.0, size=int(rng.integers(1, 300)))))
             depth = int(rng.integers(1, 500))
             k = (max(fids) + min(fids)) / 2.0
             assert cost(_compiled(depth, fids)) == (
-                -depth * math.log(k) - sum(math.log(f) for f in fids))
+                -depth * math.log(k) - _left_fold(math.log(f) for f in fids))
+
+    def test_logs_summed_as_a_left_fold(self):
+        # the fold of these logs misses their exactly rounded sum, which
+        # math.fsum gives, and a compensated sum() (Python 3.12 on) with it
+        fids = (0.1, 0.2, 0.3)
+        logs = [math.log(f) for f in fids]
+        fold = _left_fold(logs)
+        assert fold != math.fsum(logs)
+        assert cost(_compiled(4, fids)) == -4 * math.log((0.3 + 0.1) / 2.0) - fold
 
 
 class TestLabeling:

@@ -286,6 +286,26 @@ class TestAdjacency:
         with pytest.raises(ModelError, match="no nodes"):
             normalize_adjacency(np.zeros((0, 2), np.int64), 0)
 
+    def test_entries_match_the_unique_oracle_bitwise(self):
+        # duplicate edges, edges in both directions and input self-loops: the
+        # keys are deduplicated as np.unique does, so every entry keeps its bits
+        rng = np.random.default_rng(17)
+        cases = [(np.array([[0, 1], [0, 1], [1, 0], [2, 2], [1, 1], [3, 0], [0, 3]]), 4)]
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            cases.append((rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)), n))
+        for edges, n in cases:
+            loops = np.arange(n)
+            rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
+            cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
+            want_rows, want_cols = np.divmod(np.unique(rows * n + cols), n)
+            inv_sqrt = 1.0 / np.sqrt(np.bincount(want_rows, minlength=n).astype(np.float64))
+            want_vals = (inv_sqrt[want_rows] * inv_sqrt[want_cols]).reshape(-1, 1)
+            adj = normalize_adjacency(edges, n)
+            assert np.array_equal(adj.rows, want_rows) and adj.rows.dtype == want_rows.dtype
+            assert np.array_equal(adj.cols, want_cols) and adj.cols.dtype == want_cols.dtype
+            assert adj.vals.tobytes() == want_vals.tobytes()
+
     def test_row_normalization(self):
         # symmetric operator with unit spectral radius: rows of D^1/2 Â D^-1/2
         # sum to 1; equivalently Â v = v for v = sqrt(deg)

@@ -3,7 +3,7 @@ import re
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import qasm_reference as reference
 import qtp.qasm
@@ -67,10 +67,13 @@ class TestParse:
             checked.append(op)
             real(op, num_qubits)
 
-        # the parser may call the check itself or through Circuit; count both
+        # the token parser may call the check itself or through Circuit; count
+        # both.  A comment line keeps the scanner from taking the text: the
+        # scanner makes check_gate's checks inline and calls it never.
         monkeypatch.setattr(qtp.circuit, "check_gate", counting)
         monkeypatch.setattr(qtp.qasm, "check_gate", counting, raising=False)
-        circ = parse_qasm(BELL)
+        assert qtp.qasm._scan(BELL + "// token path\n") is None
+        circ = parse_qasm(BELL + "// token path\n")
         assert checked == circ.ops
 
     def test_creg_accepted_and_ignored(self):
@@ -439,6 +442,52 @@ def _token_parser(text):
 _SERIALIZED = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nh q[0];\nrz(0.5) q[1];\ncx q[0],q[2];\n'
 
 
+_FINITE = st.sampled_from([
+    "0.5", "0", "-0", "-0.0", "1.", "3.141592653589793", "-2.5e17", "1e-300",
+    "5e-324", "1e308", "12345678901234567890",
+])
+_FAULTS = ("none", "unknown name", "arity", "duplicate qubit", "qubit out of range",
+           "parameter count", "overflow", "empty register")
+
+
+@st.composite
+def _single_statements(draw):
+    """(fault, register size, line): one statement in serialize_qasm's form,
+    valid but for at most one fault drawn from _FAULTS."""
+    kind = draw(st.sampled_from(VOCABULARY))
+    fault = draw(st.sampled_from(_FAULTS))
+    size = 5
+    name = kind.value
+    qubits = draw(st.permutations(range(size)))[:kind.arity]
+    args = draw(st.lists(_FINITE, min_size=kind.param_count, max_size=kind.param_count))
+    if fault == "unknown name":
+        name = draw(st.sampled_from(["mystery", "cnot", "Rz", "u0"]))
+    elif fault == "arity":
+        arity = draw(st.sampled_from([a for a in (1, 2, 3, 4) if a != kind.arity]))
+        qubits = draw(st.permutations(range(size)))[:arity]
+    elif fault == "duplicate qubit":  # a one-qubit gate gets its qubit twice
+        if len(qubits) == 1:
+            qubits.append(qubits[0])
+        else:
+            i, j = draw(st.permutations(range(len(qubits))))[:2]
+            qubits[i] = qubits[j]
+    elif fault == "qubit out of range":
+        qubits[draw(st.integers(0, len(qubits) - 1))] = draw(st.integers(size, size + 3))
+    elif fault == "parameter count":
+        count = draw(st.sampled_from([c for c in range(5) if c != kind.param_count]))
+        args = draw(st.lists(_FINITE, min_size=count, max_size=count))
+    elif fault == "overflow":
+        big = draw(st.sampled_from(["1e999", "-1e999", "2e308", "-1e309"]))
+        if args:
+            args[draw(st.integers(0, len(args) - 1))] = big
+        else:
+            args = [big]
+    elif fault == "empty register":
+        size = 0
+    params = f"({','.join(args)})" if args else ""
+    return fault, size, f"{name}{params} {','.join(f'q[{q}]' for q in qubits)};\n"
+
+
 class TestStatementScanner:
     def test_corpus_read_by_the_scanner_as_by_the_token_parser(self):
         for circ in gen_corpus(200, seed=11):
@@ -485,3 +534,15 @@ class TestStatementScanner:
         text = _SERIALIZED.replace(old, new)
         assert text != _SERIALIZED
         assert _exact(parse_qasm, text) == _exact(_token_parser, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_single_statements())
+    def test_single_statements_read_as_the_token_parser_reads_them(self, drawn):
+        fault, size, line = drawn
+        text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{size}];\n{line}'
+        want = _exact(_token_parser, text)
+        assert _exact(parse_qasm, text) == want
+        # the scanner takes every valid statement and refuses every other
+        assert (want[0][0] == "circuit") == (fault == "none")
+        assert (qtp.qasm._scan(text) is not None) == (fault == "none")
+        event(fault)
