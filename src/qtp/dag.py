@@ -189,8 +189,8 @@ def featurize_circuit(circ: Circuit, label: int | None = None) -> GraphData:
                     edges += (pred, nid)
                 last[q] = nid
         if op.params:
-            row += _ANGLE_OFFSET
-            angle_at.extend(range(row, row + len(op.params)))
+            at = row + _ANGLE_OFFSET
+            angle_at.extend(range(at, at + len(op.params)))
             angles.extend(op.params)
     flat = feats.reshape(-1)
     flat[ones] = 1.0
