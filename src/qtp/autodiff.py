@@ -3,7 +3,9 @@
 A Tape records every op in execution order together with a closure that
 pushes the output adjoint back to the inputs; backward() replays the records
 in reverse (execution order is already topological).  The op set is what
-the graph network and its loss need.  Each graph layer is one op:
+the graph network and its loss need, and no more general: `add` takes a (F,)
+bias against (N, F) rows besides equal shapes, and `mul`, which weights the
+loss's per-graph terms, takes equal shapes only.  Each graph layer is one op:
 `gcn_layer` and `gat_layer` run their message passing on `NeighborTable`
 row blocks, sized by width, and keep only the buffers their backward reads.
 `gat_layer` runs all its heads side by side in one pass over the table, and
@@ -215,19 +217,14 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; one side may be an (N, 1) column against (N, F)."""
+    """Elementwise product of two arrays of one shape; nothing broadcasts."""
     a, b = _pair(a, b)
-    sa, sb = a.data.shape, b.data.shape
-    col_a = a.data.ndim == 2 and b.data.ndim == 2 and sa[1] == 1 and sb[0] == sa[0]
-    col_b = a.data.ndim == 2 and b.data.ndim == 2 and sb[1] == 1 and sa[0] == sb[0]
-    if not (sa == sb or col_a or col_b):
-        raise ValueError(f"mul shapes {sa} vs {sb}")
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mul shapes {a.data.shape} vs {b.data.shape}")
 
     def push(g: Array) -> None:
-        ga = g * b.data
-        gb = g * a.data
-        accumulate(a, ga.sum(axis=1, keepdims=True) if (col_a and sa != sb) else ga)
-        accumulate(b, gb.sum(axis=1, keepdims=True) if (col_b and sa != sb) else gb)
+        accumulate(a, g * b.data)
+        accumulate(b, g * a.data)
 
     return a.tape.record(a.data * b.data, push)
 

@@ -8,8 +8,9 @@ measurements and barriers never reach this layer.
 and no unpacking.  Its `__init__` sets the slots through their descriptors,
 not through the frozen dataclass's `object.__setattr__`, since the parser,
 `dag.load_graph` and every transpile pass build one per op.  `check_gate`
-validates a record where it enters a `Circuit` (constructor and `append`); the
-token parser appends each gate once and adds line and column to the error.
+validates a record where it enters a `Circuit` (constructor and `append`,
+which take a `GateInstance` as it is and coerce nothing); the token parser
+appends each gate once and adds line and column to the error.
 Code that builds its output from checked ops, or checks them itself, assigns
 the op list instead: `qasm`'s statement scanner makes `check_gate`'s checks
 inline and hands any miss to the token parser; `transpile.lower_to_canonical`
@@ -93,15 +94,8 @@ class Circuit:
         check_gate(op, self.num_qubits)
         self.ops.append(op)
 
-    def add(self, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = ()) -> None:
-        self.append(GateInstance(kind, tuple(int(q) for q in qubits),
-                                 tuple(float(p) for p in params)))
-
     @property
     def gate_count(self) -> int:
-        return len(self.ops)
-
-    def __len__(self) -> int:
         return len(self.ops)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import logging
 import os
@@ -240,10 +241,8 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _train_one(
-    config: ModelConfig, manifest_path: str, args
-) -> TrainResult:
-    graphs = _load_dataset(manifest_path)
+def _train_one(config: ModelConfig, graphs: list[GraphData], args) -> TrainResult:
+    """The one call to train, with the run flags train and grid share."""
     return train(
         config,
         graphs,
@@ -257,7 +256,7 @@ def _train_one(
 
 def _cmd_train(args) -> int:
     config = _load_config(args.config)
-    result = _train_one(config, args.manifest, args)
+    result = _train_one(config, _load_dataset(args.manifest), args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for report, weights in zip(result.folds, result.weights):
@@ -304,44 +303,22 @@ def _grid_configs(budget: int | None, seed: int) -> list[ModelConfig]:
 _WORKER_DATASETS: dict[str, list[GraphData]] = {}
 
 
-def _grid_worker(payload: tuple) -> tuple[dict, dict]:
-    cfg_json, manifest_path, folds, epochs, seed, batch_size, split_mode = payload
-    config = ModelConfig.from_json(cfg_json)
-    graphs = _WORKER_DATASETS.get(manifest_path)
+def _grid_worker(config: ModelConfig, args) -> tuple[ModelConfig, dict]:
+    # each process loads the dataset once, on its first config
+    graphs = _WORKER_DATASETS.get(args.manifest)
     if graphs is None:
-        graphs = _WORKER_DATASETS[manifest_path] = _load_dataset(manifest_path)
-    result = train(
-        config,
-        graphs,
-        k=folds,
-        epochs=epochs,
-        seed=seed,
-        batch_size=batch_size,
-        split_mode=split_mode,
-    )
-    return cfg_json, result.aggregate
+        graphs = _WORKER_DATASETS[args.manifest] = _load_dataset(args.manifest)
+    return config, _train_one(config, graphs, args).aggregate
 
 
 def _cmd_grid(args) -> int:
     configs = _grid_configs(args.budget, args.seed)
-    payloads = [
-        (
-            c.to_json(),
-            args.manifest,
-            args.folds,
-            args.epochs,
-            args.seed,
-            args.batch_size,
-            args.split_mode,
-        )
-        for c in configs
-    ]
+    work = functools.partial(_grid_worker, args=args)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_grid_worker, payloads))
+            scored = list(pool.map(work, configs))
     else:
-        outcomes = [_grid_worker(p) for p in payloads]
-    scored = [(ModelConfig.from_json(cfg), agg) for cfg, agg in outcomes]
+        scored = list(map(work, configs))
     # the selection rule: minority-class F1, class 0
     scored.sort(key=lambda item: (-item[1]["f1_class0"]["mean"], item[0].name))
     out = Path(args.out)

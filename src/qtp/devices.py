@@ -3,6 +3,12 @@
 Profiles are plain JSON so users can describe their own hardware.  Two
 bundled profiles ship with the package, a trapped-ion device with all-to-all
 coupling and a superconducting device on a heavy-hex style lattice.
+
+A profile memoizes what the compiler asks of it, each entry filled on first
+use: hop rows, next hops, fidelities, each cx pair in the basis
+(`native_cx`, which relabels the (0, 1) template and checks each entry when it
+is filled) and each SWAP pair (`native_swap`: the three cx that lowering
+writes for a SWAP, each taken from `native_cx`).
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .circuit import Circuit, GateInstance, check_gate
-from .gates import GateKind, gate_by_name
+from .circuit import GateInstance, check_gate
+from .gates import gate_by_name
 
 TECHNOLOGIES = ("trapped-ion", "superconducting")
 
@@ -45,7 +51,6 @@ class DeviceProfile:
     _fidelities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _swaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _swap_template: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.technology not in TECHNOLOGIES:
@@ -169,32 +174,24 @@ class DeviceProfile:
     def native_swap(self, u: int, v: int) -> tuple:
         """SWAP of coupled qubits u, v in basis gates: (ops, fidelities, reach); memoized.
 
+        The ops are native_cx(u, v), native_cx(v, u), native_cx(u, v): lowering
+        writes a SWAP as those three cx, and rebase takes each from native_cx.
         After the SWAP, wire u sits at level max(level_u + reach[0][0],
         level_v + reach[0][1]) and wire v at max(level_u + reach[1][0],
         level_v + reach[1][1]), which is what circuit_depth counts op by op.
         """
         entry = self._swaps.get((u, v))
         if entry is None:
-            if self._swap_template is None:
-                object.__setattr__(self, "_swap_template", self._build_swap_template())
-            template, reach = self._swap_template
-            ops = tuple(GateInstance(op.kind, tuple((u, v)[q] for q in op.qubits), op.params)
-                        for op in template)
-            entry = self._swaps[u, v] = (ops, tuple(map(self.compiled_fidelity, ops)), reach)
+            ops = self.native_cx(u, v) + self.native_cx(v, u) + self.native_cx(u, v)
+            # reach[w][x]: levels wire w gains over the starting level of wire x (0 is u)
+            reach = {u: (0, -math.inf), v: (-math.inf, 0)}
+            for op in ops:
+                after = tuple(max(reach[w][x] for w in op.qubits) + 1 for x in (0, 1))
+                for w in op.qubits:
+                    reach[w] = after
+            entry = self._swaps[u, v] = (ops, tuple(map(self.compiled_fidelity, ops)),
+                                         (tuple(map(int, reach[u])), tuple(map(int, reach[v]))))
         return entry
-
-    def _build_swap_template(self) -> tuple:
-        from .transpile import lower_to_canonical, rebase  # the transpiler imports this module
-
-        swap = Circuit(2, [GateInstance(GateKind.SWAP, (0, 1))])
-        template = rebase(lower_to_canonical(swap), self).ops
-        # reach[w][x]: levels wire w gains over wire x's starting level
-        reach = [[0, -math.inf], [-math.inf, 0]]
-        for op in template:
-            after = [max(reach[w][x] for w in op.qubits) + 1 for x in (0, 1)]
-            for w in op.qubits:
-                reach[w] = list(after)
-        return template, tuple(tuple(map(int, r)) for r in reach)
 
     # --- fidelities ---------------------------------------------------------
 
@@ -289,26 +286,6 @@ def _profile_from_json(raw) -> DeviceProfile:
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise DeviceError(f"malformed profile ({type(exc).__name__}: {exc})") from None
     return DeviceProfile(**fields)
-
-
-def save_profile(profile: DeviceProfile) -> dict:
-    """Profile back to its JSON shape; load_profile(save_profile(p)) == p."""
-    return {
-        "name": profile.name,
-        "technology": profile.technology,
-        "num_qubits": profile.num_qubits,
-        "basis_gates": list(profile.basis_gates),
-        "coupling": (
-            "all-to-all" if profile.coupling == "all-to-all"
-            else [list(pair) for pair in profile.coupling]
-        ),
-        "fidelity_1q": dict(profile.fidelity_1q),
-        "fidelity_2q": (
-            {f"{a}-{b}": f for (a, b), f in profile.fidelity_2q.items()}
-            if isinstance(profile.fidelity_2q, dict)
-            else profile.fidelity_2q
-        ),
-    }
 
 
 def bundled_profile_names() -> tuple[str, ...]:

@@ -43,17 +43,12 @@ class CheckpointError(ValueError):
     """Unreadable or inconsistent checkpoint file."""
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyper-parameters.
 
-    Structural validity (positive widths, heads only on GAT) is enforced here;
-    membership in the search grid is a separate, stricter check so that small
-    off-grid configs remain usable programmatically.
+    Only structural validity (positive widths, heads only on GAT) is enforced,
+    so small off-grid configs stay usable; `iter_grid` lists the search grid.
     """
 
     first_layer: str
@@ -91,21 +86,6 @@ class ModelConfig:
         dims += list(self.ffnn)
         tail = "_".join(str(d) for d in dims)
         return f"{head}_{self.blocks}GCN_{len(self.ffnn) - 1}FFNN_{tail}"
-
-    def in_grid(self) -> bool:
-        if self.blocks not in BLOCK_CHOICES:
-            return False
-        if self.first_layer == "gat":
-            if self.hidden not in GAT_HIDDEN or self.heads not in GAT_HEADS:
-                return False
-        elif self.hidden not in GCN_HIDDEN:
-            return False
-        if len(self.ffnn) not in (2, 3) or self.ffnn[0] not in FFNN_FIRST:
-            return False
-        for prev, cur in zip(self.ffnn, self.ffnn[1:]):
-            if not _is_pow2(cur) or not FFNN_FLOOR <= cur <= prev:
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -373,15 +353,14 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], batch: GraphBa
 def predict_proba(
     config: ModelConfig, weights: dict[str, np.ndarray], graphs: Sequence[GraphData]
 ) -> np.ndarray:
-    """Class probabilities, one row per graph of `graphs` (a list or a batch).
+    """Class probabilities, one row per graph of `graphs`.
 
     The forward runs on a tape like a training step's: every op is recorded
     with its backward closure.  The tape is released once the probabilities
     are read, so none of those records or intermediates outlive the call.
     """
     tape = ad.Tape()
-    batch = graphs if isinstance(graphs, GraphBatch) else batch_graphs(graphs)
-    probs = model_forward(config, bind_params(tape, weights), batch).data
+    probs = model_forward(config, bind_params(tape, weights), batch_graphs(graphs)).data
     tape.release()
     return probs
 

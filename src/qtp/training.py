@@ -9,7 +9,7 @@ field depends on wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -205,16 +205,7 @@ class FoldReport:
         return cls(fold_id=fold_id, loss_curve=list(loss_curve), **body)
 
     def to_json(self) -> dict:
-        return {
-            "fold_id": self.fold_id,
-            "confusion": self.confusion,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "buckets": self.buckets,
-            "loss_curve": self.loss_curve,
-        }
+        return asdict(self)  # the fields, in their order
 
 
 def aggregate(reports: Sequence[FoldReport]) -> dict:

@@ -5,15 +5,15 @@ gate lands on uncoupled physical qubits, the first operand hops along a
 shortest path until adjacent to the second.  Each hop goes to the
 smallest-index neighbor one hop closer (`DeviceProfile.next_hop`), so routing
 is deterministic.  Inserted SWAPs are the device's native SWAP
-(`DeviceProfile.native_swap`: lower+rebase of one SWAP, built once per
-profile), so the output stays inside the device basis.
+(`DeviceProfile.native_swap`: the three cx of a lowered SWAP, each from the
+profile's `native_cx` memo), so the output stays inside the device basis.
 
 The same walk collects what scoring needs: per-op fidelities from the
 profile's memoized `compiled_fidelity`, which checks basis and coupling for
 every distinct op, and per-wire levels, whose maximum is `circuit_depth` of
 the output.  Output ops are never re-checked as a `Circuit`: the input was
-checked when it was built, routing only permutes qubits, and the SWAP
-template was checked once.
+checked when it was built, routing only permutes qubits, and each cx of a
+SWAP was checked when its `native_cx` entry was filled.
 """
 
 from __future__ import annotations

@@ -66,18 +66,6 @@ class TestFiniteDiff:
         )
         assert err < TOL
 
-    @pytest.mark.parametrize("column_side", ["left", "right"])
-    def test_mul_column_broadcast(self, column_side):
-        rng = _rng()
-        w = rng.standard_normal((3, 4))
-        params = {"m": rng.standard_normal((3, 4)), "c": rng.standard_normal((3, 1))}
-
-        def f(ts):
-            a, b = (ts["c"], ts["m"]) if column_side == "left" else (ts["m"], ts["c"])
-            return _weighted_mean(ad.mul(a, b), w)
-
-        assert ad.finite_diff_check(f, params) < TOL
-
     def test_scale(self):
         rng = _rng()
         w = rng.standard_normal((4, 2))
@@ -392,6 +380,15 @@ class TestErrors:
         tape = ad.Tape()
         with pytest.raises(ValueError, match="mul shapes"):
             ad.mul(tape.const(np.ones((2, 3))), tape.const(np.ones((2, 2))))
+
+    @pytest.mark.parametrize("column_side", ["left", "right"])
+    def test_mul_column_against_matrix(self, column_side):
+        # mul takes equal shapes only: an (N, 1) column does not broadcast
+        tape = ad.Tape()
+        column, matrix = tape.const(np.ones((3, 1))), tape.const(np.ones((3, 4)))
+        a, b = (column, matrix) if column_side == "left" else (matrix, column)
+        with pytest.raises(ValueError, match="mul shapes"):
+            ad.mul(a, b)
 
     def test_concat_empty(self):
         with pytest.raises(ValueError, match="concat"):

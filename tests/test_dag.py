@@ -23,6 +23,7 @@ from qtp.dag import (
 )
 from qtp.gates import GateKind, VOCABULARY
 from qtp.jsonio import dumps
+from util import add
 
 
 TWO_PI = 2.0 * math.pi
@@ -30,8 +31,8 @@ TWO_PI = 2.0 * math.pi
 
 def _bell() -> Circuit:
     circ = Circuit(2, name="bell")
-    circ.add(GateKind.H, (0,))
-    circ.add(GateKind.CX, (0, 1))
+    add(circ, GateKind.H, (0,))
+    add(circ, GateKind.CX, (0, 1))
     return circ
 
 
@@ -59,8 +60,8 @@ class TestBuildDag:
 
     def test_shared_predecessor_edge_deduped(self):
         circ = Circuit(2)
-        circ.add(GateKind.CX, (0, 1))
-        circ.add(GateKind.CX, (0, 1))
+        add(circ, GateKind.CX, (0, 1))
+        add(circ, GateKind.CX, (0, 1))
         # both wires of the second cx come from the first: one edge, not two
         assert _edges(featurize_circuit(circ)) == [(0, 2), (1, 2), (2, 3)]
 
@@ -131,7 +132,7 @@ class TestFeatures:
 
     def test_layout(self):
         circ = Circuit(3)
-        circ.add(GateKind.CRZ, (2, 0), (math.pi / 2,))
+        add(circ, GateKind.CRZ, (2, 0), (math.pi / 2,))
         feats = featurize_circuit(circ).features
         assert feats.shape == (4, 66)
         # source rows: one-hot slot 35 plus own qubit flag
@@ -148,7 +149,7 @@ class TestFeatures:
 
     def test_three_angle_gate(self):
         circ = Circuit(1)
-        circ.add(GateKind.U3, (0,), (math.pi, math.pi / 2, math.pi / 4))
+        add(circ, GateKind.U3, (0,), (math.pi, math.pi / 2, math.pi / 4))
         feats = featurize_circuit(circ).features
         angles = feats[1, GATE_SLOTS + MAX_FEATURE_QUBITS :]
         assert np.allclose(angles, [0.5, 0.25, 0.125])
@@ -186,9 +187,9 @@ class TestGraphIO:
 
     def test_file_holds_the_ops(self, tmp_path):
         circ = Circuit(3, name="angles")
-        circ.add(GateKind.U3, (2,), (-math.pi, 1e-300, 0.1 + 0.2))
-        circ.add(GateKind.CRZ, (1, 0), (-0.0,))
-        circ.add(GateKind.CCX, (2, 0, 1))
+        add(circ, GateKind.U3, (2,), (-math.pi, 1e-300, 0.1 + 0.2))
+        add(circ, GateKind.CRZ, (1, 0), (-0.0,))
+        add(circ, GateKind.CCX, (2, 0, 1))
         path = write_graph(circ, tmp_path / "angles")
         assert path.name == "angles.dag.json"
         assert json.loads(path.read_text()) == {
@@ -269,7 +270,7 @@ class TestGraphIO:
     @pytest.mark.parametrize("num_qubits", [0, MAX_FEATURE_QUBITS + 1, float("inf"), True, 1.0])
     def test_num_qubits_range_validated(self, tmp_path, num_qubits):
         circ = Circuit(1)
-        circ.add(GateKind.H, (0,))
+        add(circ, GateKind.H, (0,))
         path = write_graph(circ, tmp_path / "bad.dag.json")
         _rewrite(path, lambda b: b.__setitem__("num_qubits", num_qubits))
         with pytest.raises(FeaturizeError):

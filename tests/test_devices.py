@@ -1,6 +1,6 @@
 import pytest
 
-from qtp.circuit import GateInstance
+from qtp.circuit import Circuit, GateInstance, circuit_depth
 from qtp.devices import (
     DeviceError,
     TECHNOLOGY_CLASS,
@@ -8,9 +8,9 @@ from qtp.devices import (
     bundled_profile_names,
     bundled_profiles,
     load_profile,
-    save_profile,
 )
 from qtp.gates import GateKind
+from qtp.transpile import lower_to_canonical, rebase
 
 
 def _line3(**overrides):
@@ -148,10 +148,43 @@ class TestFidelity:
             _line3().gate_fidelity(GateInstance(GateKind.H, (0,)))
 
 
-class TestRoundTrip:
-    def test_save_load_identity(self):
-        p = _line3(fidelity_2q={"0-1": 0.98, "1-2": 0.97})
-        assert load_profile(save_profile(p)) == p
+class TestLoad:
+    def test_pair_keys_parsed(self):
+        p = _line3(fidelity_2q={"0-1": 0.98, "2-1": 0.97})
+        assert p.fidelity_2q == {(0, 1): 0.98, (1, 2): 0.97}
+
+
+def _wire_level(ops, wire, k=100):
+    """Level of one wire after ops, as circuit_depth counts it: k more ops on the
+    wire lift the depth to that level + k once k exceeds every other wire's level."""
+    return circuit_depth(list(ops) + [GateInstance(GateKind.X, (wire,))] * k) - k
+
+
+class TestNativeSwap:
+    @staticmethod
+    def _check(profile, u, v):
+        ops, fidelities, reach = profile.native_swap(u, v)
+        cx = profile.native_cx
+        assert ops == cx(u, v) + cx(v, u) + cx(u, v)
+        swap = Circuit(max(u, v) + 1, [GateInstance(GateKind.SWAP, (u, v))])
+        assert list(ops) == rebase(lower_to_canonical(swap), profile).ops
+        assert fidelities == tuple(map(profile.gate_fidelity, ops))
+        for lu, lv in ((0, 0), (3, 0), (0, 3), (2, 5), (5, 2)):
+            start = [GateInstance(GateKind.X, (u,))] * lu + [GateInstance(GateKind.X, (v,))] * lv
+            after = start + list(ops)
+            assert _wire_level(after, u) == max(lu + reach[0][0], lv + reach[0][1])
+            assert _wire_level(after, v) == max(lu + reach[1][0], lv + reach[1][1])
+
+    def test_every_coupled_pair_of_the_heavy_hex_profile(self):
+        profile = bundled_profile("ibm-eagle-like")
+        for a, b in profile.coupling:
+            self._check(profile, a, b)
+            self._check(profile, b, a)
+
+    def test_sample_pairs_of_the_all_to_all_profile(self):
+        profile = bundled_profile("ionq-forte-like")
+        for u, v in ((0, 1), (1, 0), (0, 35), (35, 34), (17, 4), (4, 17)):
+            self._check(profile, u, v)
 
 
 class TestBundled:

@@ -28,7 +28,7 @@ from qtp.labeling import (
 from qtp.qasm import parse_qasm, serialize_qasm
 from qtp.transpile import CompiledCircuit, compile_for, compiled_from_circuit
 from qtp.transpile import pipeline as pipeline_module
-from util import random_circuit
+from util import add, random_circuit
 
 
 def _left_fold(xs):
@@ -143,8 +143,8 @@ class TestLabeling:
 
     def test_label_circuit_end_to_end(self, ion_aa3, sc_line3):
         circ = Circuit(2)
-        circ.add(GateKind.H, (0,))
-        circ.add(GateKind.CX, (0, 1))
+        add(circ, GateKind.H, (0,))
+        add(circ, GateKind.CX, (0, 1))
         label, best, costs = label_circuit(circ, [ion_aa3, sc_line3])
         assert set(costs) == {"ion-aa3", "sc-line3"}
         assert best in costs
@@ -170,11 +170,11 @@ class TestScoreDevices:
 
     def test_precompiled_variant_can_win(self, sc_line3):
         circ = Circuit(2)
-        circ.add(GateKind.H, (0,))
+        add(circ, GateKind.H, (0,))
         pipeline_cost = score_devices(circ, [sc_line3])["sc-line3"]
         # a hand-tuned variant with one cheap native gate must beat it
         tuned = Circuit(2)
-        tuned.add(GateKind.RZ, (0,), (0.1,))
+        add(tuned, GateKind.RZ, (0,), (0.1,))
         variant = compiled_from_circuit(tuned, sc_line3)
         got = score_devices(circ, [sc_line3], {"sc-line3": [variant]})["sc-line3"]
         assert got <= min(pipeline_cost, cost(variant))
@@ -197,8 +197,8 @@ class TestScoreDevices:
 
         monkeypatch.setattr(pipeline_module, "lower_to_canonical", counting_lower)
         circ = Circuit(2, name="bell")
-        circ.add(GateKind.H, (0,))
-        circ.add(GateKind.CX, (0, 1))
+        add(circ, GateKind.H, (0,))
+        add(circ, GateKind.CX, (0, 1))
         score_devices(circ, [ion_aa3, sc_line3])
         assert lowered == ["bell"]
 
@@ -240,9 +240,9 @@ class TestManifest:
         circuits = tmp_path / "circuits"
         circuits.mkdir()
         wide = Circuit(28, name="wide")
-        wide.add(GateKind.H, (0,))
+        add(wide, GateKind.H, (0,))
         for q in range(27):
-            wide.add(GateKind.CX, (q, q + 1))
+            add(wide, GateKind.CX, (q, q + 1))
         (circuits / "wide.qasm").write_text(serialize_qasm(wide))
         manifest = build_manifest(circuits, [ion_profile, sc_profile], tmp_path / "m.json")
         assert not manifest.entries

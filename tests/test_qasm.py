@@ -11,6 +11,7 @@ from qtp.circuit import Circuit, GateInstance
 from qtp.corpus import gen_corpus
 from qtp.gates import GateKind, VOCABULARY
 from qtp.qasm import QasmError, QasmWarning, fmt_angle, parse_qasm, serialize_qasm
+from util import add
 
 
 BELL = """OPENQASM 2.0;
@@ -179,8 +180,8 @@ class TestParse:
 class TestSerialize:
     def test_layout(self):
         circ = Circuit(2, name="bell")
-        circ.add(GateKind.H, (0,))
-        circ.add(GateKind.CX, (0, 1))
+        add(circ, GateKind.H, (0,))
+        add(circ, GateKind.CX, (0, 1))
         text = serialize_qasm(circ)
         assert text.splitlines() == [
             "OPENQASM 2.0;",
@@ -501,9 +502,9 @@ class TestStatementScanner:
 
         monkeypatch.setattr(qtp.qasm, "_Parser", refuse)
         circ = Circuit(3)
-        circ.add(GateKind.CCX, (2, 0, 1))
-        circ.add(GateKind.U3, (1,), (-0.0, 1e-300, -2.5e17))
-        circ.add(GateKind.H, (0,))
+        add(circ, GateKind.CCX, (2, 0, 1))
+        add(circ, GateKind.U3, (1,), (-0.0, 1e-300, -2.5e17))
+        add(circ, GateKind.H, (0,))
         back = parse_qasm(serialize_qasm(circ), name="three")
         assert (back.name, back.num_qubits, back.ops) == ("three", 3, circ.ops)
         assert math.copysign(1.0, back.ops[1].params[0]) == -1.0

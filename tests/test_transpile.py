@@ -27,7 +27,7 @@ from qtp.transpile import (
     route,
 )
 from unitary import circuit_unitary, gate_matrix, phase_aligned_distance
-from util import compiled_distance, ops_unitary, random_circuit
+from util import add, compiled_distance, ops_unitary, random_circuit
 
 rebase_module = importlib.import_module("qtp.transpile.rebase")  # the package exports the function
 pipeline_module = importlib.import_module("qtp.transpile.pipeline")
@@ -137,7 +137,7 @@ class TestRebase:
 
     def test_h_rebases_short(self, sc_line3):
         circ = Circuit(1)
-        circ.add(GateKind.H, (0,))
+        add(circ, GateKind.H, (0,))
         out = rebase(lower_to_canonical(circ), sc_line3)
         # the identity-angle rz drops out of the 5-gate general form
         assert out.gate_count == 3
@@ -146,13 +146,13 @@ class TestRebase:
 
     def test_native_gate_passthrough(self, sc_line3):
         circ = Circuit(1)
-        circ.add(GateKind.X, (0,))
+        add(circ, GateKind.X, (0,))
         out = rebase(lower_to_canonical(circ), sc_line3)
         assert [o.kind for o in out.ops] == [GateKind.X]
 
     def test_identity_angles_elided(self, sc_line3):
         circ = Circuit(1)
-        circ.add(GateKind.RZ, (0,), (0.0,))
+        add(circ, GateKind.RZ, (0,), (0.0,))
         out = rebase(lower_to_canonical(circ), sc_line3)
         assert out.gate_count == 0
 
@@ -320,7 +320,7 @@ class TestRoute:
 
     def test_line_far_pair_needs_swap(self, sc_line3):
         circ = Circuit(3)
-        circ.add(GateKind.ECR, (0, 2))
+        add(circ, GateKind.ECR, (0, 2))
         routed, layout = route(circ, sc_line3)
         assert routed.gate_count > 1
         assert sorted(layout) == [0, 1, 2] and layout != [0, 1, 2]
@@ -337,7 +337,7 @@ class TestRoute:
         # on the 4-cycle 0-1-2-3-0, qubit 0 reaches 2 through 1 or through 3
         ring = _sc_profile("sc-ring4", 4, [[0, 1], [1, 2], [2, 3], [3, 0]])
         circ = Circuit(4)
-        circ.add(GateKind.ECR, (0, 2))
+        add(circ, GateKind.ECR, (0, 2))
         routed, layout = route(circ, ring)
         two_qubit = [op.qubits for op in routed.ops if len(op.qubits) == 2]
         assert {tuple(sorted(q)) for q in two_qubit[:-1]} == {(0, 1)}
@@ -347,7 +347,7 @@ class TestRoute:
     def test_disconnected_pair_raises(self):
         split = _sc_profile("sc-split4", 4, [[0, 1], [2, 3]])
         circ = Circuit(4)
-        circ.add(GateKind.ECR, (0, 3))
+        add(circ, GateKind.ECR, (0, 3))
         with pytest.raises(RouteError):
             route(circ, split)
 
@@ -424,8 +424,8 @@ class TestCorpusSoundness:
 
     def test_replaced_profile_costs_use_its_own_fidelities(self, sc_line3):
         circ = Circuit(3)
-        circ.add(GateKind.H, (0,))
-        circ.add(GateKind.CX, (0, 2))
+        add(circ, GateKind.H, (0,))
+        add(circ, GateKind.CX, (0, 2))
         before = compile_for(circ, sc_line3)
         for changes in ({"fidelity_2q": 0.9},
                         {"fidelity_1q": {"id": 0.99, "rz": 1.0, "sx": 0.98, "x": 0.97}}):
@@ -452,8 +452,8 @@ class TestCompileFor:
 
     def test_records_fidelities_and_depth(self, sc_line3):
         circ = Circuit(2)
-        circ.add(GateKind.H, (0,))
-        circ.add(GateKind.CX, (0, 1))
+        add(circ, GateKind.H, (0,))
+        add(circ, GateKind.CX, (0, 1))
         cc = compile_for(circ, sc_line3)
         assert len(cc.fidelities) == cc.gate_count
         assert all(0 < f <= 1 for f in cc.fidelities)
@@ -482,7 +482,7 @@ class TestCompileFor:
 
     def test_compile_each_compiles_when_asked(self, ion_profile, sc_line3):
         circ = Circuit(4)
-        circ.add(GateKind.CX, (0, 3))
+        add(circ, GateKind.CX, (0, 3))
         each = compile_each(circ, [ion_profile, sc_line3])
         assert next(each) == compile_for(circ, ion_profile)
         with pytest.raises(RouteError, match="device has 3"):  # only now is sc_line3 tried
@@ -492,21 +492,21 @@ class TestCompileFor:
 class TestPrecompiled:
     def test_accepts_native_circuit(self, sc_line3):
         circ = Circuit(2)
-        circ.add(GateKind.ECR, (0, 1))
-        circ.add(GateKind.RZ, (0,), (0.3,))
+        add(circ, GateKind.ECR, (0, 1))
+        add(circ, GateKind.RZ, (0,), (0.3,))
         cc = compiled_from_circuit(circ, sc_line3)
         assert cc.layout == (0, 1)
         assert len(cc.fidelities) == 2
 
     def test_rejects_off_basis(self, sc_line3):
         circ = Circuit(1)
-        circ.add(GateKind.H, (0,))
+        add(circ, GateKind.H, (0,))
         with pytest.raises(ValueError):
             compiled_from_circuit(circ, sc_line3)
 
     def test_rejects_uncoupled(self, sc_line3):
         circ = Circuit(3)
-        circ.add(GateKind.ECR, (0, 2))
+        add(circ, GateKind.ECR, (0, 2))
         with pytest.raises(ValueError):
             compiled_from_circuit(circ, sc_line3)
 

@@ -1,10 +1,15 @@
-"""Shared helpers for the test suite: random circuits and unitary oracles."""
+"""Shared helpers for the test suite: circuit building, random circuits and unitary oracles."""
 
 import numpy as np
 
 from qtp.circuit import Circuit, GateInstance
 from qtp.gates import VOCABULARY
 from unitary import circuit_unitary, phase_aligned_distance
+
+
+def add(circ: Circuit, kind, qubits, params=()) -> None:
+    """Append one gate, its qubits coerced to int and its parameters to float."""
+    circ.append(GateInstance(kind, tuple(int(q) for q in qubits), tuple(float(p) for p in params)))
 
 
 def random_circuit(rng, nq: int, n_ops: int, gate_pool=None, name="rand") -> Circuit:
