@@ -93,7 +93,7 @@ def _random_edges(rng, n, m):
     take = min(m, n * (n - 1))
     idx = rng.choice(n * (n - 1), size=take, replace=False) if take else np.zeros(0, np.int64)
     i, r = np.divmod(idx, max(n - 1, 1))
-    return np.stack([i, r + (r >= i)], axis=1).astype(np.int64)
+    return np.stack([i, r + (r >= i)], axis=1)
 
 
 def _in_grid(cfg: ModelConfig) -> bool:
