@@ -3,9 +3,19 @@
 Every subcommand is a batch operation writing files; the only console output
 besides logging is predict's single result line.  Exit codes: 0 success,
 1 usage error, 2 bad input data, 3 internal failure.
+
+Importing this module pins BLAS to one thread, before numpy is first
+imported: a multi-threaded BLAS splits matmul sums differently, so `train`
+would write other checkpoint bits at another thread count.  `grid --jobs`
+is the parallel lever, and its workers inherit the setting.
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import argparse
 import contextlib
@@ -13,7 +23,6 @@ import csv
 import functools
 import json
 import logging
-import os
 import random
 import sys
 import traceback
@@ -300,25 +309,28 @@ def _grid_configs(budget: int | None, seed: int) -> list[ModelConfig]:
     return [configs[i] for i in picked]
 
 
-_WORKER_DATASETS: dict[str, list[GraphData]] = {}
+_GRID_GRAPHS: list[GraphData] = []  # a grid worker process's dataset
+
+
+def _grid_worker_init(graphs: list[GraphData]) -> None:
+    _GRID_GRAPHS[:] = graphs
 
 
 def _grid_worker(config: ModelConfig, args) -> tuple[ModelConfig, dict]:
-    # each process loads the dataset once, on its first config
-    graphs = _WORKER_DATASETS.get(args.manifest)
-    if graphs is None:
-        graphs = _WORKER_DATASETS[args.manifest] = _load_dataset(args.manifest)
-    return config, _train_one(config, graphs, args).aggregate
+    return config, _train_one(config, _GRID_GRAPHS, args).aggregate
 
 
 def _cmd_grid(args) -> int:
     configs = _grid_configs(args.budget, args.seed)
-    work = functools.partial(_grid_worker, args=args)
+    # loaded once per call and handed to each worker as it starts, so no
+    # dataset outlives the call that read it
+    graphs = _load_dataset(args.manifest)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            scored = list(pool.map(work, configs))
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_grid_worker_init,
+                                 initargs=(graphs,)) as pool:
+            scored = list(pool.map(functools.partial(_grid_worker, args=args), configs))
     else:
-        scored = list(map(work, configs))
+        scored = [(c, _train_one(c, graphs, args).aggregate) for c in configs]
     # the selection rule: minority-class F1, class 0
     scored.sort(key=lambda item: (-item[1]["f1_class0"]["mean"], item[0].name))
     out = Path(args.out)

@@ -6,9 +6,10 @@ coupling and a superconducting device on a heavy-hex style lattice.
 
 A profile memoizes what the compiler asks of it, each entry filled on first
 use: hop rows, next hops, fidelities, each cx pair in the basis
-(`native_cx`, which relabels the (0, 1) template and checks each entry when it
-is filled) and each SWAP pair (`native_swap`: the three cx that lowering
-writes for a SWAP, each taken from `native_cx`).
+(`native_cx`: the (0, 1) template relabelled, checked when filled, with its
+fidelities and its split at the 2-qubit op that `transpile.route` routes) and
+each SWAP pair (`native_swap`: the three cx that lowering writes for a SWAP,
+each taken from `native_cx`).  The per-circuit u3 memo is `route`'s own.
 """
 
 from __future__ import annotations
@@ -150,47 +151,63 @@ class DeviceProfile:
             self._next_hop[a, b] = hop
         return hop
 
-    def native_cx(self, a: int, b: int) -> tuple[GateInstance, ...]:
-        """cx(a, b) in basis gates; memoized, each op checked when its entry is filled.
+    def native_cx(self, a: int, b: int) -> tuple:
+        """cx(a, b) in basis gates: (ops, fidelities, shape); memoized, each op
+        checked when its entry is filled.
 
         The (0, 1) entry is the template every other pair relabels.  a and b
         come from a checked cx, so the check is on the template's kinds,
         distinct qubits and angles.
+
+        shape = (split, before, after) is the template's, shared by every
+        entry.  ops[split] is the one 2-qubit op, so ops[:split] are 1q ops,
+        after which wires a and b sit before[0] and before[1] levels higher.
+        ops[split:] start on both wires, so after them wire a sits at
+        after[0] and wire b at after[1] levels above the higher of the two
+        wires' levels at their start.  Routing runs ops[:split] on the pair
+        as it stands and ops[split:] on the pair that SWAPs made coupled.
+        So the fidelities cover all of ops only when a and b are coupled; on
+        an uncoupled pair they cover ops[:split], as a 2-qubit op there has
+        no fidelity.
         """
-        ops = self._cxs.get((a, b))
-        if ops is None:
+        entry = self._cxs.get((a, b))
+        if entry is None:
             if (a, b) == (0, 1):
                 from .transpile.rebase import cx_template  # the transpiler imports this module
 
                 ops = cx_template(self)
+                split = next(i for i, op in enumerate(ops) if len(op.qubits) == 2)
+                before = _reach(ops[:split], 0, 1)
+                after = _reach(ops[split:], 0, 1)
+                # the 1q ops before the split reach no other wire, and the
+                # ops after it start from the higher of the two wires
+                shape = (split, (before[0][0], before[1][1]), (after[0][0], after[1][0]))
             else:
-                ops = tuple(GateInstance(op.kind, tuple((a, b)[q] for q in op.qubits), op.params)
-                            for op in self.native_cx(0, 1))
+                template, _, shape = self.native_cx(0, 1)
+                wires = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
+                ops = tuple(GateInstance(op.kind, wires[op.qubits], op.params) for op in template)
             for op in ops:
                 check_gate(op, max(a, b) + 1)
-            self._cxs[a, b] = ops
-        return ops
+            scored = ops if self.is_coupled(a, b) else ops[:shape[0]]
+            entry = self._cxs[a, b] = (ops, tuple(map(self.compiled_fidelity, scored)), shape)
+        return entry
 
     def native_swap(self, u: int, v: int) -> tuple:
         """SWAP of coupled qubits u, v in basis gates: (ops, fidelities, reach); memoized.
 
         The ops are native_cx(u, v), native_cx(v, u), native_cx(u, v): lowering
-        writes a SWAP as those three cx, and rebase takes each from native_cx.
+        writes a SWAP as those three cx, and routing takes each from native_cx.
         After the SWAP, wire u sits at level max(level_u + reach[0][0],
         level_v + reach[0][1]) and wire v at max(level_u + reach[1][0],
         level_v + reach[1][1]), which is what circuit_depth counts op by op.
         """
         entry = self._swaps.get((u, v))
         if entry is None:
-            ops = self.native_cx(u, v) + self.native_cx(v, u) + self.native_cx(u, v)
-            # reach[w][x]: levels wire w gains over the starting level of wire x (0 is u)
-            reach = {u: (0, -math.inf), v: (-math.inf, 0)}
-            for op in ops:
-                after = tuple(max(reach[w][x] for w in op.qubits) + 1 for x in (0, 1))
-                for w in op.qubits:
-                    reach[w] = after
-            entry = self._swaps[u, v] = (ops, tuple(map(self.compiled_fidelity, ops)),
-                                         (tuple(map(int, reach[u])), tuple(map(int, reach[v]))))
+            (uv, f_uv, _), (vu, f_vu, _) = self.native_cx(u, v), self.native_cx(v, u)
+            ops = uv + vu + uv
+            reach = _reach(ops, u, v)
+            entry = self._swaps[u, v] = (ops, f_uv + f_vu + f_uv,
+                                         (tuple(map(int, reach[0])), tuple(map(int, reach[1]))))
         return entry
 
     # --- fidelities ---------------------------------------------------------
@@ -224,6 +241,17 @@ class DeviceProfile:
         if f is None:
             f = self._fidelities[key] = self.gate_fidelity(op)
         return f
+
+
+def _reach(ops, u: int, v: int) -> tuple:
+    """Levels each of wires u and v gains over ops, from each wire's start:
+    result[w][x] for w, x in (u, v), -inf where no op links wire x to wire w."""
+    reach = {u: (0, -math.inf), v: (-math.inf, 0)}
+    for op in ops:
+        after = tuple(max(reach[w][x] for w in op.qubits) + 1 for x in (0, 1))
+        for w in op.qubits:
+            reach[w] = after
+    return reach[u], reach[v]
 
 
 def _check_fidelity(f: float, what: str) -> None:

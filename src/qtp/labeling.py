@@ -12,6 +12,7 @@ better; the winning device's technology becomes the class label (trapped-ion
 
 from __future__ import annotations
 
+import gc
 import glob
 import json
 import logging
@@ -163,6 +164,13 @@ def build_manifest(
 
     Per-file failures (parse errors, unscorable circuits) are collected into
     the manifest's skipped list rather than aborting the run.
+
+    The per-file loop runs with the cyclic garbage collector paused, and the
+    caller's setting comes back when the loop ends or raises.  The pass makes
+    hundreds of thousands of short-lived objects (ops, tuples, memo entries)
+    and no reference cycles, so the collector's scans would find nothing:
+    everything the loop drops is freed by reference counting as before.  The
+    pause is process-wide for its duration, as `gc.disable` is.
     """
     circuits_dir = Path(circuits_dir)
     if not circuits_dir.is_dir():
@@ -178,33 +186,39 @@ def build_manifest(
     entries: list[ManifestEntry] = []
     skipped: list[dict] = []
     counts = [0, 0]
-    for path in files:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("always")
-                circ = parse_qasm(path.read_text(), name=path.name[: -len(".qasm")])
-            variants = None
-            if precompiled_dir is not None:
-                variants = _load_precompiled(path, profiles, Path(precompiled_dir))
-            label, best, costs = label_circuit(circ, profiles, variants)
-            # refuses circuits too wide for the feature layout
-            dag_path = write_graph(circ, dag_dir / circ.name, label)
-        except (ValueError, KeyError) as exc:
-            skipped.append({"circuit": path.name, "error": str(exc)})
-            log.warning("skipping %s: %s", path.name, exc)
-            continue
-        counts[label] += 1
-        entries.append(ManifestEntry(
-            name=circ.name,
-            circuit_path=_rel(path, out_path.parent),
-            dag_path=_rel(dag_path, out_path.parent),
-            num_qubits=circ.num_qubits,
-            depth=circuit_depth(circ),
-            gate_count=circ.gate_count,
-            costs={k: costs[k] for k in sorted(costs)},
-            best_device=best,
-            label=label,
-        ))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for path in files:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("always")
+                    circ = parse_qasm(path.read_text(), name=path.name[: -len(".qasm")])
+                variants = None
+                if precompiled_dir is not None:
+                    variants = _load_precompiled(path, profiles, Path(precompiled_dir))
+                label, best, costs = label_circuit(circ, profiles, variants)
+                # refuses circuits too wide for the feature layout
+                dag_path = write_graph(circ, dag_dir / circ.name, label)
+            except (ValueError, KeyError) as exc:
+                skipped.append({"circuit": path.name, "error": str(exc)})
+                log.warning("skipping %s: %s", path.name, exc)
+                continue
+            counts[label] += 1
+            entries.append(ManifestEntry(
+                name=circ.name,
+                circuit_path=_rel(path, out_path.parent),
+                dag_path=_rel(dag_path, out_path.parent),
+                num_qubits=circ.num_qubits,
+                depth=circuit_depth(circ),
+                gate_count=circ.gate_count,
+                costs={k: costs[k] for k in sorted(costs)},
+                best_device=best,
+                label=label,
+            ))
+    finally:
+        if collecting:
+            gc.enable()
 
     manifest = Manifest(
         profiles=[{"name": p.name, "technology": p.technology} for p in profiles],

@@ -1,7 +1,9 @@
-"""Minimal transpiler: lower to {u3, cx}, rebase to a device basis, route.
+"""Minimal transpiler: lower to {u3, cx}, then route, which rebases each op to
+a device basis as it places it on the coupling map.
 
-Not an optimizing compiler.  It exists so circuits can be scored consistently
-on device profiles; the only cleanup it does is dropping identity-angle
+`rebase` is also a pass of its own, the expansion without the routing.  Not
+an optimizing compiler.  It exists so circuits can be scored consistently on
+device profiles; the only cleanup it does is dropping identity-angle
 rotations.
 """
 

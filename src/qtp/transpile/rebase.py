@@ -5,9 +5,11 @@ the two-qubit native must be one of cx, ecr, rxx.  u3 goes through a
 ZXZXZ or ZYZ Euler form with exact-match shortcuts for gates that are
 already native, and rotations within 1e-12 of the identity are dropped.
 
-Expansions are made once and shared: each distinct u3 once per `rebase`
-call, each cx pair once per profile (`DeviceProfile.native_cx`, which relabels
-the cx template on (0, 1) and checks each entry when it is filled).
+Expansions are made once and shared: each distinct u3 once per call, each cx
+pair once per profile (`DeviceProfile.native_cx`, which relabels the cx
+template on (0, 1) and checks each entry when it is filled).  `rebase` is the
+pass on its own; the label path does not run it, as `route` expands each op
+with this module's `_rebase_u3` and the profile's `native_cx` as it routes.
 
 u3 expansions are not checked: kinds, arity and parameter counts come from
 the templates above, and qubits from the checked input op.  Every emitted
@@ -128,6 +130,14 @@ def cx_template(profile) -> tuple[GateInstance, ...]:
     return tuple(_rebase_cx(0, 1, _pick_native_2q(basis), _pick_1q_style(basis), basis))
 
 
+def basis_style(profile) -> tuple[frozenset[str], str]:
+    """(basis, 1q style) of a profile; raises RebaseError when the basis cannot
+    express arbitrary circuits, whether or not a circuit has a cx."""
+    basis = frozenset(profile.basis_gates)
+    _pick_native_2q(basis)
+    return basis, _pick_1q_style(basis)
+
+
 def rebase(circ: Circuit, profile) -> Circuit:
     """Rewrite a canonical circuit into profile.basis_gates.
 
@@ -136,16 +146,14 @@ def rebase(circ: Circuit, profile) -> Circuit:
     angle is never emitted.  An angle whose expansion overflows raises
     ValueError ("math domain error") from the identity test.
     """
-    basis = frozenset(profile.basis_gates)
-    _pick_native_2q(basis)  # a basis without a 2q native is rejected, cx or not
-    style = _pick_1q_style(basis)
+    basis, style = basis_style(profile)
     n = circ.num_qubits
     native_cx = profile.native_cx
     u3s: dict[tuple, list[GateInstance]] = {}
     out: list[GateInstance] = []
     for op in circ.ops:
         if op.kind is GateKind.CX:
-            out.extend(native_cx(*op.qubits))
+            out.extend(native_cx(*op.qubits)[0])
         elif op.kind is GateKind.U3:
             key = (op.qubits, op.params)
             ops = u3s.get(key)

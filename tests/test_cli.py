@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -209,6 +210,40 @@ class TestGrid:
         a, b = outs
         assert (a / "grid.csv").read_bytes() == (b / "grid.csv").read_bytes()
         assert (a / "grid_report.json").read_bytes() == (b / "grid_report.json").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [("1", "1"), ("2", "2"), ("1", "2")])
+    def test_dataset_read_anew_by_each_call(self, tmp_path, jobs):
+        # two corpora labelled in turn at one manifest path: each in-process grid
+        # must train on what the path holds then, as a fresh process does
+        trees = []
+        for seed in ("5", "6"):
+            tree = tmp_path / f"tree{seed}"
+            assert main(["gen-corpus", "--out", str(tree / "corpus"), "--n", "24", "--seed", seed,
+                         "--qubits", "4", "20", "--depth", "6", "28"]) == 0
+            assert main(["label", "--circuits", str(tree / "corpus"),
+                         "--out", str(tree / "manifest.json")]) == 0
+            trees.append(tree)
+        shared = tmp_path / "shared"
+        flags = ["--budget", "1", "--epochs", "1", "--folds", "2", "--batch-size", "8",
+                 "--seed", "3"]
+        got, fresh = [], []
+        for tree, job in zip(trees, jobs):
+            shutil.rmtree(shared, ignore_errors=True)
+            shutil.copytree(tree, shared)
+            out = tmp_path / f"inproc{len(got)}"
+            assert main(["grid", "--manifest", str(shared / "manifest.json"), "--out", str(out),
+                         "--jobs", job, *flags]) == 0
+            got.append((out / "grid.csv").read_bytes())
+            out = tmp_path / f"fresh{len(fresh)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "qtp.cli", "grid", "--manifest", str(shared / "manifest.json"),
+                 "--out", str(out), *flags],
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            fresh.append((out / "grid.csv").read_bytes())
+        assert fresh[0] != fresh[1]  # the two corpora do train differently
+        assert got == fresh
 
     def test_zero_budget_rejected(self, pipeline):
         root, _, manifest = pipeline
@@ -675,6 +710,38 @@ class TestFuzzedInputs:
             "label", "--circuits", str(one), "--profiles", str(bad), "ionq-forte-like",
             "--out", str(root / "fuzz" / "label-coupled" / "m.json"),
         ]) in (0, 2)
+
+
+_ACCEPTANCE_GAT = '{"first_layer": "gat", "hidden": 32, "heads": 4, "blocks": 1, "ffnn": [256, 32]}'
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="one usable core: OpenBLAS caps its thread count at the cores it has, so 1 and 2"
+           " threads run the same kernels and the comparison would check nothing",
+)
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at 2 threads OpenBLAS splits the node-axis sums of the weight gradients
+    # differently; qtp pins one thread before numpy loads, so the bytes match
+    assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "40", "--seed", "11"]) == 0
+    manifest = tmp_path / "l" / "manifest.json"
+    assert main(["label", "--circuits", str(tmp_path / "c"), "--out", str(manifest)]) == 0
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtp.cli", "train", "--manifest", str(manifest),
+             "--config", _ACCEPTANCE_GAT, "--out", str(out), "--folds", "2", "--epochs", "1"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = ["fold0.ckpt", "fold1.ckpt", "run_report.json", "results.csv"]
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(names)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestProcessEntry:

@@ -165,7 +165,7 @@ class TestNativeSwap:
     def _check(profile, u, v):
         ops, fidelities, reach = profile.native_swap(u, v)
         cx = profile.native_cx
-        assert ops == cx(u, v) + cx(v, u) + cx(u, v)
+        assert ops == cx(u, v)[0] + cx(v, u)[0] + cx(u, v)[0]
         swap = Circuit(max(u, v) + 1, [GateInstance(GateKind.SWAP, (u, v))])
         assert list(ops) == rebase(lower_to_canonical(swap), profile).ops
         assert fidelities == tuple(map(profile.gate_fidelity, ops))
@@ -185,6 +185,36 @@ class TestNativeSwap:
         profile = bundled_profile("ionq-forte-like")
         for u, v in ((0, 1), (1, 0), (0, 35), (35, 34), (17, 4), (4, 17)):
             self._check(profile, u, v)
+
+
+_BASES = {  # one per 2q native; ecr and rxx put 1q ops before it, cx none
+    "cx": (["cx", "rz", "sx"], {"rz": 1.0, "sx": 0.999}),
+    "ecr": (["ecr", "id", "rz", "sx", "x"], {"id": 0.999, "rz": 1.0, "sx": 0.999, "x": 0.998}),
+    "rxx": (["rx", "ry", "rz", "rxx"], {"rx": 0.999, "ry": 0.998, "rz": 0.997}),
+}
+
+
+class TestNativeCx:
+    @pytest.mark.parametrize("native", sorted(_BASES))
+    def test_split_and_levels(self, native):
+        basis, fidelity_1q = _BASES[native]
+        profile = _line3(basis_gates=basis, fidelity_1q=fidelity_1q)
+        for a, b in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
+            ops, fidelities, (split, before, after) = profile.native_cx(a, b)
+            cx = Circuit(3, [GateInstance(GateKind.CX, (a, b))])
+            assert list(ops) == rebase(cx, profile).ops
+            assert [len(op.qubits) for op in ops].index(2) == split
+            assert (split > 0) == (native != "cx")
+            scored = ops if profile.is_coupled(a, b) else ops[:split]
+            assert fidelities == tuple(map(profile.gate_fidelity, scored))
+            for la, lb in ((0, 0), (3, 0), (0, 3), (2, 5), (5, 2)):
+                start = [GateInstance(GateKind.X, (a,))] * la + [GateInstance(GateKind.X, (b,))] * lb
+                head = start + list(ops[:split])
+                assert _wire_level(head, a) == la + before[0]
+                assert _wire_level(head, b) == lb + before[1]
+                top = max(la + before[0], lb + before[1])
+                assert _wire_level(start + list(ops), a) == top + after[0]
+                assert _wire_level(start + list(ops), b) == top + after[1]
 
 
 class TestBundled:

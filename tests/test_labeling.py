@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import json
 import logging
@@ -28,6 +29,7 @@ from qtp.labeling import (
 from qtp.qasm import parse_qasm, serialize_qasm
 from qtp.transpile import CompiledCircuit, compile_for, compiled_from_circuit
 from qtp.transpile import pipeline as pipeline_module
+import qtp.labeling as labeling_module
 from util import add, random_circuit
 
 
@@ -236,6 +238,20 @@ class TestManifest:
             {"circuit": "u3.qasm", "error": "math domain error"},
         ]
 
+    def test_width_named_before_an_overflowed_angle(self, tmp_path, ion_profile, sc_profile):
+        # routing raises in op order after its width check, so the device that is
+        # tried first decides which of the two errors the file is skipped with
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        (circuits / "wide.qasm").write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[40];\nu3(0,1e308,1e308) q[0];\n')
+        manifest = build_manifest(circuits, [ion_profile, sc_profile], tmp_path / "m.json")
+        assert manifest.skipped == [
+            {"circuit": "wide.qasm", "error": "circuit needs 40 qubits, device has 36"},
+        ]
+        manifest = build_manifest(circuits, [sc_profile, ion_profile], tmp_path / "m.json")
+        assert manifest.skipped == [{"circuit": "wide.qasm", "error": "math domain error"}]
+
     def test_too_wide_for_the_feature_layout_skipped(self, tmp_path, ion_profile, sc_profile):
         circuits = tmp_path / "circuits"
         circuits.mkdir()
@@ -363,6 +379,61 @@ class TestManifest:
         )
         fresh = score_devices(circ, [ion_aa3, sc_line3])
         assert fresh == pytest.approx(entry.costs)
+
+
+class TestCollectorPause:
+    """build_manifest labels with the cyclic collector off and gives the caller's setting back."""
+
+    @pytest.fixture()
+    def circuits(self, tmp_path, rng):
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        for i in range(4):
+            circ = random_circuit(rng, 3, 8, name=f"c{i}")
+            (circuits / f"{circ.name}.qasm").write_text(serialize_qasm(circ))
+        (circuits / "broken.qasm").write_text("qreg q[2];\nfrob q[0];")
+        (circuits / "overflow.qasm").write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nu3(0,1e308,1e308) q[0];\n')
+        return circuits
+
+    @pytest.fixture()
+    def restore_gc(self):
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored(self, circuits, tmp_path, ion_aa3, sc_line3, monkeypatch,
+                                     restore_gc, enabled):
+        seen = []
+        original = labeling_module.label_circuit
+
+        def spying(*args):
+            seen.append(gc.isenabled())
+            return original(*args)
+
+        monkeypatch.setattr(labeling_module, "label_circuit", spying)
+        (gc.enable if enabled else gc.disable)()
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json")
+        assert gc.isenabled() is enabled
+        assert len(manifest.entries) == 4 and len(manifest.skipped) == 2
+        assert seen == [False] * 5  # every circuit that parsed was labelled with it off
+
+    def test_caller_setting_restored_when_it_raises(self, circuits, tmp_path, ion_aa3, sc_line3,
+                                                    monkeypatch, restore_gc):
+        def failing(*args):
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(labeling_module, "write_graph", failing)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="disk gone"):
+            build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json")
+        assert gc.isenabled()
+
+    def test_pass_leaves_no_cyclic_garbage(self, circuits, tmp_path, ion_profile, sc_profile):
+        gc.collect()
+        manifest = build_manifest(circuits, [ion_profile, sc_profile], tmp_path / "m.json")
+        assert [s["circuit"] for s in manifest.skipped] == ["broken.qasm", "overflow.qasm"]
+        assert gc.collect() == 0
 
 
 class TestStats:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import qtp.circuit
 import qtp.devices
 import rebase_reference as reference
+import route_reference
 from qtp.circuit import Circuit, GateInstance, check_gate, circuit_depth
 from qtp.devices import load_profile
 from qtp.gates import GateKind, VOCABULARY
@@ -30,6 +31,7 @@ from unitary import circuit_unitary, gate_matrix, phase_aligned_distance
 from util import add, compiled_distance, ops_unitary, random_circuit
 
 rebase_module = importlib.import_module("qtp.transpile.rebase")  # the package exports the function
+route_module = importlib.import_module("qtp.transpile.route")
 pipeline_module = importlib.import_module("qtp.transpile.pipeline")
 
 SQ2 = 1 / math.sqrt(2)
@@ -169,11 +171,11 @@ class TestRebase:
         circ = lower_to_canonical(random_circuit(rng, 3, 40, gate_pool=[
             GateKind.H, GateKind.T, GateKind.CX, GateKind.CZ, GateKind.SWAP, GateKind.CCX]))
         circ.ops.insert(0, GateInstance(GateKind.CX, (0, 1)))
-        for module in (qtp.circuit, qtp.devices, rebase_module):
-            # rebase no longer imports check_gate; a call it gained would be counted here
+        for module in (qtp.circuit, qtp.devices, rebase_module, route_module):
+            # neither pass imports check_gate; a call one gained would be counted here
             monkeypatch.setattr(module, "check_gate", counting_check, raising=False)
         out = rebase(circ, profile).ops
-        cx_records = {id(op) for ops in profile._cxs.values() for op in ops}
+        cx_records = {id(op) for ops, _, _ in profile._cxs.values() for op in ops}
         # cx expansions come from the profile memo, checked once when it is filled;
         # u3 expansions are built by templates from checked input and not checked
         assert set(checked) == cx_records
@@ -185,6 +187,11 @@ class TestRebase:
         again = rebase(circ, profile).ops
         assert not checked  # a filled memo is not checked again
         assert again == out
+        # route checks only the cx entries of the pairs that routing moved to
+        before = set(profile._cxs)
+        route(circ, profile)
+        added = {id(op) for pair in set(profile._cxs) - before for op in profile._cxs[pair][0]}
+        assert set(checked) == added and set(checked.values()) <= {1}
 
     def test_cx_memo_empty_on_a_replace_copy(self, sc_line3):
         profile = dataclasses.replace(sc_line3)
@@ -311,16 +318,141 @@ class TestAgainstReference:
         assert _rebased(rebase, circ, profile) == _rebased(reference.rebase, circ, profile)
 
 
+def _small_profile(native, coupling):
+    """A 5-qubit profile on a line, a ring or all-to-all, in one 2q native's basis."""
+    basis, fidelity_1q = {
+        "cx": (["cx", "rz", "sx"], {"rz": 1.0, "sx": 0.9995}),
+        "ecr": (["ecr", "id", "rz", "sx", "x"], {"id": 0.9999, "rz": 1.0, "sx": 0.9998, "x": 0.9997}),
+        "rxx": (["rx", "ry", "rz", "rxx"], {"rx": 0.9996, "ry": 0.9995, "rz": 0.9994}),
+    }[native]
+    pairs = {
+        "line": [[q, q + 1] for q in range(4)],
+        "ring": [[q, (q + 1) % 5] for q in range(5)],
+        "all-to-all": "all-to-all",
+    }[coupling]
+    return load_profile({
+        "name": f"{native}-{coupling}5",
+        "technology": "trapped-ion" if native == "rxx" else "superconducting",
+        "num_qubits": 5,
+        "basis_gates": basis,
+        "coupling": pairs,
+        "fidelity_1q": fidelity_1q,
+        "fidelity_2q": 0.99,
+    })
+
+
+_SMALL = [(native, coupling) for native in ("cx", "ecr", "rxx")
+          for coupling in ("line", "ring", "all-to-all")]
+
+
+def _routed(circ, profile, reference_pipeline=False):
+    """Compiled fields with params and fidelities compared by repr, or the error."""
+    try:
+        if reference_pipeline:
+            compiled, layout = route_reference.route(rebase(circ, profile), profile)
+        else:
+            compiled, layout = route(circ, profile)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    return ("compiled", compiled.device_name, compiled.num_qubits,
+            [(op.kind, op.qubits, tuple(map(repr, op.params))) for op in compiled.ops],
+            list(map(repr, compiled.fidelities)), compiled.depth, compiled.layout, layout)
+
+
+def _swap_heavy(n):
+    """cx between far qubits both ways, with u3s on the wires routing moves."""
+    circ = Circuit(n, name="swap-heavy")
+    for i in range(6):
+        a, b = (0, n - 1) if i % 2 == 0 else (n - 1, 1)
+        circ.append(GateInstance(GateKind.U3, (a,), (0.3 * i + 0.1, 0.2, -0.7)))
+        circ.append(GateInstance(GateKind.CX, (a, b)))
+        circ.append(GateInstance(GateKind.U3, (b,), (1.1, -0.4 * i, 0.5)))
+        circ.append(GateInstance(GateKind.CX, (b, a)))
+    return circ
+
+
+class TestRouteAgainstReference:
+    """route of a lowered circuit against tests/route_reference.py's route of it rebased."""
+
+    @pytest.mark.parametrize("profile_name", ["sc_profile", "ion_profile"])
+    def test_corpus_routes_the_same(self, corpus200, profile_name, request):
+        profile = request.getfixturevalue(profile_name)
+        for circ in corpus200:
+            lowered = lower_to_canonical(circ)
+            got = _routed(lowered, profile)
+            assert got[0] == "compiled", (circ.name, got)
+            assert got == _routed(lowered, profile, reference_pipeline=True), circ.name
+
+    @pytest.mark.parametrize("native, coupling", _SMALL)
+    def test_small_profiles(self, native, coupling, rng):
+        profile = _small_profile(native, coupling)
+        circuits = [_swap_heavy(5), _swap_heavy(3)]
+        circuits += [random_circuit(rng, int(rng.integers(2, 6)), 12) for _ in range(20)]
+        for circ in circuits:
+            lowered = lower_to_canonical(circ)
+            got = _routed(lowered, profile)
+            assert got[0] == "compiled", got
+            assert got == _routed(lowered, profile, reference_pipeline=True), circ
+        if coupling == "line":
+            lowered = lower_to_canonical(_swap_heavy(5))
+            assert len(route(lowered, profile)[0].ops) > len(rebase(lowered, profile).ops)
+
+    @pytest.mark.parametrize("native, coupling", _SMALL)
+    @settings(max_examples=60, deadline=None)
+    @given(circ=canonical_circuits())
+    def test_same_ops_or_same_error(self, native, coupling, circ):
+        profile = _small_profile(native, coupling)
+        assert _routed(circ, profile) == _routed(circ, profile, reference_pipeline=True)
+
+
+class TestErrorOrder:
+    """The walk raises in op order after the width check, where the two-pass
+    pipeline raised every rebase error before any routing error."""
+
+    _OVERFLOW = GateInstance(GateKind.U3, (0,), (0.0, 1e308, 1e308))
+
+    def test_width_before_an_overflowed_angle(self, ion_profile):
+        circ = Circuit(40, [self._OVERFLOW])
+        with pytest.raises(RouteError, match="^circuit needs 40 qubits, device has 36$"):
+            route(circ, ion_profile)
+        with pytest.raises(ValueError, match="^math domain error$"):  # the two-pass order
+            route_reference.route(rebase(circ, ion_profile), ion_profile)
+
+    def test_unroutable_pair_before_a_later_overflow(self):
+        split = _sc_profile("sc-split4", 4, [[0, 1], [2, 3]])
+        cx = GateInstance(GateKind.CX, (0, 3))
+        with pytest.raises(RouteError, match="^no path between physical qubits 0 and 3$"):
+            route(Circuit(4, [cx, self._OVERFLOW]), split)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            route(Circuit(4, [self._OVERFLOW, cx]), split)
+        with pytest.raises(ValueError, match="^math domain error$"):  # the two-pass order
+            route_reference.route(rebase(Circuit(4, [cx, self._OVERFLOW]), split), split)
+
+    def test_basis_before_width(self, sc_cx3):
+        profile = dataclasses.replace(sc_cx3, basis_gates=("rz", "sx", "cz"),
+                                      fidelity_1q={"rz": 1.0, "sx": 0.999})
+        with pytest.raises(RebaseError, match="no supported 2q native"):
+            route(Circuit(4), profile)
+
+    def test_non_canonical_op_in_op_order(self):
+        split = _sc_profile("sc-split4", 4, [[0, 1], [2, 3]])
+        h = GateInstance(GateKind.H, (1,))
+        with pytest.raises(RebaseError, match=re.escape("expects canonical {u3, cx} input, got h")):
+            route(Circuit(4, [h, GateInstance(GateKind.CX, (0, 3))]), split)
+        with pytest.raises(RouteError, match="no path"):
+            route(Circuit(4, [GateInstance(GateKind.CX, (0, 3)), h]), split)
+
+
 class TestRoute:
     def test_all_to_all_inserts_nothing(self, ion_aa3, rng):
-        circ = random_circuit(rng, 3, 8, gate_pool=[GateKind.RX, GateKind.RXX])
+        circ = lower_to_canonical(random_circuit(rng, 3, 8, gate_pool=[GateKind.RX, GateKind.RXX]))
         routed, layout = route(circ, ion_aa3)
-        assert routed.gate_count == circ.gate_count
+        assert list(routed.ops) == rebase(circ, ion_aa3).ops
         assert layout == [0, 1, 2]
 
     def test_line_far_pair_needs_swap(self, sc_line3):
         circ = Circuit(3)
-        add(circ, GateKind.ECR, (0, 2))
+        add(circ, GateKind.CX, (0, 2))
         routed, layout = route(circ, sc_line3)
         assert routed.gate_count > 1
         assert sorted(layout) == [0, 1, 2] and layout != [0, 1, 2]
@@ -329,7 +461,7 @@ class TestRoute:
                 assert sc_line3.is_coupled(*op.qubits)
 
     def test_routed_ops_in_basis(self, sc_line3, rng):
-        circ = rebase(lower_to_canonical(random_circuit(rng, 3, 10)), sc_line3)
+        circ = lower_to_canonical(random_circuit(rng, 3, 10))
         routed, _ = route(circ, sc_line3)
         assert {o.kind.value for o in routed.ops} <= set(sc_line3.basis_gates)
 
@@ -337,7 +469,7 @@ class TestRoute:
         # on the 4-cycle 0-1-2-3-0, qubit 0 reaches 2 through 1 or through 3
         ring = _sc_profile("sc-ring4", 4, [[0, 1], [1, 2], [2, 3], [3, 0]])
         circ = Circuit(4)
-        add(circ, GateKind.ECR, (0, 2))
+        add(circ, GateKind.CX, (0, 2))
         routed, layout = route(circ, ring)
         two_qubit = [op.qubits for op in routed.ops if len(op.qubits) == 2]
         assert {tuple(sorted(q)) for q in two_qubit[:-1]} == {(0, 1)}
@@ -347,12 +479,12 @@ class TestRoute:
     def test_disconnected_pair_raises(self):
         split = _sc_profile("sc-split4", 4, [[0, 1], [2, 3]])
         circ = Circuit(4)
-        add(circ, GateKind.ECR, (0, 3))
+        add(circ, GateKind.CX, (0, 3))
         with pytest.raises(RouteError):
             route(circ, split)
 
     def test_deterministic(self, sc_line3, rng):
-        circ = rebase(lower_to_canonical(random_circuit(rng, 3, 10)), sc_line3)
+        circ = lower_to_canonical(random_circuit(rng, 3, 10))
         a = route(circ, sc_line3)
         b = route(circ, sc_line3)
         assert a[0].ops == b[0].ops and a[1] == b[1]
@@ -407,8 +539,9 @@ class TestCorpusSoundness:
         assert sc_profile.coupling != "all-to-all"
         swaps = 0
         for circ in corpus200:
-            rebased = rebase(lower_to_canonical(circ), sc_profile)
-            routed, layout = route(rebased, sc_profile)
+            lowered = lower_to_canonical(circ)
+            rebased = rebase(lowered, sc_profile)
+            routed, layout = route(lowered, sc_profile)
             final = _unroute(list(routed.ops), sc_profile, rebased.ops)
             assert list(layout) == final[: circ.num_qubits]
             swaps += final != list(range(sc_profile.num_qubits))
@@ -477,7 +610,7 @@ class TestCompileFor:
             lowered.clear()
             got = list(compile_each(circ, [sc_line3, ion_aa3, sc_line3]))
             assert lowered == [circ]
-            assert got == [route(rebase(lower_to_canonical(circ), p), p)[0]
+            assert got == [route(lower_to_canonical(circ), p)[0]
                            for p in (sc_line3, ion_aa3, sc_line3)]
 
     def test_compile_each_compiles_when_asked(self, ion_profile, sc_line3):
