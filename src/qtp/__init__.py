@@ -6,3 +6,7 @@ encode it as a feature-annotated DAG and learn the mapping with a small GNN.
 """
 
 __version__ = "0.1.0"
+
+
+class DataError(ValueError):
+    """Bad input: the base of every error a malformed file, profile, config or flag raises."""

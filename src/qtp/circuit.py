@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import DataError
 from .gates import GateKind
 
 
-class CircuitError(ValueError):
+class CircuitError(DataError):
     """Raised when a gate application or circuit is malformed."""
 
 

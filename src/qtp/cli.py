@@ -31,53 +31,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import CircuitError
-from .corpus import CorpusError, CorpusParams, FAMILIES, gen_corpus
+from . import DataError
+from .corpus import CorpusError, CorpusParams, gen_corpus
 from .dag import FeaturizeError, GraphData, featurize_circuit, load_graph, write_graph
-from .devices import (
-    DeviceError,
-    DeviceProfile,
-    bundled_profile,
-    bundled_profile_names,
-    load_profile,
-)
-from .labeling import (
-    LabelError,
-    build_manifest,
-    load_manifest,
-    resolve_dag_paths,
-    write_stats,
-)
-from .model import (
-    CheckpointError,
-    ModelConfig,
-    ModelError,
-    iter_grid,
-    load_checkpoint,
-    predict_proba,
-    save_checkpoint,
-)
+from .devices import (DeviceError, DeviceProfile, bundled_profile, bundled_profile_names,
+                      load_profile)
+from .labeling import LabelError, build_manifest, load_manifest, resolve_dag_paths, write_stats
+from .model import (CheckpointError, ModelConfig, ModelError, iter_grid, load_checkpoint,
+                    predict_proba, save_checkpoint)
 from .qasm import QasmError, parse_qasm, serialize_qasm
-from .training import TrainingError, TrainResult, evaluate, train
-from .transpile import RebaseError, RouteError
+from .training import TrainResult, evaluate, train
 
 log = logging.getLogger("qtp")
-
-DATA_ERRORS = (
-    CircuitError,
-    QasmError,
-    FeaturizeError,
-    DeviceError,
-    LabelError,
-    CorpusError,
-    ModelError,
-    CheckpointError,
-    TrainingError,
-    RebaseError,
-    RouteError,
-    OSError,
-    json.JSONDecodeError,
-)
 
 TABLE_COLUMNS = (
     "model",
@@ -237,9 +202,10 @@ def _parse_mix(spec: str) -> tuple[tuple[str, float], ...]:
     mix = []
     for part in spec.split(","):
         fam, _, weight = part.partition("=")
-        if fam not in FAMILIES or not weight:
-            raise CorpusError(f"bad mix entry {part!r}; want family=weight")
-        mix.append((fam, float(weight)))
+        try:  # the family is CorpusParams' to check
+            mix.append((fam, float(weight)))
+        except ValueError:
+            raise CorpusError(f"bad mix entry {part!r}; want family=weight") from None
     return tuple(mix)
 
 
@@ -322,6 +288,8 @@ def _grid_worker(config: ModelConfig, args) -> tuple[ModelConfig, dict]:
 
 def _cmd_grid(args) -> int:
     configs = _grid_configs(args.budget, args.seed)
+    if args.jobs < 1:
+        raise ModelError("jobs must be positive")
     # loaded once per call and handed to each worker as it starts, so no
     # dataset outlives the call that read it
     graphs = _load_dataset(args.manifest)
@@ -469,7 +437,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"qtp {args.command}: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import DataError
 from .circuit import Circuit, GateInstance
 from .dag import MAX_FEATURE_QUBITS
 from .gates import GateKind
@@ -39,7 +40,7 @@ _LAYER_2Q = (GateKind.CX, GateKind.CZ, GateKind.CP, GateKind.RZZ)
 _ROTATIONS = (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.U3)
 
 
-class CorpusError(ValueError):
+class CorpusError(DataError):
     """Invalid generation parameters."""
 
 
@@ -63,10 +64,10 @@ class CorpusParams:
         for fam, w in self.mix:
             if fam not in FAMILIES:
                 raise CorpusError(f"unknown family {fam!r}; have {FAMILIES}")
-            if w < 0:
-                raise CorpusError(f"negative mix weight for {fam!r}")
-        if sum(w for _, w in self.mix) <= 0:
-            raise CorpusError("gate mix weights sum to zero")
+            if not 0 <= w < math.inf:  # also NaN, which would make every weight NaN
+                raise CorpusError(f"mix weight for {fam!r} must be finite and non-negative")
+        if not 0 < sum(w for _, w in self.mix) < math.inf:
+            raise CorpusError("gate mix weights sum to zero or overflow to infinity")
 
 
 def _angle(rng: random.Random) -> float:

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DataError
 from .circuit import Circuit, GateInstance
 from .gates import VOCABULARY, GateKind, gate_by_name
 from .jsonio import dumps as json_dumps, scalar as json_scalar
@@ -47,7 +48,7 @@ _TWO_PI = 2.0 * math.pi
 GRAPH_SUFFIX = ".dag.json"
 
 
-class FeaturizeError(ValueError):
+class FeaturizeError(DataError):
     """Circuit cannot be encoded (too many qubits, bad graph file, ...)."""
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from . import DataError
 from .circuit import GateInstance, check_gate
 from .gates import gate_by_name
 
@@ -30,7 +31,7 @@ TECHNOLOGIES = ("trapped-ion", "superconducting")
 TECHNOLOGY_CLASS = {"trapped-ion": 0, "superconducting": 1}
 
 
-class DeviceError(ValueError):
+class DeviceError(DataError):
     """Malformed profile or impossible fidelity/topology lookup."""
 
 

@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import DataError
 from .circuit import Circuit, circuit_depth
 # featurize_circuit is not called here, but the benchmark's tracer
 # (bench/spans.py) hooks it at this module's name
@@ -38,7 +39,7 @@ import warnings
 log = logging.getLogger("qtp.labeling")
 
 
-class LabelError(ValueError):
+class LabelError(DataError):
     """Scoring is undefined (empty compilation, bad fidelities, ...)."""
 
 
@@ -128,6 +129,14 @@ class Manifest:
         return [e.label for e in self.entries]
 
 
+def _read_text(path: Path) -> str:
+    """A circuit file's text; undecodable bytes raise LabelError with the codec's message."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise LabelError(str(exc)) from None
+
+
 def _load_precompiled(
     circuit_path: Path, profiles: list[DeviceProfile], precompiled_dir: Path
 ) -> dict[str, list[CompiledCircuit]]:
@@ -144,9 +153,9 @@ def _load_precompiled(
         variants = []
         for path in hits:
             try:
-                circ = parse_qasm(path.read_text(), name=path.stem)
+                circ = parse_qasm(_read_text(path), name=path.stem)
                 variants.append(compiled_from_circuit(circ, profile))
-            except (ValueError, KeyError) as exc:
+            except DataError as exc:
                 raise LabelError(f"{path}: {exc}") from None
         if variants:
             out[profile.name] = variants
@@ -162,8 +171,8 @@ def build_manifest(
     """Label every .qasm under circuits_dir and write the manifest, with the
     graph files in a `dags` directory next to it.
 
-    Per-file failures (parse errors, unscorable circuits) are collected into
-    the manifest's skipped list rather than aborting the run.
+    Per-file bad data (a `DataError`: parse errors, unscorable circuits) goes
+    to the manifest's skipped list; any other exception is a defect and ends the run.
 
     The per-file loop runs with the cyclic garbage collector paused, and the
     caller's setting comes back when the loop ends or raises.  The pass makes
@@ -193,14 +202,14 @@ def build_manifest(
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("always")
-                    circ = parse_qasm(path.read_text(), name=path.name[: -len(".qasm")])
+                    circ = parse_qasm(_read_text(path), name=path.name[: -len(".qasm")])
                 variants = None
                 if precompiled_dir is not None:
                     variants = _load_precompiled(path, profiles, Path(precompiled_dir))
                 label, best, costs = label_circuit(circ, profiles, variants)
                 # refuses circuits too wide for the feature layout
                 dag_path = write_graph(circ, dag_dir / circ.name, label)
-            except (ValueError, KeyError) as exc:
+            except DataError as exc:
                 skipped.append({"circuit": path.name, "error": str(exc)})
                 log.warning("skipping %s: %s", path.name, exc)
                 continue

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
+from . import DataError, autodiff as ad
 from .autodiff import Tensor
 from .dag import FEATURE_DIM, GraphData
 
@@ -35,11 +35,11 @@ ATTENTION_SLOPE = 0.2  # GAT attention logits
 CHECKPOINT_MAGIC = b"QTPCKPT1"
 
 
-class ModelError(ValueError):
+class ModelError(DataError):
     """Configuration or shape problem."""
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     """Unreadable or inconsistent checkpoint file."""
 
 

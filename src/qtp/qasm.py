@@ -21,13 +21,14 @@ import math
 import re
 import warnings
 
+from . import DataError
 from .circuit import Circuit, CircuitError, GateInstance
 from .gates import VOCABULARY, gate_by_name
 
 __all__ = ["QasmError", "QasmWarning", "parse_qasm", "serialize_qasm", "fmt_angle"]
 
 
-class QasmError(ValueError):
+class QasmError(DataError):
     """Parse failure, carrying the 1-based source position."""
 
     def __init__(self, message: str, line: int, col: int):
@@ -194,7 +195,10 @@ class _Parser:
         params: tuple[float, ...] = ()
         if self.toks[self.pos] == "(":
             self.pos += 1
-            params = self.param_list()
+            try:
+                params = self.param_list()
+            except RecursionError:  # named at the gate, wherever the stack ran out
+                raise self.error("angle expression nested too deeply", at) from None
         qubits = self.operand_list(allow_bare=False)
         self.expect(";")
         try:

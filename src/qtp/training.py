@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
+from . import DataError, autodiff as ad
 from .autodiff import Tensor
 from .dag import GraphData
 from .model import (
@@ -33,7 +33,7 @@ PROB_FLOOR = 1e-12
 EVAL_BATCH = 32
 
 
-class TrainingError(ValueError):
+class TrainingError(DataError):
     """Bad dataset or split request."""
 
 
@@ -303,6 +303,8 @@ def train(
     """Full k-fold run; deterministic given (config, graphs, seed, flags)."""
     if not graphs:
         raise TrainingError("empty dataset")
+    if batch_size < 1 or epochs < 0:
+        raise TrainingError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     labels = [g.label for g in graphs]
     if any(lbl is None or lbl < 0 for lbl in labels):
         raise TrainingError("all graphs must carry labels")

@@ -15,7 +15,7 @@ from .lower import lower_to_canonical
 # rebase is not called here (route expands as it routes), but the benchmark's
 # tracer (bench/spans.py) hooks it at this module's name
 from .rebase import rebase  # noqa: F401
-from .route import CompiledCircuit, route
+from .route import CompiledCircuit, RouteError, route
 
 
 def compile_each(circ: Circuit, profiles: Iterable[DeviceProfile]) -> Iterator[CompiledCircuit]:
@@ -39,7 +39,7 @@ def compile_for(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
 def compiled_from_circuit(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
     """Wrap an already-compiled circuit; its fidelity lookups check basis and coupling."""
     if circ.num_qubits > profile.num_qubits:
-        raise ValueError(
+        raise RouteError(
             f"circuit needs {circ.num_qubits} qubits, {profile.name} has {profile.num_qubits}"
         )
     return CompiledCircuit(

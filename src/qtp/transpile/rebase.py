@@ -14,14 +14,16 @@ with this module's `_rebase_u3` and the profile's `native_cx` as it routes.
 u3 expansions are not checked: kinds, arity and parameter counts come from
 the templates above, and qubits from the checked input op.  Every emitted
 angle is a finite input angle or has passed `_is_zero`, whose `fmod` raises
-ValueError ("math domain error") on a sum that overflowed to +-inf; a sum of
-two finite floats is never NaN.
+ValueError ("math domain error") on a sum that overflowed to +-inf, which
+`rebase` and `route` raise again as RebaseError; a sum of two finite floats
+is never NaN.
 """
 
 from __future__ import annotations
 
 import math
 
+from .. import DataError
 from ..circuit import Circuit, GateInstance
 from ..gates import GateKind
 
@@ -31,8 +33,8 @@ PI = math.pi
 HALF_PI = math.pi / 2
 
 
-class RebaseError(ValueError):
-    """The device basis cannot express arbitrary circuits."""
+class RebaseError(DataError):
+    """The device basis cannot express arbitrary circuits, or an angle sum overflowed."""
 
 
 def _is_zero(angle: float) -> bool:
@@ -144,7 +146,7 @@ def rebase(circ: Circuit, profile) -> Circuit:
     A u3 is keyed on its qubit and angles, compared by value: 0.0, -0.0 and
     the int 0 of lowering templates share a key, which is safe because a zero
     angle is never emitted.  An angle whose expansion overflows raises
-    ValueError ("math domain error") from the identity test.
+    RebaseError ("math domain error") from the identity test.
     """
     basis, style = basis_style(profile)
     n = circ.num_qubits
@@ -158,7 +160,10 @@ def rebase(circ: Circuit, profile) -> Circuit:
             key = (op.qubits, op.params)
             ops = u3s.get(key)
             if ops is None:
-                ops = u3s[key] = _rebase_u3(op.qubits[0], *op.params, style, basis)
+                try:
+                    ops = u3s[key] = _rebase_u3(op.qubits[0], *op.params, style, basis)
+                except ValueError as exc:  # "math domain error": an angle sum overflowed
+                    raise RebaseError(*exc.args) from None
             out.extend(ops)
         else:
             raise RebaseError(f"rebase expects canonical {{u3, cx}} input, got {op.kind.value}")

@@ -26,7 +26,7 @@ it was built, a u3 expansion is made by templates from its checked angles
 
 A basis that `rebase` rejects is refused first, then a circuit wider than
 the device.  After that, errors come in op order: an overflowed u3 angle
-(ValueError "math domain error"), an op outside {u3, cx} (RebaseError) or a
+(RebaseError "math domain error"), an op outside {u3, cx} (RebaseError) or a
 pair with no path (RouteError).  Running the `rebase` pass before routing
 raises every rebase error before any routing error instead.
 """
@@ -35,13 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import DataError
 from ..circuit import Circuit, GateInstance
 from ..devices import DeviceError, DeviceProfile
 from ..gates import GateKind
 from .rebase import RebaseError, _rebase_u3, basis_style
 
 
-class RouteError(ValueError):
+class RouteError(DataError):
     """Routing is impossible on this coupling map."""
 
 
@@ -92,7 +93,10 @@ def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[
             key = (a, op.params)
             entry = u3s.get(key)
             if entry is None:
-                expansion = tuple(_rebase_u3(a, *op.params, style, basis))
+                try:
+                    expansion = tuple(_rebase_u3(a, *op.params, style, basis))
+                except ValueError as exc:  # "math domain error": an angle sum overflowed
+                    raise RebaseError(*exc.args) from None
                 entry = u3s[key] = (expansion, tuple(map(fidelity, expansion)))
             expansion, scores = entry
             ops += expansion

@@ -1,12 +1,15 @@
 """CLI: end-to-end pipeline, exit codes, output artifacts, determinism."""
 
 import csv
+import hashlib
+import importlib
 import json
 import math
 import os
 import re
 import shutil
 import struct
+import pkgutil
 import subprocess
 import sys
 
@@ -16,7 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qtp
 import qtp.devices
+import qtp.labeling
 from qtp.cli import TABLE_COLUMNS, main
 from qtp.dag import load_graph
 from qtp.labeling import cost, load_manifest, resolve_dag_paths
@@ -558,10 +563,49 @@ class TestExitCodes:
             f"qtp predict: {bad}: line 4, column 1: unknown gate 'frobnicate'\n"
         )
 
-    def test_gen_corpus_bad_mix(self, tmp_path):
+    def test_gen_corpus_bad_mix(self, tmp_path, capsys):
+        # an unknown family, a weight that is no number, and weights that would
+        # normalize to NaN or 0 and so pick the last family for every circuit
+        for mix in ("qft=1", "ghz=x", "ghz", "ghz=nan,random=1", "ghz=inf,random=1",
+                    "ghz=1e308,random=1e308"):
+            assert main([
+                "gen-corpus", "--out", str(tmp_path / "c"), "--n", "2", "--mix", mix,
+            ]) == 2, mix
+            assert "internal error" not in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("train", ["--batch-size", "0"]), ("train", ["--batch-size", "-1"]),
+         ("train", ["--epochs", "-2"]), ("grid", ["--jobs", "0", "--budget", "1"])],
+        ids=["batch-size-0", "batch-size-negative", "epochs-negative", "grid-jobs-0"],
+    )
+    def test_unusable_run_flag(self, pipeline, tmp_path, capsys, command, flags):
+        _, _, manifest = pipeline
+        config = ["--config", _CONFIG] if command == "train" else []
         assert main([
-            "gen-corpus", "--out", str(tmp_path / "c"), "--n", "2", "--mix", "qft=1",
+            command, "--manifest", str(manifest), *config, "--out", str(tmp_path / "o"),
+            "--folds", "2", "--epochs", "1", *flags,
         ]) == 2
+        assert "internal error" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_label_defect_is_internal_error(self, pipeline, tmp_path, capsys, monkeypatch,
+                                            error):
+        # only a DataError is bad input; any other error in labelling a file is
+        # a defect, which ends the run instead of skipping the file
+        _, corpus, _ = pipeline
+
+        def failing(*args):
+            raise error("a defect")
+
+        monkeypatch.setattr(qtp.labeling, "label_circuit", failing)
+        assert main([
+            "label", "--circuits", str(corpus), "--out", str(tmp_path / "m.json"),
+        ]) == 3
+        assert "internal error" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 _DEEP = "[" * 100_000  # nested past the JSON decoder's recursion limit
@@ -613,6 +657,53 @@ def test_deeply_nested_json_is_bad_data(pipeline, trained, tmp_path, capsys, mak
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "internal error" not in err
+
+
+_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+
+
+@pytest.mark.parametrize(
+    "angle", ["(" * 250 + "1" + ")" * 250, "-" * 1000 + "1"], ids=["parentheses", "unary-minus"])
+def test_deeply_nested_angle_is_bad_data(pipeline, trained, tmp_path, capsys, angle):
+    """An angle nested past the interpreter's recursion limit is a parse error
+    with its position: featurize and predict exit 2, and label skips the file."""
+    circuits = tmp_path / "c"
+    circuits.mkdir()
+    bad = circuits / "deep.qasm"
+    bad.write_text(f"{_HEAD}h q[0];\nrz({angle}) q[1];\n")
+    (circuits / "bell.qasm").write_text(f"{_HEAD}h q[0];\ncx q[0],q[1];\n")
+    message = "line 5, column 1: angle expression nested too deeply"
+    assert main(["featurize", str(bad), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"qtp featurize: {bad}: {message}\n"
+    assert main(["predict", str(bad), "--checkpoint", str(trained / "fold0.ckpt")]) == 2
+    assert capsys.readouterr().err == f"qtp predict: {bad}: {message}\n"
+    assert main(["label", "--circuits", str(circuits), "--out", str(tmp_path / "m.json")]) == 0
+    manifest = load_manifest(tmp_path / "m.json")
+    assert [e.name for e in manifest.entries] == ["bell"]
+    assert manifest.skipped == [{"circuit": "deep.qasm", "error": message}]
+
+
+_BAD_INPUT_ERRORS = (
+    "CircuitError", "QasmError", "FeaturizeError", "DeviceError", "LabelError", "CorpusError",
+    "ModelError", "CheckpointError", "TrainingError", "RebaseError", "RouteError",
+)
+
+
+def test_every_bad_input_error_is_a_data_error():
+    """The exceptions qtp defines are DataError and the eleven bad-input errors
+    under it, so that `main` exits 2 on each of them and `build_manifest` skips
+    a file for each of them."""
+    defined = {}
+    for info in pkgutil.walk_packages(qtp.__path__, "qtp."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and not issubclass(obj, Warning) and obj.__module__ == module.__name__):
+                defined[name] = obj
+    assert sorted(defined) == sorted(_BAD_INPUT_ERRORS)
+    for name in _BAD_INPUT_ERRORS:
+        assert issubclass(defined[name], qtp.DataError), name
+    assert issubclass(qtp.DataError, ValueError)
 
 
 @st.composite
@@ -713,6 +804,32 @@ class TestFuzzedInputs:
 
 
 _ACCEPTANCE_GAT = '{"first_layer": "gat", "hidden": 32, "heads": 4, "blocks": 1, "ffnn": [256, 32]}'
+_TRAIN_FILES = ["fold0.ckpt", "fold1.ckpt", "results.csv", "run_report.json"]
+
+
+def _train_at(manifest, out, threads):
+    """`qtp train` of the acceptance GAT, 2 folds and 1 epoch, in a process
+    started with the BLAS thread variables set to `threads`."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "MKL_NUM_THREADS": threads}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtp.cli", "train", "--manifest", str(manifest),
+         "--config", _ACCEPTANCE_GAT, "--out", str(out), "--folds", "2", "--epochs", "1"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == _TRAIN_FILES
+    return out
+
+
+@pytest.fixture(scope="module")
+def one_thread_train(tmp_path_factory):
+    """(manifest, train output at one BLAS thread) for gen-corpus --n 40 --seed 11."""
+    root = tmp_path_factory.mktemp("train40")
+    assert main(["gen-corpus", "--out", str(root / "c"), "--n", "40", "--seed", "11"]) == 0
+    manifest = root / "l" / "manifest.json"
+    assert main(["label", "--circuits", str(root / "c"), "--out", str(manifest)]) == 0
+    return manifest, _train_at(manifest, root / "t1", "1")
 
 
 @pytest.mark.skipif(
@@ -720,28 +837,36 @@ _ACCEPTANCE_GAT = '{"first_layer": "gat", "hidden": 32, "heads": 4, "blocks": 1,
     reason="one usable core: OpenBLAS caps its thread count at the cores it has, so 1 and 2"
            " threads run the same kernels and the comparison would check nothing",
 )
-def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+def test_train_bytes_do_not_depend_on_blas_threads(one_thread_train):
     # at 2 threads OpenBLAS splits the node-axis sums of the weight gradients
     # differently; qtp pins one thread before numpy loads, so the bytes match
-    assert main(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "40", "--seed", "11"]) == 0
-    manifest = tmp_path / "l" / "manifest.json"
-    assert main(["label", "--circuits", str(tmp_path / "c"), "--out", str(manifest)]) == 0
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "MKL_NUM_THREADS": threads}
-        proc = subprocess.run(
-            [sys.executable, "-m", "qtp.cli", "train", "--manifest", str(manifest),
-             "--config", _ACCEPTANCE_GAT, "--out", str(out), "--folds", "2", "--epochs", "1"],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    names = ["fold0.ckpt", "fold1.ckpt", "run_report.json", "results.csv"]
-    assert sorted(p.name for p in outs[0].iterdir()) == sorted(names)
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    manifest, one = one_thread_train
+    two = _train_at(manifest, one.parent / "t2", "2")
+    for name in _TRAIN_FILES:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+# SHA-256 of each file the one-thread train run writes, and of what
+# tests/blas_probe.py prints on the host that pinned them.  A change that keeps
+# the learn path's bytes leaves this file as it is; one that moves them on
+# purpose rewrites it and says so.
+TRAIN_PIN = Path(__file__).with_name("train_pin.json")
+_PROBE = Path(__file__).with_name("blas_probe.py")
+
+
+def test_train_bytes_pinned(one_thread_train):
+    pin = json.loads(TRAIN_PIN.read_text())
+    probe = subprocess.run([sys.executable, str(_PROBE)], capture_output=True, text=True,
+                           timeout=120, check=True).stdout.strip()
+    if probe != pin["probe"]:
+        pytest.skip(f"numpy ops give other bits on this host (probe {probe[:12]}, pinned"
+                    f" {pin['probe'][:12]}), so train bytes may differ from the pin with no"
+                    " change to qtp")
+    _, out = one_thread_train
+    assert [name for name, _ in pin["files"]] == _TRAIN_FILES
+    for name, pinned in pin["files"]:
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == pinned, f"{name} differs from the pinned train output"
 
 
 class TestProcessEntry:

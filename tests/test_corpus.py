@@ -139,6 +139,12 @@ class TestParamsValidation:
         with pytest.raises(CorpusError, match="negative"):
             CorpusParams(mix=(("ghz", -0.5), ("random", 1.0)))
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight(self, weight):
+        # normalized, a NaN or infinite weight would make every weight NaN
+        with pytest.raises(CorpusError, match="finite"):
+            CorpusParams(mix=(("ghz", weight), ("random", 1.0)))
+
     def test_empty_mix(self):
         with pytest.raises(CorpusError, match="empty"):
             CorpusParams(mix=())
@@ -146,6 +152,11 @@ class TestParamsValidation:
     def test_zero_sum_weights(self):
         with pytest.raises(CorpusError, match="sum to zero"):
             CorpusParams(mix=(("ghz", 0.0), ("random", 0.0)))
+
+    def test_weights_summing_past_the_largest_float(self):
+        # each weight is finite, but normalized by an infinite sum all would be 0
+        with pytest.raises(CorpusError, match="overflow"):
+            CorpusParams(mix=(("ghz", 1e308), ("random", 1e308)))
 
 
 def test_serialization_round_trip():

@@ -252,6 +252,39 @@ class TestManifest:
         manifest = build_manifest(circuits, [sc_profile, ion_profile], tmp_path / "m.json")
         assert manifest.skipped == [{"circuit": "wide.qasm", "error": "math domain error"}]
 
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    @pytest.mark.parametrize("step", ["label_circuit", "write_graph"])
+    def test_defect_is_not_skipped(self, small_manifest, tmp_path, ion_aa3, sc_line3,
+                                   monkeypatch, step, error):
+        # a file is skipped for a DataError only: any other error is a defect and propagates
+        def failing(*args):
+            raise error("a defect")
+
+        monkeypatch.setattr(labeling_module, step, failing)
+        with pytest.raises(error, match="a defect"):
+            build_manifest(tmp_path / "circuits", [ion_aa3, sc_line3], tmp_path / "again.json")
+        assert not (tmp_path / "again.json").exists()
+
+    def test_undecodable_file_skipped(self, tmp_path, ion_aa3, sc_line3):
+        circuits, pre = tmp_path / "circuits", tmp_path / "pre"
+        circuits.mkdir()
+        pre.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        (circuits / "bad.qasm").write_bytes(b"qreg q[1];\nx q[0];\n\x80\n")
+        (circuits / "bell.qasm").write_text(bell)
+        (circuits / "other.qasm").write_text(bell)
+        variant = pre / "bell.ion-aa3.qasm"
+        variant.write_bytes(b"qreg q[2];\n\xff\n")
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json",
+                                  precompiled_dir=pre)
+        assert [e.name for e in manifest.entries] == ["other"]
+        assert manifest.skipped == [
+            {"circuit": "bad.qasm", "error": "'utf-8' codec can't decode byte 0x80 in position"
+                                             " 19: invalid start byte"},
+            {"circuit": "bell.qasm", "error": f"{variant}: 'utf-8' codec can't decode byte 0xff"
+                                              " in position 11: invalid start byte"},
+        ]
+
     def test_too_wide_for_the_feature_layout_skipped(self, tmp_path, ion_profile, sc_profile):
         circuits = tmp_path / "circuits"
         circuits.mkdir()

@@ -166,6 +166,18 @@ class TestParse:
         assert exc.value.col >= 1
         assert "line" in str(exc.value)
 
+    @pytest.mark.parametrize("angle", ["(" * 250 + "1" + ")" * 250, "-" * 1000 + "1",
+                                       "0.5, " + "+" * 1000 + "1, 0"])
+    def test_angle_nested_past_the_recursion_limit(self, angle):
+        # a parse error at the gate, not the interpreter's RecursionError
+        with pytest.raises(QasmError, match="nested too deeply") as exc:
+            parse_qasm(f"qreg q[1];\nh q[0];\n  u3({angle}) q[0];")
+        assert (exc.value.line, exc.value.col) == (3, 3)
+
+    def test_nested_angle_within_the_limit(self):
+        circ = parse_qasm("qreg q[1];\nrz(" + "(" * 50 + "-" * 50 + "1" + ")" * 50 + ") q[0];")
+        assert circ.ops[0].params == (1.0,)
+
     def test_comments_ignored(self):
         circ = parse_qasm("// top\nqreg q[1]; // decl\nx q[0]; // op\n")
         assert circ.gate_count == 1

@@ -240,11 +240,16 @@ def canonical_circuits(draw):
 
 
 def _rebased(rebase_fn, circ, profile):
-    """Ops with params compared by repr (bit patterns and types), or the error."""
+    """Ops with params compared by repr (bit patterns and types), or the error.
+
+    The oracle lets `math.fmod`'s plain ValueError out for an overflowed angle
+    sum, where qtp raises a RebaseError with the same text, so it is read as one.
+    """
     try:
         out = rebase_fn(circ, profile)
     except ValueError as exc:
-        return "error", type(exc), str(exc)
+        plain = rebase_fn is reference.rebase and type(exc) is ValueError
+        return "error", RebaseError if plain else type(exc), str(exc)
     return "ops", out.num_qubits, out.name, [
         (op.kind, op.qubits, tuple(map(repr, op.params))) for op in out.ops
     ]
@@ -427,6 +432,19 @@ class TestErrorOrder:
             route(Circuit(4, [self._OVERFLOW, cx]), split)
         with pytest.raises(ValueError, match="^math domain error$"):  # the two-pass order
             route_reference.route(rebase(Circuit(4, [cx, self._OVERFLOW]), split), split)
+
+    @pytest.mark.parametrize("profile_name", ["sc_profile", "ion_profile"])
+    def test_overflowed_angle_is_a_rebase_error(self, profile_name, request):
+        # bad data, not a defect: fmod's ValueError is raised again as a RebaseError
+        profile = request.getfixturevalue(profile_name)
+        circ = Circuit(2, [self._OVERFLOW])
+        for compile_ in (rebase, route):
+            with pytest.raises(RebaseError, match="^math domain error$"):
+                compile_(circ, profile)
+
+    def test_compiled_from_circuit_width_is_a_route_error(self, ion_profile):
+        with pytest.raises(RouteError, match="^circuit needs 40 qubits, ionq-forte-like has 36$"):
+            compiled_from_circuit(Circuit(40), ion_profile)
 
     def test_basis_before_width(self, sc_cx3):
         profile = dataclasses.replace(sc_cx3, basis_gates=("rz", "sx", "cz"),
