@@ -6,10 +6,10 @@ import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shutil
 import struct
-import pkgutil
 import subprocess
 import sys
 
@@ -690,9 +690,9 @@ _BAD_INPUT_ERRORS = (
 
 
 def test_every_bad_input_error_is_a_data_error():
-    """The exceptions qtp defines are DataError and the eleven bad-input errors
-    under it, so that `main` exits 2 on each of them and `build_manifest` skips
-    a file for each of them."""
+    """The exceptions qtp's modules define are the eleven bad-input errors, each
+    under DataError, so that `main` exits 2 on each of them and `build_manifest`
+    skips a file for each of them."""
     defined = {}
     for info in pkgutil.walk_packages(qtp.__path__, "qtp."):
         module = importlib.import_module(info.name)
