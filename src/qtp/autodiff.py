@@ -9,7 +9,11 @@ loss's per-graph terms, takes equal shapes only.  Each graph layer is one op:
 `gcn_layer` and `gat_layer` run their message passing on `NeighborTable`
 row blocks, sized by width, and keep only the buffers their backward reads.
 `gat_layer` runs all its heads side by side in one pass over the table, and
-only its backward builds the transposed table.  `concat`,
+only its backward builds the transposed table.  The forward math of the
+graph layers, of `segment_mean` and of `row_softmax` lives in array
+functions (`gcn_arrays`, `gat_arrays`, `run_means`, `softmax_rows`): each op
+calls its function and records a push, and forward-only inference calls the
+same functions with no tape, so both give the same bits.  `concat`,
 `segment_sum`, `segment_softmax` and `gather_rows` are no longer called by
 the model, but `bench/spans.py` still traces them by name.
 
@@ -21,8 +25,9 @@ A gradient buffer exists only where backward reaches: the first adjoint
 pushed into a tensor becomes its gradient, later ones add to it, and
 constants never get one.  Parameters alone start from zeros.
 
-All data is float64.  Every op checks that its output is finite, so silent
-overflow cannot leak into training or prediction.
+All data is float64.  Every op checks that its output is finite
+(`check_finite`), and inference checks every stage's output with the same
+messages, so silent overflow cannot leak into training or prediction.
 
 Memory: a training step allocates n×width arrays (an n×128 batch array is
 4–5 MB) and frees them at its end.  By default glibc hands that memory back
@@ -110,11 +115,7 @@ class Tape:
 
     def record(self, data: Array, backward: Callable[[Array], None]) -> Tensor:
         """Adopt an op's output; `backward(g)` pushes g into the inputs with `accumulate`."""
-        # the method form skips np.all's Python-level dispatch, which costs
-        # as much as the check itself on a small graph's arrays
-        if not np.isfinite(data).all():
-            raise FloatingPointError("op produced a non-finite value")
-        out = Tensor(data, self)
+        out = Tensor(check_finite(data), self)
         self._records.append((out, backward))
         return out
 
@@ -147,6 +148,19 @@ class Tape:
         """
         self._records.clear()
         self.params.clear()
+
+
+def check_finite(data: Array, what: str = "value") -> Array:
+    """`data` itself, once every entry is finite; FloatingPointError otherwise.
+
+    The tape runs it on every op's output, and forward-only inference on every
+    stage's output, so both raise the same messages.
+    """
+    # the method form skips np.all's Python-level dispatch, which costs
+    # as much as the check itself on a small graph's arrays
+    if not np.isfinite(data).all():
+        raise FloatingPointError(f"op produced a non-finite {what}")
+    return data
 
 
 def accumulate(t: Tensor, g: Array) -> None:
@@ -253,7 +267,7 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
     return tape.record(np.concatenate([t.data for t in tensors], axis=-1), push)
 
 
-def _gain(x: Array, alpha: float) -> Array:
+def leaky_gain(x: Array, alpha: float) -> Array:
     """LeakyReLU's slope at x: 1.0 where x > 0, alpha elsewhere.
 
     Exact when (1.0 - alpha) + alpha == 1.0, which holds for the model's
@@ -265,7 +279,7 @@ def _gain(x: Array, alpha: float) -> Array:
 
 
 def leaky_relu(a: Tensor, alpha: float) -> Tensor:
-    slope = _gain(a.data, alpha)
+    slope = leaky_gain(a.data, alpha)
 
     def push(g: Array) -> None:
         accumulate(a, g * slope)
@@ -273,12 +287,18 @@ def leaky_relu(a: Tensor, alpha: float) -> Tensor:
     return a.tape.record(a.data * slope, push)
 
 
+def softmax_rows(x: Array) -> Array:
+    """The softmax of each row of the matrix x, computed in x's own buffer."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
 def row_softmax(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"row_softmax expects a matrix, got shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = softmax_rows(a.data.copy())
 
     def push(g: Array) -> None:
         dot = (g * out).sum(axis=1, keepdims=True)
@@ -317,6 +337,22 @@ def segment_sum(a: Tensor, ids, num_segments: int) -> Tensor:
     return a.tape.record(out, push)
 
 
+def run_means(rows: Array, counts: Array) -> Array:
+    """Mean of each run of rows: run k is the next counts[k] rows, and no count is 0.
+
+    Each run is one slice sum.  With two or more columns a slice sum adds its
+    rows in order, as a scatter-add does; numpy pairs terms up only along one
+    contiguous axis.
+    """
+    out = np.empty((counts.size,) + rows.shape[1:])
+    lo = 0
+    for k, hi in enumerate(counts.cumsum().tolist()):
+        rows[lo:hi].sum(axis=0, out=out[k, ...])
+        lo = hi
+    out /= counts.astype(np.float64).reshape((-1,) + (1,) * (rows.ndim - 1))
+    return out
+
+
 def segment_mean(a: Tensor, ids, num_segments: int) -> Tensor:
     ids = _check_ids(ids, a.data.shape[0], num_segments)
     counts = np.bincount(ids, minlength=num_segments)
@@ -326,13 +362,8 @@ def segment_mean(a: Tensor, ids, num_segments: int) -> Tensor:
     rows = a.data
     if (ids[1:] < ids[:-1]).any():
         rows = rows[np.argsort(ids, kind="stable")]
-    # With two or more columns a slice sum adds its rows in order, as a
-    # scatter-add does; numpy pairs terms up only along one contiguous axis.
-    ends = np.cumsum(counts)
-    out = np.stack([rows[lo:hi].sum(axis=0) for lo, hi in zip(ends - counts, ends)])
-    shape = (num_segments,) + (1,) * (a.data.ndim - 1)
-    counts = counts.astype(np.float64).reshape(shape)
-    out /= counts
+    out = run_means(rows, counts)
+    counts = counts.astype(np.float64).reshape((num_segments,) + (1,) * (a.data.ndim - 1))
 
     def push(g: Array) -> None:
         accumulate(a, (g / counts)[ids])
@@ -523,6 +554,20 @@ class NeighborTable:
 # --- graph layers ---------------------------------------------------------------
 
 
+def gcn_arrays(
+    h: Array, table: NeighborTable, w: Array, b: Array, slope: float, residual: bool
+) -> tuple[Array, Array, Array]:
+    """`gcn_layer`'s forward on plain arrays of aligned shapes: (output, ÂH, slopes)."""
+    ah = table.gather_sum(h, table.vals)
+    out = ah @ w
+    out += b
+    gain = leaky_gain(out, slope)
+    out *= gain
+    if residual:
+        out += h
+    return out, ah, gain
+
+
 def gcn_layer(
     h: Tensor, table: NeighborTable, w: Tensor, b: Tensor, slope: float, residual: bool
 ) -> Tensor:
@@ -540,13 +585,7 @@ def gcn_layer(
         raise ValueError(
             f"gcn_layer shapes {h.data.shape}, {w.data.shape}, {b.data.shape} do not align"
         )
-    ah = table.gather_sum(h.data, table.vals)
-    out = ah @ w.data
-    out += b.data
-    gain = _gain(out, slope)
-    out *= gain
-    if residual:
-        out += h.data
+    out, ah, gain = gcn_arrays(h.data, table, w.data, b.data, slope, residual)
 
     def push(g: Array) -> None:
         d = g * gain
@@ -558,6 +597,35 @@ def gcn_layer(
             accumulate(h, table.gather_sum(d @ w.data.T, table.vals))
 
     return tape.record(out, push)
+
+
+def gat_arrays(
+    h: Array, heads: Sequence[tuple[Array, Array, Array]], into: NeighborTable, slope: float
+) -> tuple[Array, Array, Array, Array]:
+    """`gat_layer`'s forward on plain arrays of fitting shapes.
+
+    Returns the output, HW (every head's H @ W in its column group), and the
+    attention weights and score slopes, both (positions, heads).  Raises
+    FloatingPointError on a non-finite attention score.
+    """
+    num_heads = len(heads)
+    width = heads[0][0].shape[1]
+    n = h.shape[0]
+    hw = np.empty((n, num_heads * width))
+    s_dst = np.empty((n, num_heads))
+    s_src = np.empty((n, num_heads))
+    for k, (w, a_dst, a_src) in enumerate(heads):
+        wh = h @ w
+        hw[:, k * width : (k + 1) * width] = wh
+        s_dst[:, k] = (wh @ a_dst)[:, 0]
+        s_src[:, k] = (wh @ a_src)[:, 0]
+    # an overflowed score of -inf would give a zero weight, not a non-finite output
+    z = check_finite(s_dst[into.rows] + s_src[into.cols], "attention score")
+    gain = leaky_gain(z, slope)
+    logit = z * gain
+    e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
+    alpha = e / into.reduce(e)[into.rows]
+    return into.gather_sum(hw, alpha), hw, alpha, gain
 
 
 def gat_layer(
@@ -604,24 +672,9 @@ def gat_layer(
                 f"do not fit input {h.data.shape} and head width {width}"
             )
     num_heads = len(heads)
-    n = h.data.shape[0]
-    hw = np.empty((n, num_heads * width))
-    s_dst = np.empty((n, num_heads))
-    s_src = np.empty((n, num_heads))
-    for k, (w, a_dst, a_src) in enumerate(heads):
-        wh = h.data @ w.data
-        hw[:, k * width : (k + 1) * width] = wh
-        s_dst[:, k] = (wh @ a_dst.data)[:, 0]
-        s_src[:, k] = (wh @ a_src.data)[:, 0]
-    z = s_dst[into.rows] + s_src[into.cols]
-    if not np.isfinite(z).all():
-        # an overflowed score of -inf would give a zero weight, not a non-finite output
-        raise FloatingPointError("op produced a non-finite attention score")
-    gain = _gain(z, slope)
-    logit = z * gain
-    e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
-    alpha = e / into.reduce(e)[into.rows]
-    out = into.gather_sum(hw, alpha)
+    out, hw, alpha, gain = gat_arrays(
+        h.data, [(w.data, a_dst.data, a_src.data) for w, a_dst, a_src in heads], into, slope
+    )
 
     def push(g: Array) -> None:
         out_of = NeighborTable(into.cols, into.rows, into.num_rows)

@@ -12,6 +12,7 @@ better; the winning device's technology becomes the class label (trapped-ion
 
 from __future__ import annotations
 
+import errno
 import gc
 import glob
 import json
@@ -207,8 +208,7 @@ def build_manifest(
                 if precompiled_dir is not None:
                     variants = _load_precompiled(path, profiles, Path(precompiled_dir))
                 label, best, costs = label_circuit(circ, profiles, variants)
-                # refuses circuits too wide for the feature layout
-                dag_path = write_graph(circ, dag_dir / circ.name, label)
+                dag_path = _write_graph(circ, dag_dir, label)
             except DataError as exc:
                 skipped.append({"circuit": path.name, "error": str(exc)})
                 log.warning("skipping %s: %s", path.name, exc)
@@ -237,6 +237,21 @@ def build_manifest(
     )
     out_path.write_text(manifest_to_json(manifest))
     return manifest
+
+
+def _write_graph(circ: Circuit, dag_dir: Path, label: int) -> Path:
+    """`write_graph` into dag_dir, named after the circuit.
+
+    Refuses, with LabelError, a name longer than the file system takes, as
+    `write_graph` refuses a circuit too wide for the feature layout; any other
+    OSError propagates.
+    """
+    try:
+        return write_graph(circ, dag_dir / circ.name, label)
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        raise LabelError(f"graph file name {Path(exc.filename).name} is too long") from None
 
 
 def _rel(path: Path, base: Path) -> str:

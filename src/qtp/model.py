@@ -1,13 +1,16 @@
 """Graph classifier: GAT/GCN first layer, residual GCN blocks, mean pool, FFNN.
 
-Everything runs through the autodiff tape in :mod:`qtp.autodiff`; the only
-dense linear algebra is the per-layer weight matmul.  Each graph layer is one
-tape op (`autodiff.gcn_layer`, `autodiff.gat_layer`).  Message passing goes
-through neighbor tables (:class:`qtp.autodiff.NeighborTable`) built once per
-batch from the batch's edge list: one for the normalized adjacency, and one of
-each node's in-neighbors for GAT attention.  The GAT op's backward builds the
-transposed attention table, so a forward-only pass never builds it.  A batch's
-edges are offset per graph, so it is block-diagonal for free.
+Training runs through the autodiff tape in :mod:`qtp.autodiff`
+(`model_forward`); inference (`predict_proba`) runs the same forward math on
+plain arrays, with no tape.  The only dense linear algebra is the per-layer
+weight matmul.  Each graph layer is one tape op (`autodiff.gcn_layer`,
+`autodiff.gat_layer`), whose forward is an array function that inference
+calls directly.  Message passing goes through neighbor tables
+(:class:`qtp.autodiff.NeighborTable`) built once per batch from the batch's
+edge list: one for the normalized adjacency, and one of each node's
+in-neighbors for GAT attention.  The GAT op's backward builds the transposed
+attention table, so a forward-only pass never builds it.  A batch's edges are
+offset per graph, so it is block-diagonal for free.
 """
 
 from __future__ import annotations
@@ -211,12 +214,16 @@ def gat_forward(
     All heads run as one op, side by side in one pass over the in-neighbor
     table; the op's backward builds the transposed table it needs.
     """
-    edges = _checked_edges(edges, num_nodes)
-    loops = np.arange(num_nodes, dtype=np.int64)
-    src = np.concatenate([edges[:, 0], loops])
-    dst = np.concatenate([edges[:, 1], loops])
-    into = ad.NeighborTable(dst, src, num_nodes)
+    into = _in_neighbors(_checked_edges(edges, num_nodes), num_nodes)
     return ad.gat_layer(h, heads, into, ATTENTION_SLOPE)
+
+
+def _in_neighbors(edges: np.ndarray, num_nodes: int) -> ad.NeighborTable:
+    """GAT's table of checked edges: each node's sources in edge order, then itself."""
+    loops = np.arange(num_nodes, dtype=np.int64)
+    return ad.NeighborTable(
+        np.concatenate([edges[:, 1], loops]), np.concatenate([edges[:, 0], loops]), num_nodes
+    )
 
 
 def global_mean_pool(h: Tensor, graph_ids: np.ndarray, num_graphs: int) -> Tensor:
@@ -318,24 +325,30 @@ def bind_params(tape: ad.Tape, weights: dict[str, np.ndarray]) -> dict[str, Tens
 # --- forward ------------------------------------------------------------------
 
 
-def model_forward(config: ModelConfig, params: dict[str, Tensor], batch: GraphBatch) -> Tensor:
-    """Per-graph class probabilities, shape (num_graphs, 2)."""
-    expected = param_shapes(config, batch.features.shape[1])
+def _check_params(config: ModelConfig, params: dict, in_dim: int) -> None:
+    """ModelError unless `params` (Tensors or arrays) has the config's names and shapes."""
+    expected = param_shapes(config, in_dim)
     if set(expected) != set(params):
         raise ModelError("parameter set does not match the config")
     for name, shape in expected.items():
         if tuple(params[name].shape) != shape:
             raise ModelError(f"parameter {name} has shape {params[name].shape}, wants {shape}")
 
+
+def _heads(config: ModelConfig, params: dict) -> list[tuple]:
+    """(W, a_dst, a_src) of each GAT head, as Tensors or arrays as `params` holds them."""
+    return [tuple(params[f"first.h{k}.{part}"] for part in ("w", "a_dst", "a_src"))
+            for k in range(config.heads)]
+
+
+def model_forward(config: ModelConfig, params: dict[str, Tensor], batch: GraphBatch) -> Tensor:
+    """Per-graph class probabilities, shape (num_graphs, 2), recorded on the params' tape."""
+    _check_params(config, params, batch.features.shape[1])
     tape = next(iter(params.values())).tape
     h = tape.const(batch.features)
     n = batch.features.shape[0]
     if config.first_layer == "gat":
-        head_params = [
-            (params[f"first.h{k}.w"], params[f"first.h{k}.a_dst"], params[f"first.h{k}.a_src"])
-            for k in range(config.heads)
-        ]
-        h = gat_forward(h, batch.edges, n, head_params)
+        h = gat_forward(h, batch.edges, n, _heads(config, params))
         adj = normalize_adjacency(batch.edges, n)
     else:
         adj = normalize_adjacency(batch.edges, n)
@@ -353,16 +366,45 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], batch: GraphBa
 def predict_proba(
     config: ModelConfig, weights: dict[str, np.ndarray], graphs: Sequence[GraphData]
 ) -> np.ndarray:
-    """Class probabilities, one row per graph of `graphs`.
+    """Class probabilities, one row per graph of `graphs`: `model_forward`'s bits, forward only.
 
-    The forward runs on a tape like a training step's: every op is recorded
-    with its backward closure.  The tape is released once the probabilities
-    are read, so none of those records or intermediates outlive the call.
+    The pass runs on plain arrays, with no tape, so nothing is recorded and
+    no intermediate outlives its stage.  The graph layers and the pool call
+    the forward functions of the tape ops (`autodiff.gat_arrays`,
+    `gcn_arrays`, `run_means`); the FFNN layers and the softmax work in place
+    on each product's buffer.  Each stage's output is checked once, with the
+    tape's messages: every later op of a stage carries an inf or NaN through
+    to the stage's output, so a pass fails in the stage and with the error
+    that it would on the tape.
     """
-    tape = ad.Tape()
-    probs = model_forward(config, bind_params(tape, weights), batch_graphs(graphs)).data
-    tape.release()
-    return probs
+    params = {name: np.asarray(arr, dtype=np.float64) for name, arr in weights.items()}
+    batch = batch_graphs(graphs)
+    x = np.asarray(batch.features, dtype=np.float64)
+    _check_params(config, params, x.shape[1])
+    n = x.shape[0]
+    adj = normalize_adjacency(batch.edges, n)  # the one check of the edges
+    if config.first_layer == "gat":
+        into = _in_neighbors(batch.edges, n)
+        h = ad.gat_arrays(x, _heads(config, params), into, ATTENTION_SLOPE)[0]
+    else:
+        w, b = params["first.w"], params["first.b"]
+        h = ad.gcn_arrays(x, adj.table, w, b, LEAKY_SLOPE, residual=False)[0]
+    ad.check_finite(h)
+    for i in range(1, config.blocks + 1):
+        w, b = params[f"res{i}.w"], params[f"res{i}.b"]
+        h = ad.check_finite(ad.gcn_arrays(h, adj.table, w, b, LEAKY_SLOPE, residual=True)[0])
+    sizes = [g.features.shape[0] for g in graphs]
+    if 0 in sizes:
+        raise ValueError(f"segment {sizes.index(0)} is empty")
+    h = ad.check_finite(ad.run_means(h, np.array(sizes)))
+    for j in range(1, len(config.ffnn) + 1):
+        h = h @ params[f"ffnn{j}.w"]
+        h += params[f"ffnn{j}.b"]
+        h *= ad.leaky_gain(h, LEAKY_SLOPE)
+        ad.check_finite(h)
+    logits = h @ params["out.w"]
+    logits += params["out.b"]
+    return ad.check_finite(ad.softmax_rows(ad.check_finite(logits)))
 
 
 # --- checkpoints ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import functools
 import gc
 import hashlib
@@ -5,6 +6,7 @@ import json
 import logging
 import math
 import operator
+import os
 import re
 from pathlib import Path
 
@@ -298,7 +300,37 @@ class TestManifest:
         assert manifest.skipped == [
             {"circuit": "wide.qasm", "error": "28 qubits exceed the 27-qubit feature layout"},
         ]
-        assert list((tmp_path / "dags").iterdir()) == []
+
+    def test_graph_file_name_too_long_skipped(self, tmp_path, ion_aa3, sc_line3):
+        # a 248-character stem fits a 255-byte file name as .qasm, not as .dag.json,
+        # and it sorts before bell.qasm, which must still be labelled
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        long = "a" * 248
+        (circuits / f"{long}.qasm").write_text(bell)
+        (circuits / "bell.qasm").write_text(bell)
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json")
+        assert [e.name for e in manifest.entries] == ["bell"]
+        assert manifest.skipped == [
+            {"circuit": f"{long}.qasm", "error": f"graph file name {long}.dag.json is too long"},
+        ]
+        assert load_manifest(tmp_path / "m.json").skipped == manifest.skipped
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
+    def test_other_write_errors_end_the_run(self, small_manifest, tmp_path, ion_aa3, sc_line3,
+                                            monkeypatch, code):
+        def failing(circ, path, label=None):
+            raise OSError(code, os.strerror(code), str(path))
+
+        monkeypatch.setattr(labeling_module, "write_graph", failing)
+        out = tmp_path / "again" / "manifest.json"
+        with pytest.raises(OSError) as info:
+            build_manifest(tmp_path / "circuits", [ion_aa3, sc_line3], out)
+        assert info.value.errno == code
+        assert not out.exists()
+        # the first write failed, so no graph file was left behind
+        assert list((out.parent / "dags").iterdir()) == []
 
     @pytest.mark.parametrize(
         "variant, error",

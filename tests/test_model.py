@@ -35,7 +35,7 @@ from qtp.model import (
     residual_gcn,
     save_checkpoint,
 )
-from qtp.training import weighted_cross_entropy
+from qtp.training import evaluate, weighted_cross_entropy
 
 # --- oracles -------------------------------------------------------------------
 
@@ -888,6 +888,64 @@ class TestForward:
         a = predict_proba(config, weights, [g])
         b = predict_proba(config, weights, [permuted])
         assert np.max(np.abs(a - b)) < 1e-10
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig("gat", 4, 0, (8,), heads=2),
+        ModelConfig("gat", 3, 1, (6, 4), heads=2),
+        ModelConfig("gat", 8, 2, (16, 8), heads=3),
+        ModelConfig("gcn", 5, 0, (6,)),
+        ModelConfig("gcn", 5, 1, (6, 4)),
+        ModelConfig("gcn", 16, 2, (32, 16)),
+    ], ids=lambda c: c.name)
+    def test_inference_gives_the_tape_forward_bits(self, config, monkeypatch):
+        rng = np.random.default_rng(59)
+        graphs = [_random_graph(rng, dim=7, label=k % 2) for k in range(5)]
+        # hubs, duplicate edges and isolated nodes shuffle each table's row order
+        graphs += [GraphData(f"t{k}", 3, rng.standard_normal((n, 7)), edges, label=k % 2)
+                   for k, (n, edges) in enumerate(_table_cases(rng))]
+        weights = init_weights(config, seed=6, in_dim=7)
+        want = []
+        for batch in ([graphs[0]], graphs):
+            tape = ad.Tape()
+            want.append(model_forward(config, bind_params(tape, weights), batch_graphs(batch)).data)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"inference built a {type(self).__name__}")
+
+        monkeypatch.setattr(ad.Tape, "__init__", refuse)
+        monkeypatch.setattr(ad.Tensor, "__init__", refuse)
+        assert np.array_equal(predict_proba(config, weights, [graphs[0]]), want[0])
+        assert np.array_equal(predict_proba(config, weights, graphs), want[1])
+        _, preds = evaluate(config, weights, graphs)
+        assert np.array_equal(preds, want[1].argmax(axis=1))
+
+    @pytest.mark.parametrize("name", ["res1.w", "ffnn1.w"])
+    @pytest.mark.parametrize("config", _small_configs(), ids=lambda c: c.first_layer)
+    def test_overflow_after_the_first_layer_raises(self, config, name):
+        # only the stage's output is checked: the overflowed product must carry
+        # through the bias and slope to it, as the tape's first failing op shows
+        rng = np.random.default_rng(61)
+        graphs = [_random_graph(rng, dim=7) for _ in range(3)]
+        weights = init_weights(config, seed=7, in_dim=7)
+        weights[name] = np.full_like(weights[name], 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite value"):
+                model_forward(config, bind_params(ad.Tape(), weights), batch_graphs(graphs))
+            with pytest.raises(FloatingPointError, match="non-finite value"):
+                predict_proba(config, weights, graphs)
+
+    @pytest.mark.parametrize("config", _small_configs(), ids=lambda c: c.first_layer)
+    def test_graph_without_nodes_in_a_batch(self, config):
+        # the pool names the empty graph, as segment_mean does on the tape
+        rng = np.random.default_rng(67)
+        graphs = [_random_graph(rng, dim=7), GraphData("e", 1, np.zeros((0, 7)), np.zeros((0, 2)))]
+        weights = init_weights(config, seed=8, in_dim=7)
+        for forward in (
+            lambda: model_forward(config, bind_params(ad.Tape(), weights), batch_graphs(graphs)),
+            lambda: predict_proba(config, weights, graphs),
+        ):
+            with pytest.raises(ValueError, match="segment 1 is empty"):
+                forward()
 
     def test_param_set_mismatch(self):
         config = ModelConfig("gcn", 5, 1, (4,))
