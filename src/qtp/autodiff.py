@@ -338,12 +338,14 @@ def segment_sum(a: Tensor, ids, num_segments: int) -> Tensor:
 
 
 def run_means(rows: Array, counts: Array) -> Array:
-    """Mean of each run of rows: run k is the next counts[k] rows, and no count is 0.
+    """Mean of each run of rows: run k is the next counts[k] rows.
 
-    Each run is one slice sum.  With two or more columns a slice sum adds its
-    rows in order, as a scatter-add does; numpy pairs terms up only along one
-    contiguous axis.
+    A count of 0 is refused, naming the first empty run.  Each run is one
+    slice sum.  With two or more columns a slice sum adds its rows in order,
+    as a scatter-add does; numpy pairs terms up only along one contiguous axis.
     """
+    if (counts == 0).any():
+        raise ValueError(f"segment {int(np.argmin(counts))} is empty")
     out = np.empty((counts.size,) + rows.shape[1:])
     lo = 0
     for k, hi in enumerate(counts.cumsum().tolist()):
@@ -356,17 +358,13 @@ def run_means(rows: Array, counts: Array) -> Array:
 def segment_mean(a: Tensor, ids, num_segments: int) -> Tensor:
     ids = _check_ids(ids, a.data.shape[0], num_segments)
     counts = np.bincount(ids, minlength=num_segments)
-    if (counts == 0).any():
-        empty = int(np.argmin(counts))
-        raise ValueError(f"segment {empty} is empty")
     rows = a.data
     if (ids[1:] < ids[:-1]).any():
         rows = rows[np.argsort(ids, kind="stable")]
     out = run_means(rows, counts)
-    counts = counts.astype(np.float64).reshape((num_segments,) + (1,) * (a.data.ndim - 1))
 
     def push(g: Array) -> None:
-        accumulate(a, (g / counts)[ids])
+        accumulate(a, (g / counts.reshape((num_segments,) + (1,) * (g.ndim - 1)))[ids])
 
     return a.tape.record(out, push)
 

@@ -242,16 +242,21 @@ def build_manifest(
 def _write_graph(circ: Circuit, dag_dir: Path, label: int) -> Path:
     """`write_graph` into dag_dir, named after the circuit.
 
-    Refuses, with LabelError, a name longer than the file system takes, as
-    `write_graph` refuses a circuit too wide for the feature layout; any other
-    OSError propagates.
+    Refuses, with LabelError, a file name longer than dag_dir's file system
+    takes, as `write_graph` refuses a circuit too wide for the feature layout.
+    Any other OSError propagates, among them ENAMETOOLONG for a short name
+    whose whole path is too long: that is the output directory's fault, not
+    the circuit's.
     """
     try:
         return write_graph(circ, dag_dir / circ.name, label)
     except OSError as exc:
-        if exc.errno != errno.ENAMETOOLONG:
+        name = Path(exc.filename).name
+        if exc.errno != errno.ENAMETOOLONG or (
+            len(os.fsencode(name)) <= os.pathconf(dag_dir, "PC_NAME_MAX")
+        ):
             raise
-        raise LabelError(f"graph file name {Path(exc.filename).name} is too long") from None
+        raise LabelError(f"graph file name {name} is too long") from None
 
 
 def _rel(path: Path, base: Path) -> str:

@@ -7,8 +7,9 @@ weight matmul.  Each graph layer is one tape op (`autodiff.gcn_layer`,
 `autodiff.gat_layer`), whose forward is an array function that inference
 calls directly.  Message passing goes through neighbor tables
 (:class:`qtp.autodiff.NeighborTable`) built once per batch from the batch's
-edge list: one for the normalized adjacency, and one of each node's
-in-neighbors for GAT attention.  The GAT op's backward builds the transposed
+edge list: one for the normalized adjacency, built only when a GCN first
+layer or a residual block reads it, and one of each node's in-neighbors for
+GAT attention.  The GAT op's backward builds the transposed
 attention table, so a forward-only pass never builds it.  A batch's edges are
 offset per graph, so it is block-diagonal for free.
 """
@@ -347,11 +348,12 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], batch: GraphBa
     tape = next(iter(params.values())).tape
     h = tape.const(batch.features)
     n = batch.features.shape[0]
+    adj = None  # read only by a GCN first layer and the residual blocks
+    if config.first_layer == "gcn" or config.blocks:
+        adj = normalize_adjacency(batch.edges, n)
     if config.first_layer == "gat":
         h = gat_forward(h, batch.edges, n, _heads(config, params))
-        adj = normalize_adjacency(batch.edges, n)
     else:
-        adj = normalize_adjacency(batch.edges, n)
         h = gcn_forward(h, adj, params["first.w"], params["first.b"])
     for i in range(1, config.blocks + 1):
         h = residual_gcn(h, adj, params[f"res{i}.w"], params[f"res{i}.b"])
@@ -382,21 +384,22 @@ def predict_proba(
     x = np.asarray(batch.features, dtype=np.float64)
     _check_params(config, params, x.shape[1])
     n = x.shape[0]
-    adj = normalize_adjacency(batch.edges, n)  # the one check of the edges
+    edges = _checked_edges(batch.edges, n)
+    table = None
+    if config.first_layer == "gcn" or config.blocks:
+        table = normalize_adjacency(edges, n).table
     if config.first_layer == "gat":
-        into = _in_neighbors(batch.edges, n)
+        into = _in_neighbors(edges, n)
         h = ad.gat_arrays(x, _heads(config, params), into, ATTENTION_SLOPE)[0]
     else:
         w, b = params["first.w"], params["first.b"]
-        h = ad.gcn_arrays(x, adj.table, w, b, LEAKY_SLOPE, residual=False)[0]
+        h = ad.gcn_arrays(x, table, w, b, LEAKY_SLOPE, residual=False)[0]
     ad.check_finite(h)
     for i in range(1, config.blocks + 1):
         w, b = params[f"res{i}.w"], params[f"res{i}.b"]
-        h = ad.check_finite(ad.gcn_arrays(h, adj.table, w, b, LEAKY_SLOPE, residual=True)[0])
-    sizes = [g.features.shape[0] for g in graphs]
-    if 0 in sizes:
-        raise ValueError(f"segment {sizes.index(0)} is empty")
-    h = ad.check_finite(ad.run_means(h, np.array(sizes)))
+        h = ad.check_finite(ad.gcn_arrays(h, table, w, b, LEAKY_SLOPE, residual=True)[0])
+    sizes = np.array([g.features.shape[0] for g in graphs])
+    h = ad.check_finite(ad.run_means(h, sizes))
     for j in range(1, len(config.ffnn) + 1):
         h = h @ params[f"ffnn{j}.w"]
         h += params[f"ffnn{j}.b"]

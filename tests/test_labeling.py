@@ -300,6 +300,7 @@ class TestManifest:
         assert manifest.skipped == [
             {"circuit": "wide.qasm", "error": "28 qubits exceed the 27-qubit feature layout"},
         ]
+        assert list((tmp_path / "dags").iterdir()) == []
 
     def test_graph_file_name_too_long_skipped(self, tmp_path, ion_aa3, sc_line3):
         # a 248-character stem fits a 255-byte file name as .qasm, not as .dag.json,
@@ -316,6 +317,24 @@ class TestManifest:
             {"circuit": f"{long}.qasm", "error": f"graph file name {long}.dag.json is too long"},
         ]
         assert load_manifest(tmp_path / "m.json").skipped == manifest.skipped
+
+    def test_graph_path_too_long_ends_the_run(self, tmp_path, ion_aa3, sc_line3):
+        # short names under an output directory so deep that dags/bell.dag.json
+        # passes the path limit while the directory and m.json stay within it:
+        # the directory's fault, so no circuit is skipped for it
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        (circuits / "bell.qasm").write_text(bell)
+        target = os.pathconf(tmp_path, "PC_PATH_MAX") - 16
+        out_dir = tmp_path
+        while len(str(out_dir)) < target:
+            out_dir /= "d" * max(1, min(200, target - len(str(out_dir)) - 1))
+        out = out_dir / "m.json"
+        with pytest.raises(OSError) as info:
+            build_manifest(circuits, [ion_aa3, sc_line3], out)
+        assert info.value.errno == errno.ENAMETOOLONG
+        assert not out.exists()
 
     @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
     def test_other_write_errors_end_the_run(self, small_manifest, tmp_path, ion_aa3, sc_line3,

@@ -872,6 +872,11 @@ class TestForward:
         tape.backward(weighted_cross_entropy(probs, batch.labels, np.array([1.0, 1.0])))
         assert len(built) == step
 
+    def test_gat_without_blocks_builds_no_adjacency(self, monkeypatch):
+        # only a GCN first layer and the residual blocks read the normalized adjacency
+        config = ModelConfig("gat", 3, 0, (6, 4), heads=2)
+        self.test_tables_built_per_call(config, 1, 2, monkeypatch)
+
     @pytest.mark.parametrize("config", _small_configs(), ids=lambda c: c.first_layer)
     def test_node_permutation_invariance(self, config):
         rng = np.random.default_rng(43)
