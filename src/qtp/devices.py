@@ -6,10 +6,16 @@ coupling and a superconducting device on a heavy-hex style lattice.
 
 A profile memoizes what the compiler asks of it, each entry filled on first
 use: hop rows, next hops, fidelities, each cx pair in the basis
-(`native_cx`: the (0, 1) template relabelled, checked when filled, with its
-fidelities and its split at the 2-qubit op that `transpile.route` routes) and
-each SWAP pair (`native_swap`: the three cx that lowering writes for a SWAP,
-each taken from `native_cx`).  The per-circuit u3 memo is `route`'s own.
+(`native_cx`: the (0, 1) template relabelled, with its fidelities and its
+split at the 2-qubit op that `transpile.route` routes; a relabelled 1q op is
+one record, checked when made, shared by every entry that puts that template
+op on that qubit), each SWAP pair (`native_swap`: the three cx that lowering
+writes for a SWAP, each taken from `native_cx`) and each SWAP chain
+(`swap_chain`: the hops that bring an uncoupled cx pair together, with the
+`native_swap` entry of each).  The per-circuit u3 memo is `route`'s own.
+
+`num_qubits` is at most `MAX_QUBITS`, so that the per-wire lists that
+routing and the hop rows keep stay small.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ TECHNOLOGIES = ("trapped-ion", "superconducting")
 
 # Trapped-ion technology is class 0, superconducting class 1.
 TECHNOLOGY_CLASS = {"trapped-ion": 0, "superconducting": 1}
+
+# Largest num_qubits a profile file may give, far above any device built so
+# far: routing keeps three lists of this length per call (a few MB at the
+# bound), and each hop row is one more.
+MAX_QUBITS = 100_000
 
 
 class DeviceError(DataError):
@@ -53,6 +64,8 @@ class DeviceProfile:
     _fidelities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _swaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cx_1q: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.technology not in TECHNOLOGIES:
@@ -154,11 +167,14 @@ class DeviceProfile:
 
     def native_cx(self, a: int, b: int) -> tuple:
         """cx(a, b) in basis gates: (ops, fidelities, shape); memoized, each op
-        checked when its entry is filled.
+        record checked when it is made.
 
         The (0, 1) entry is the template every other pair relabels.  a and b
         come from a checked cx, so the check is on the template's kinds,
-        distinct qubits and angles.
+        distinct qubits and angles.  Template op i put on qubit q by a 1q
+        relabelling is one record, made for the first entry that needs it and
+        shared by every later one, so an entry adds only its 2-qubit op and
+        the 1q ops on qubits no earlier entry has put them on.
 
         shape = (split, before, after) is the template's, shared by every
         entry.  ops[split] is the one 2-qubit op, so ops[:split] are 1q ops,
@@ -183,12 +199,23 @@ class DeviceProfile:
                 # the 1q ops before the split reach no other wire, and the
                 # ops after it start from the higher of the two wires
                 shape = (split, (before[0][0], before[1][1]), (after[0][0], after[1][0]))
+                for op in ops:
+                    check_gate(op, 2)
             else:
                 template, _, shape = self.native_cx(0, 1)
                 wires = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-                ops = tuple(GateInstance(op.kind, wires[op.qubits], op.params) for op in template)
-            for op in ops:
-                check_gate(op, max(a, b) + 1)
+                ops = []
+                for i, op in enumerate(template):
+                    qubits = wires[op.qubits]
+                    shared = len(qubits) == 1
+                    record = self._cx_1q.get((i, qubits)) if shared else None
+                    if record is None:
+                        record = GateInstance(op.kind, qubits, op.params)
+                        check_gate(record, max(a, b) + 1)
+                        if shared:
+                            self._cx_1q[i, qubits] = record
+                    ops.append(record)
+                ops = tuple(ops)
             scored = ops if self.is_coupled(a, b) else ops[:shape[0]]
             entry = self._cxs[a, b] = (ops, tuple(map(self.compiled_fidelity, scored)), shape)
         return entry
@@ -209,6 +236,29 @@ class DeviceProfile:
             reach = _reach(ops, u, v)
             entry = self._swaps[u, v] = (ops, f_uv + f_vu + f_uv,
                                          (tuple(map(int, reach[0])), tuple(map(int, reach[1]))))
+        return entry
+
+    def swap_chain(self, a: int, b: int) -> tuple:
+        """The SWAPs that make uncoupled a and b coupled: (hops, swaps); memoized.
+
+        a hops to next_hop(a, b) until it is coupled to b: hops lists the
+        qubits it reaches in turn, and swaps[i] is native_swap of the qubit
+        it leaves and hops[i].  The entries are native_swap's own, not
+        copies: joining their ops into one tuple per chain ran no faster and
+        held about 1.3 MB more on the bundled heavy-hex profile after
+        labelling corpus200.  Raises DeviceError, and stores nothing, when
+        no path joins a and b.
+        """
+        entry = self._chains.get((a, b))
+        if entry is None:
+            hops, swaps = [], []
+            u = a
+            while not self.is_coupled(u, b):
+                v = self.next_hop(u, b)
+                hops.append(v)
+                swaps.append(self.native_swap(u, v))
+                u = v
+            entry = self._chains[a, b] = (tuple(hops), tuple(swaps))
         return entry
 
     # --- fidelities ---------------------------------------------------------
@@ -285,6 +335,9 @@ def _profile_from_json(raw) -> DeviceProfile:
     # JSON gives exactly int, float, bool, str, None, list or dict: 1e7 and true are no count
     if type(raw["num_qubits"]) is not int:
         raise DeviceError(f"num_qubits must be an integer, got {raw['num_qubits']!r}")
+    if raw["num_qubits"] > MAX_QUBITS:
+        # an int's repr can run to thousands of digits, so it is not echoed
+        raise DeviceError(f"num_qubits must be at most {MAX_QUBITS}")
     coupling = raw["coupling"]
     if coupling != "all-to-all" and not isinstance(coupling, list):
         raise DeviceError("coupling must be \"all-to-all\" or a list of pairs")

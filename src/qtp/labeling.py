@@ -22,6 +22,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import DataError
 from .circuit import Circuit, circuit_depth
 # featurize_circuit is not called here, but the benchmark's tracer
@@ -45,22 +47,31 @@ class LabelError(DataError):
 
 
 def cost(compiled: CompiledCircuit) -> float:
-    """Depth/fidelity cost of one compiled circuit; strictly lower is better."""
+    """Depth/fidelity cost of one compiled circuit; strictly lower is better.
+
+    A compilation holds a few distinct fidelities over thousands of gates, so
+    `math.log` is taken once per distinct value.  The logs are then summed in
+    gate order by `np.add.accumulate`, which adds one term at a time: a left
+    fold, with the bits of a plain loop.  sum() adds floats with compensation
+    from Python 3.12 on and np.sum adds pairwise, so either would give bits
+    that depend on the interpreter or on the length.
+    """
     fids = compiled.fidelities
     if not fids:
         raise LabelError("cost is undefined for an empty compiled circuit")
-    lo, hi = min(fids), max(fids)
-    logs = math.nan
-    if 0.0 < lo and hi <= 1.0:
-        # a plain left fold in gate order: sum() adds floats with compensation
-        # from Python 3.12 on, so its bits would depend on the interpreter
-        logs = 0.0
-        for x in map(math.log, fids):
-            logs += x
-    if logs != logs:  # out of range, or a NaN that min and max stepped over
+    try:
+        gates = np.fromiter(fids, float, len(fids))
+        values = np.unique(gates)  # sorted, with a NaN last
+        in_range = 0.0 < values[0] and values[-1] <= 1.0
+    except OverflowError:  # an int past the float range
+        in_range = False
+    if not in_range:
         bad = next(f for f in fids if not 0.0 < f <= 1.0)
         raise LabelError(f"gate fidelity {bad!r} outside (0, 1]")
-    return -compiled.depth * math.log((hi + lo) / 2.0) - logs
+    logs = np.array([math.log(v) for v in values.tolist()])
+    total = np.add.accumulate(logs[np.searchsorted(values, gates)])[-1]
+    lo, hi = values[0], values[-1]
+    return -compiled.depth * math.log((hi + lo) / 2.0) - float(total)
 
 
 def score_devices(
@@ -293,21 +304,30 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def _check_entry(e: ManifestEntry, path: Path) -> None:
-    """Types and ranges of one loaded entry's fields; raises LabelError."""
+    """Types and ranges of one loaded entry's fields; raises LabelError.
+
+    Counts stay below 2**63 and costs within the float range, so that the
+    stats tables' ratios cannot overflow and a cost is always a float.
+    """
     def count(x) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < 2**63
 
     def finite(x) -> bool:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            return False
+        try:
+            return math.isfinite(x)
+        except OverflowError:  # an int past the float range
+            return False
 
     for attr, ok, want in (
         ("name", isinstance(e.name, str), "a string"),
         ("circuit_path", isinstance(e.circuit_path, str), "a string"),
         ("dag_path", isinstance(e.dag_path, str), "a string"),
         ("best_device", isinstance(e.best_device, str), "a string"),
-        ("num_qubits", count(e.num_qubits) and e.num_qubits >= 1, "an int >= 1"),
-        ("depth", count(e.depth), "an int >= 0"),
-        ("gate_count", count(e.gate_count), "an int >= 0"),
+        ("num_qubits", count(e.num_qubits) and e.num_qubits >= 1, "an int in [1, 2**63)"),
+        ("depth", count(e.depth), "an int in [0, 2**63)"),
+        ("gate_count", count(e.gate_count), "an int in [0, 2**63)"),
         # JSON object keys are always strings, so only the costs themselves need checking
         ("costs", isinstance(e.costs, dict) and all(map(finite, e.costs.values())),
          "a map of device names to finite numbers"),

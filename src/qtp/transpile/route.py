@@ -8,6 +8,11 @@ the smallest-index neighbor one hop closer (`DeviceProfile.next_hop`), so
 routing is deterministic.  Inserted SWAPs are the device's native SWAP
 (`DeviceProfile.native_swap`: the three cx of a lowered SWAP, each from the
 profile's `native_cx` memo), so the output stays inside the device basis.
+The hops from one physical qubit towards another never change, so the
+profile keeps them as a chain (`DeviceProfile.swap_chain`): the qubits the
+first operand reaches in turn, each with its native SWAP.  A cx on an
+uncoupled pair takes its chain in one lookup and walks it, adding each
+SWAP's ops and fidelities and updating the levels and the layout.
 
 Each op is expanded into the basis as it is routed, from memo entries that
 already hold their native ops, their fidelities and the levels they add:
@@ -82,6 +87,7 @@ def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[
     is_coupled = profile.is_coupled
     fidelity = profile.compiled_fidelity
     native_cx = profile.native_cx
+    swap_chain = profile.swap_chain
     u3s: dict[tuple, tuple] = {}  # (physical qubit, angles) -> (ops, fidelities)
     ops: list[GateInstance] = []
     fidelities: list[float] = []
@@ -113,12 +119,11 @@ def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[
                 ops += expansion[:split]
                 fidelities += scores[:split]
                 level[a], level[b] = la, lb
-                while not is_coupled(a, b):
-                    try:
-                        hop = profile.next_hop(a, b)
-                    except DeviceError:
-                        raise RouteError(f"no path between physical qubits {a} and {b}") from None
-                    swap_ops, swap_fidelities, ((aa, ah), (ha, hh)) = profile.native_swap(a, hop)
+                try:
+                    hops, swaps = swap_chain(a, b)
+                except DeviceError:
+                    raise RouteError(f"no path between physical qubits {a} and {b}") from None
+                for hop, (swap_ops, swap_fidelities, ((aa, ah), (ha, hh))) in zip(hops, swaps):
                     ops += swap_ops
                     fidelities += swap_fidelities
                     la, lh = level[a], level[hop]

@@ -373,11 +373,14 @@ class TestExitCodes:
             {"fidelity_1q": {"rx": 0.9998, "rz": 0.9998}},
             {"num_qubits": 1e7},
             {"num_qubits": True},
+            # refused at load: routing would ask for lists of this length
+            {"num_qubits": 10**400},
+            {"num_qubits": qtp.devices.MAX_QUBITS + 1},
         ],
         ids=["num-qubits-word", "num-qubits-inf", "fidelity-1q-list", "fidelity-2q-key",
              "coupling-short-pair", "basis-number", "technology", "fidelity-range",
              "not-a-profile-object", "fidelity-1q-missing-gate", "num-qubits-float",
-             "num-qubits-bool"],
+             "num-qubits-bool", "num-qubits-past-float", "num-qubits-past-bound"],
     )
     def test_label_malformed_profile_file(self, pipeline, tmp_path, capsys, edit):
         _, corpus, _ = pipeline
@@ -492,17 +495,38 @@ class TestExitCodes:
             ("costs", []),
             ("name", 7),
             ("dag_path", None),
+            # exit 3 before: math.isfinite overflowed on the int cost, and the
+            # stats ratios on the counts
+            ("costs", {"ibm-eagle-like": 10**400, "ionq-forte-like": 1.5}),
+            ("depth", 10**400),
+            ("gate_count", 10**400),
+            ("num_qubits", 10**400),
+            ("depth", 2**63),
         ],
         ids=["zero-qubits", "float-qubits", "negative-depth", "bool-gates",
-             "string-cost", "cost-list", "int-name", "null-path"],
+             "string-cost", "cost-list", "int-name", "null-path", "cost-past-float",
+             "depth-past-float", "gates-past-float", "qubits-past-float", "depth-past-int64"],
     )
-    def test_stats_bad_entry_field(self, pipeline, tmp_path, field, value):
+    def test_stats_bad_entry_field(self, pipeline, tmp_path, capsys, field, value):
         _, _, manifest = pipeline
         blob = json.loads(manifest.read_text())
         blob["entries"][0][field] = value
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps(blob))
-        assert main(["stats", "--manifest", str(bad), "--out", str(tmp_path / "s")]) == 2
+        # train and evaluate load a manifest through the same checks as stats
+        for args in (["stats", "--out", str(tmp_path / "s")],
+                     ["train", "--config", _CONFIG, "--out", str(tmp_path / "t")]):
+            assert main([*args, "--manifest", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert f"{bad}: entry {blob['entries'][0]['name']!r} has {field}" in err
+
+    def test_largest_counts_in_entry_accepted(self, pipeline, tmp_path):
+        _, _, manifest = pipeline
+        blob = json.loads(manifest.read_text())
+        blob["entries"][0].update(depth=2**63 - 1, gate_count=2**63 - 1, num_qubits=2**63 - 1)
+        edited = tmp_path / "manifest.json"
+        edited.write_text(json.dumps(blob))
+        assert main(["stats", "--manifest", str(edited), "--out", str(tmp_path / "s")]) == 0
 
     def test_predict_scalar_first_parameter(self, pipeline, trained, tmp_path):
         _, corpus, _ = pipeline

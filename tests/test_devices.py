@@ -216,6 +216,25 @@ class TestNativeCx:
                 assert _wire_level(start + list(ops), a) == top + after[0]
                 assert _wire_level(start + list(ops), b) == top + after[1]
 
+    def test_entries_share_their_1q_records(self):
+        profile = bundled_profile("ibm-eagle-like")
+        template = profile.native_cx(0, 1)[0]
+        entries = {pair: profile.native_cx(*pair)[0] for pair in ((5, 4), (5, 6), (5, 30), (4, 5))}
+        for (a, b), ops in entries.items():
+            assert ops == tuple(
+                GateInstance(op.kind, tuple((a, b)[w] for w in op.qubits), op.params)
+                for op in template)
+        for i, op in enumerate(template):
+            records = [entries[pair][i] for pair in ((5, 4), (5, 6), (5, 30))]
+            if op.qubits == (0,):  # on qubit 5 in all three: one record
+                assert all(r is records[0] for r in records)
+            else:  # on the other qubit, or the 2-qubit op: one record each
+                assert len({id(r) for r in records}) == 3
+        # one record per (template position, qubit) that a relabelled entry used
+        assert set(profile._cx_1q) == {
+            (i, (q,)) for (a, b) in entries for i, op in enumerate(template)
+            if len(op.qubits) == 1 for q in [(a, b)[op.qubits[0]]]}
+
 
 class TestBundled:
     def test_names(self):

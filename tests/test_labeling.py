@@ -8,6 +8,7 @@ import math
 import operator
 import os
 import re
+import shutil
 from pathlib import Path
 
 import mpmath
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from qtp.circuit import Circuit
+from qtp.corpus import gen_corpus
+from qtp.devices import bundled_profile
 from qtp.gates import GateKind
 from qtp.labeling import (
     LabelError,
@@ -48,6 +51,32 @@ def _compiled(depth, fidelities, name="dev"):
         fidelities=tuple(fidelities),
         layout=(0, 1),
     )
+
+
+def _cost_before(compiled):
+    """labeling.cost as it was when it took one log per gate, the oracle for
+    inputs off the fast path: ints, NaNs and values outside (0, 1]."""
+    fids = compiled.fidelities
+    if not fids:
+        raise LabelError("cost is undefined for an empty compiled circuit")
+    lo, hi = min(fids), max(fids)
+    logs = math.nan
+    if 0.0 < lo and hi <= 1.0:
+        logs = 0.0
+        for x in map(math.log, fids):
+            logs += x
+    if logs != logs:
+        bad = next(f for f in fids if not 0.0 < f <= 1.0)
+        raise LabelError(f"gate fidelity {bad!r} outside (0, 1]")
+    return -compiled.depth * math.log((hi + lo) / 2.0) - logs
+
+
+def _outcome(cost_fn, compiled):
+    """The cost's repr, which shows its type and a signed zero, or the error."""
+    try:
+        return "cost", repr(cost_fn(compiled))
+    except Exception as exc:  # compared with the oracle's, whatever it is
+        return "error", type(exc), str(exc)
 
 
 def _mpmath_cost(depth, fidelities):
@@ -115,6 +144,24 @@ class TestCost:
             k = (max(fids) + min(fids)) / 2.0
             assert cost(_compiled(depth, fids)) == (
                 -depth * math.log(k) - _left_fold(math.log(f) for f in fids))
+
+    def test_bit_equal_to_the_left_fold_on_a_routed_tail_circuit(self, corpus200, sc_profile):
+        widest = sorted(corpus200, key=lambda c: c.num_qubits)[-10:]
+        compiled = max((compile_for(c, sc_profile) for c in widest), key=lambda c: c.gate_count)
+        fids = compiled.fidelities
+        assert len(fids) > 10_000 and len(set(fids)) > 1
+        k = (max(fids) + min(fids)) / 2.0
+        assert cost(compiled) == -compiled.depth * math.log(k) - _left_fold(map(math.log, fids))
+
+    @pytest.mark.parametrize("fids", [
+        (1, 1), (1, 0.5, 1), (True, 0.25), (0.5, 1.0, 1), (2,), (0, 0.5), (1, 2),
+        (10**400,), (0.5, 10**400), (0.9, -10**400), (math.nan,), (math.nan, 1),
+        (1, math.nan, 0.5), (0.5, math.inf), (-0.0, 1), (0.5, 1.0000000000000002), (5e-324, 1),
+    ])
+    def test_ints_nans_and_out_of_range_values_as_before(self, fids):
+        for depth in (0, 3):
+            compiled = _compiled(depth, fids)
+            assert _outcome(cost, compiled) == _outcome(_cost_before, compiled)
 
     def test_logs_summed_as_a_left_fold(self):
         # the fold of these logs misses their exactly rounded sum, which
@@ -575,3 +622,22 @@ def test_label_bytes_pinned(labeled_manifest):
     assert [name for name, _ in got] == [name for name, _ in want]
     for (name, digest), (_, pinned) in zip(got, want):
         assert digest == pinned, f"{name} differs from the pinned label output"
+
+
+def test_label_bytes_pinned_with_warm_profiles(labeled_manifest, tmp_path):
+    # the profile memos (cx entries, SWAPs, SWAP chains) filled first by another
+    # corpus, then by a pass over corpus200 itself, change no output byte
+    profiles = [bundled_profile("ionq-forte-like"), bundled_profile("ibm-eagle-like")]
+    other = tmp_path / "other"
+    other.mkdir()
+    for circ in gen_corpus(40, seed=5):
+        (other / f"{circ.name}.qasm").write_text(serialize_qasm(circ))
+    build_manifest(other, profiles, tmp_path / "other-labels" / "manifest.json")
+    assert profiles[1]._chains
+    want = json.loads(LABEL_PIN.read_text())
+    for name in ("after-another-corpus", "after-corpus200"):
+        # the pinned layout: the circuits directory next to the manifest
+        shutil.copytree(labeled_manifest[0].parent / "circuits", tmp_path / name / "circuits")
+        manifest_path = tmp_path / name / "manifest.json"
+        build_manifest(tmp_path / name / "circuits", profiles, manifest_path)
+        assert _label_digests(manifest_path) == want, name

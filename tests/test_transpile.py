@@ -14,7 +14,7 @@ import qtp.devices
 import rebase_reference as reference
 import route_reference
 from qtp.circuit import Circuit, GateInstance, check_gate, circuit_depth
-from qtp.devices import load_profile
+from qtp.devices import DeviceError, bundled_profile, load_profile
 from qtp.gates import GateKind, VOCABULARY
 from qtp.transpile import (
     CompiledCircuit,
@@ -498,14 +498,64 @@ class TestRoute:
         split = _sc_profile("sc-split4", 4, [[0, 1], [2, 3]])
         circ = Circuit(4)
         add(circ, GateKind.CX, (0, 3))
-        with pytest.raises(RouteError):
+        with pytest.raises(RouteError, match=r"^no path between physical qubits 0 and 3$"):
             route(circ, split)
+        # no SWAP chain is stored for a pair that has none
+        assert split._chains == {}
+        with pytest.raises(DeviceError, match="not connected"):
+            split.swap_chain(3, 0)
+        assert split._chains == {}
 
     def test_deterministic(self, sc_line3, rng):
         circ = lower_to_canonical(random_circuit(rng, 3, 10))
         a = route(circ, sc_line3)
         b = route(circ, sc_line3)
         assert a[0].ops == b[0].ops and a[1] == b[1]
+
+
+class TestSwapChain:
+    """DeviceProfile.swap_chain against the hop-by-hop walk that route made before it."""
+
+    @staticmethod
+    def _walk(profile, a, b):
+        hops, swaps = [], []
+        while not profile.is_coupled(a, b):
+            hop = profile.next_hop(a, b)
+            hops.append(hop)
+            swaps.append(profile.native_swap(a, hop))
+            a = hop
+        return hops, swaps
+
+    def test_same_swaps_as_the_walk_on_heavy_hex(self):
+        profile = bundled_profile("ibm-eagle-like")
+        walker = dataclasses.replace(profile)  # its own memos, filled by the walk alone
+        pairs = [(a, b) for a in range(0, 127, 6) for b in range(127)
+                 if a != b and not profile.is_coupled(a, b)]
+        assert len(pairs) > 2000
+        for a, b in pairs:
+            hops, swaps = profile.swap_chain(a, b)
+            want_hops, want_swaps = self._walk(walker, a, b)
+            assert list(hops) == want_hops and len(swaps) == len(hops)
+            # the same ops, fidelities and level steps, hop by hop
+            assert [s[0] for s in swaps] == [s[0] for s in want_swaps]
+            assert [s[1] for s in swaps] == [s[1] for s in want_swaps]
+            assert [s[2] for s in swaps] == [s[2] for s in want_swaps]
+            # each is the profile's own native_swap entry, not a copy
+            for u, v, swap in zip((a, *hops), hops, swaps):
+                assert swap is profile.native_swap(u, v)
+            assert profile.swap_chain(a, b) is profile._chains[a, b]
+        assert len(profile._chains) == len(pairs)
+
+    def test_memo_empty_on_a_replace_copy(self, sc_line3):
+        profile = dataclasses.replace(sc_line3)
+        (hop,), (swap,) = profile.swap_chain(0, 2)
+        assert hop == 1 and set(profile._chains) == {(0, 2)}
+        assert profile._cx_1q
+        copy = dataclasses.replace(profile, fidelity_2q=0.9)
+        assert copy._chains == {} and copy._cx_1q == {}
+        (copy_hop,), (copy_swap,) = copy.swap_chain(0, 2)
+        assert copy_hop == 1 and copy_swap[0] == swap[0]
+        assert 0.9 in copy_swap[1] and 0.9 not in swap[1]  # the copy's own fidelities
 
 
 def _swap_template(profile):
