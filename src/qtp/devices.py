@@ -4,15 +4,9 @@ Profiles are plain JSON so users can describe their own hardware.  Two
 bundled profiles ship with the package, a trapped-ion device with all-to-all
 coupling and a superconducting device on a heavy-hex style lattice.
 
-A profile memoizes what the compiler asks of it, each entry filled on first
-use: hop rows, next hops, fidelities, each cx pair in the basis
-(`native_cx`: the (0, 1) template relabelled, with its fidelities and its
-split at the 2-qubit op that `transpile.route` routes; a relabelled 1q op is
-one record, checked when made, shared by every entry that puts that template
-op on that qubit), each SWAP pair (`native_swap`: the three cx that lowering
-writes for a SWAP, each taken from `native_cx`) and each SWAP chain
-(`swap_chain`: the hops that bring an uncoupled cx pair together, with the
-`native_swap` entry of each).  The per-circuit u3 memo is `route`'s own.
+A profile memoizes its topology on first use (hop rows and next hops), and
+keeps the transpiler's memos (`transpile.rebase.native_gates`) in one field;
+this module imports nothing from the transpiler.
 
 `num_qubits` is at most `MAX_QUBITS`, so that the per-wire lists that
 routing and the hop rows keep stay small.
@@ -21,14 +15,13 @@ routing and the hop rows keep stay small.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from . import DataError
-from .circuit import GateInstance, check_gate
+from .circuit import GateInstance
 from .gates import gate_by_name
 
 TECHNOLOGIES = ("trapped-ion", "superconducting")
@@ -57,15 +50,12 @@ class DeviceProfile:
     fidelity_2q: float | dict[tuple[int, int], float]
     _adjacency: dict[int, tuple[int, ...]] = field(default=None, repr=False, compare=False)
     # Compiler memos, filled on first use so that building a profile stays
-    # cheap.  They are not init fields: every instance, a dataclasses.replace
-    # copy with other fidelities too, starts from empty ones.
+    # cheap: hop rows, next hops and `transpile.rebase.native_gates`.  They are
+    # not init fields: every instance, a dataclasses.replace copy with other
+    # fidelities too, starts from empty ones.
     _hops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _next_hop: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _fidelities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _swaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _cxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _cx_1q: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _native: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.technology not in TECHNOLOGIES:
@@ -107,6 +97,10 @@ class DeviceProfile:
                     raise DeviceError(f"fidelity_2q entry {pair} is not a coupled pair")
         else:
             _check_fidelity(self.fidelity_2q, "fidelity_2q")
+
+    def __getstate__(self) -> dict:
+        # NativeGates refers back weakly: a copy or unpickled profile makes its own
+        return {**self.__dict__, "_native": None}
 
     # --- topology ---------------------------------------------------------
 
@@ -165,102 +159,6 @@ class DeviceProfile:
             self._next_hop[a, b] = hop
         return hop
 
-    def native_cx(self, a: int, b: int) -> tuple:
-        """cx(a, b) in basis gates: (ops, fidelities, shape); memoized, each op
-        record checked when it is made.
-
-        The (0, 1) entry is the template every other pair relabels.  a and b
-        come from a checked cx, so the check is on the template's kinds,
-        distinct qubits and angles.  Template op i put on qubit q by a 1q
-        relabelling is one record, made for the first entry that needs it and
-        shared by every later one, so an entry adds only its 2-qubit op and
-        the 1q ops on qubits no earlier entry has put them on.
-
-        shape = (split, before, after) is the template's, shared by every
-        entry.  ops[split] is the one 2-qubit op, so ops[:split] are 1q ops,
-        after which wires a and b sit before[0] and before[1] levels higher.
-        ops[split:] start on both wires, so after them wire a sits at
-        after[0] and wire b at after[1] levels above the higher of the two
-        wires' levels at their start.  Routing runs ops[:split] on the pair
-        as it stands and ops[split:] on the pair that SWAPs made coupled.
-        So the fidelities cover all of ops only when a and b are coupled; on
-        an uncoupled pair they cover ops[:split], as a 2-qubit op there has
-        no fidelity.
-        """
-        entry = self._cxs.get((a, b))
-        if entry is None:
-            if (a, b) == (0, 1):
-                from .transpile.rebase import cx_template  # the transpiler imports this module
-
-                ops = cx_template(self)
-                split = next(i for i, op in enumerate(ops) if len(op.qubits) == 2)
-                before = _reach(ops[:split], 0, 1)
-                after = _reach(ops[split:], 0, 1)
-                # the 1q ops before the split reach no other wire, and the
-                # ops after it start from the higher of the two wires
-                shape = (split, (before[0][0], before[1][1]), (after[0][0], after[1][0]))
-                for op in ops:
-                    check_gate(op, 2)
-            else:
-                template, _, shape = self.native_cx(0, 1)
-                wires = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-                ops = []
-                for i, op in enumerate(template):
-                    qubits = wires[op.qubits]
-                    shared = len(qubits) == 1
-                    record = self._cx_1q.get((i, qubits)) if shared else None
-                    if record is None:
-                        record = GateInstance(op.kind, qubits, op.params)
-                        check_gate(record, max(a, b) + 1)
-                        if shared:
-                            self._cx_1q[i, qubits] = record
-                    ops.append(record)
-                ops = tuple(ops)
-            scored = ops if self.is_coupled(a, b) else ops[:shape[0]]
-            entry = self._cxs[a, b] = (ops, tuple(map(self.compiled_fidelity, scored)), shape)
-        return entry
-
-    def native_swap(self, u: int, v: int) -> tuple:
-        """SWAP of coupled qubits u, v in basis gates: (ops, fidelities, reach); memoized.
-
-        The ops are native_cx(u, v), native_cx(v, u), native_cx(u, v): lowering
-        writes a SWAP as those three cx, and routing takes each from native_cx.
-        After the SWAP, wire u sits at level max(level_u + reach[0][0],
-        level_v + reach[0][1]) and wire v at max(level_u + reach[1][0],
-        level_v + reach[1][1]), which is what circuit_depth counts op by op.
-        """
-        entry = self._swaps.get((u, v))
-        if entry is None:
-            (uv, f_uv, _), (vu, f_vu, _) = self.native_cx(u, v), self.native_cx(v, u)
-            ops = uv + vu + uv
-            reach = _reach(ops, u, v)
-            entry = self._swaps[u, v] = (ops, f_uv + f_vu + f_uv,
-                                         (tuple(map(int, reach[0])), tuple(map(int, reach[1]))))
-        return entry
-
-    def swap_chain(self, a: int, b: int) -> tuple:
-        """The SWAPs that make uncoupled a and b coupled: (hops, swaps); memoized.
-
-        a hops to next_hop(a, b) until it is coupled to b: hops lists the
-        qubits it reaches in turn, and swaps[i] is native_swap of the qubit
-        it leaves and hops[i].  The entries are native_swap's own, not
-        copies: joining their ops into one tuple per chain ran no faster and
-        held about 1.3 MB more on the bundled heavy-hex profile after
-        labelling corpus200.  Raises DeviceError, and stores nothing, when
-        no path joins a and b.
-        """
-        entry = self._chains.get((a, b))
-        if entry is None:
-            hops, swaps = [], []
-            u = a
-            while not self.is_coupled(u, b):
-                v = self.next_hop(u, b)
-                hops.append(v)
-                swaps.append(self.native_swap(u, v))
-                u = v
-            entry = self._chains[a, b] = (tuple(hops), tuple(swaps))
-        return entry
-
     # --- fidelities ---------------------------------------------------------
 
     def gate_fidelity(self, op: GateInstance) -> float:
@@ -284,25 +182,6 @@ class DeviceProfile:
             except KeyError:
                 raise DeviceError(f"no 2q fidelity for pair {key} on {self.name}") from None
         return self.fidelity_2q
-
-    def compiled_fidelity(self, op: GateInstance) -> float:
-        """gate_fidelity(op), memoized on (kind, qubits); a failed lookup is not stored."""
-        key = (op.kind, op.qubits)
-        f = self._fidelities.get(key)
-        if f is None:
-            f = self._fidelities[key] = self.gate_fidelity(op)
-        return f
-
-
-def _reach(ops, u: int, v: int) -> tuple:
-    """Levels each of wires u and v gains over ops, from each wire's start:
-    result[w][x] for w, x in (u, v), -inf where no op links wire x to wire w."""
-    reach = {u: (0, -math.inf), v: (-math.inf, 0)}
-    for op in ops:
-        after = tuple(max(reach[w][x] for w in op.qubits) + 1 for x in (0, 1))
-        for w in op.qubits:
-            reach[w] = after
-    return reach[u], reach[v]
 
 
 def _check_fidelity(f: float, what: str) -> None:

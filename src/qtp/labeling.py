@@ -28,7 +28,7 @@ from . import DataError
 from .circuit import Circuit, circuit_depth
 # featurize_circuit is not called here, but the benchmark's tracer
 # (bench/spans.py) hooks it at this module's name
-from .dag import featurize_circuit, write_graph  # noqa: F401
+from .dag import GRAPH_SUFFIX, featurize_circuit, write_graph  # noqa: F401
 from .devices import TECHNOLOGY_CLASS, DeviceProfile
 from .jsonio import dumps as json_dumps
 from .qasm import parse_qasm
@@ -85,6 +85,7 @@ def score_devices(
     """
     if not profiles:
         raise LabelError("need at least one device profile")
+    _check_names(profiles)
     costs: dict[str, float] = {}
     for profile, compiled in zip(profiles, compile_each(circ, profiles)):
         candidates = [compiled]
@@ -92,6 +93,14 @@ def score_devices(
             candidates.extend(extra_variants.get(profile.name, []))
         costs[profile.name] = min(cost(c) for c in candidates)
     return costs
+
+
+def _check_names(profiles: list[DeviceProfile]) -> None:
+    """LabelError for two profiles of one name: costs and labels are keyed on names."""
+    names = [p.name for p in profiles]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise LabelError(f"two profiles are named {name!r}")
 
 
 def label_from_costs(costs: dict[str, float], profiles: list[DeviceProfile]) -> tuple[int, str]:
@@ -166,6 +175,8 @@ def _load_precompiled(
         for path in hits:
             try:
                 circ = parse_qasm(_read_text(path), name=path.stem)
+                if not circ.ops:
+                    raise LabelError("cost is undefined for an empty compiled circuit")
                 variants.append(compiled_from_circuit(circ, profile))
             except DataError as exc:
                 raise LabelError(f"{path}: {exc}") from None
@@ -193,6 +204,7 @@ def build_manifest(
     everything the loop drops is freed by reference counting as before.  The
     pause is process-wide for its duration, as `gc.disable` is.
     """
+    _check_names(profiles)
     circuits_dir = Path(circuits_dir)
     if not circuits_dir.is_dir():
         raise LabelError(f"{circuits_dir} is not a directory")
@@ -251,7 +263,8 @@ def build_manifest(
 
 
 def _write_graph(circ: Circuit, dag_dir: Path, label: int) -> Path:
-    """`write_graph` into dag_dir, named after the circuit.
+    """`write_graph` into dag_dir, named after the circuit plus GRAPH_SUFFIX,
+    even when the name ends in it: circuits `x` and `x.dag.json` write two files.
 
     Refuses, with LabelError, a file name longer than dag_dir's file system
     takes, as `write_graph` refuses a circuit too wide for the feature layout.
@@ -260,7 +273,7 @@ def _write_graph(circ: Circuit, dag_dir: Path, label: int) -> Path:
     the circuit's.
     """
     try:
-        return write_graph(circ, dag_dir / circ.name, label)
+        return write_graph(circ, dag_dir / (circ.name + GRAPH_SUFFIX), label)
     except OSError as exc:
         name = Path(exc.filename).name
         if exc.errno != errno.ENAMETOOLONG or (

@@ -37,7 +37,8 @@ def compile_for(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
 
 
 def compiled_from_circuit(circ: Circuit, profile: DeviceProfile) -> CompiledCircuit:
-    """Wrap an already-compiled circuit; its fidelity lookups check basis and coupling."""
+    """Wrap an already-compiled circuit; `gate_fidelity` checks each op's basis and
+    coupling, with no `rebase.native_gates`, so a basis that compiles nothing scores it."""
     if circ.num_qubits > profile.num_qubits:
         raise RouteError(
             f"circuit needs {circ.num_qubits} qubits, {profile.name} has {profile.num_qubits}"
@@ -47,6 +48,6 @@ def compiled_from_circuit(circ: Circuit, profile: DeviceProfile) -> CompiledCirc
         num_qubits=profile.num_qubits,
         ops=tuple(circ.ops),
         depth=circuit_depth(circ),
-        fidelities=tuple(map(profile.compiled_fidelity, circ.ops)),
+        fidelities=tuple(map(profile.gate_fidelity, circ.ops)),
         layout=tuple(range(circ.num_qubits)),
     )

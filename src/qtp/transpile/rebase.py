@@ -5,11 +5,17 @@ the two-qubit native must be one of cx, ecr, rxx.  u3 goes through a
 ZXZXZ or ZYZ Euler form with exact-match shortcuts for gates that are
 already native, and rotations within 1e-12 of the identity are dropped.
 
-Expansions are made once and shared: each distinct u3 once per call, each cx
-pair once per profile (`DeviceProfile.native_cx`, which relabels the cx
-template on (0, 1) and checks each entry when it is filled).  `rebase` is the
-pass on its own; the label path does not run it, as `route` expands each op
-with this module's `_rebase_u3` and the profile's `native_cx` as it routes.
+Expansions are made once and shared: each distinct u3 once per call, and
+the rest once per profile, in its `NativeGates` (`native_gates(profile)`),
+made on first use.  Making it works out the basis, the 1q style and the cx
+template on (0, 1), and refuses a basis that cannot express arbitrary
+circuits.  It memoizes, each entry on first use, the fidelity of each
+distinct native op, each cx pair (the template relabelled), each SWAP of a
+coupled pair and each SWAP chain of an uncoupled one.  The template is no
+entry of its own: only the pairs a compiled circuit uses are scored, so a
+per-pair `fidelity_2q` need cover no other pair.  `rebase` is the pass on
+its own; the label path does not run it, as `route` expands each op with
+`_rebase_u3` and `native_cx` as it routes.
 
 u3 expansions are not checked: kinds, arity and parameter counts come from
 the templates above, and qubits from the checked input op.  Every emitted
@@ -22,9 +28,10 @@ is never NaN.
 from __future__ import annotations
 
 import math
+import weakref
 
 from .. import DataError
-from ..circuit import Circuit, GateInstance
+from ..circuit import Circuit, GateInstance, check_gate
 from ..gates import GateKind
 
 _TOL = 1e-12
@@ -46,21 +53,6 @@ def _is_zero(angle: float) -> bool:
 
 def _congruent(angle: float, target: float) -> bool:
     return _is_zero(angle - target)
-
-
-def _pick_native_2q(basis: frozenset[str]) -> str:
-    for name in ("cx", "ecr", "rxx"):
-        if name in basis:
-            return name
-    raise RebaseError(f"no supported 2q native in basis {sorted(basis)}")
-
-
-def _pick_1q_style(basis: frozenset[str]) -> str:
-    if "rz" in basis and "sx" in basis:
-        return "zxzxz"
-    if "rx" in basis and "ry" in basis and "rz" in basis:
-        return "zyz"
-    raise RebaseError(f"basis {sorted(basis)} lacks universal 1q coverage")
 
 
 def _g(kind: GateKind, q: int, *params: float) -> GateInstance:
@@ -126,18 +118,139 @@ def _rebase_cx(a: int, b: int, native: str, style: str,
     ]
 
 
-def cx_template(profile) -> tuple[GateInstance, ...]:
-    """cx(0, 1) in the profile's basis; `DeviceProfile.native_cx` relabels it per pair."""
-    basis = frozenset(profile.basis_gates)
-    return tuple(_rebase_cx(0, 1, _pick_native_2q(basis), _pick_1q_style(basis), basis))
+class NativeGates:
+    """One profile's native cx, SWAPs, SWAP chains and op fidelities, memoized."""
+
+    def __init__(self, profile):
+        basis = frozenset(profile.basis_gates)
+        native = next((g for g in ("cx", "ecr", "rxx") if g in basis), None)
+        if native is None:
+            raise RebaseError(f"no supported 2q native in basis {sorted(basis)}")
+        if {"rz", "sx"} <= basis:
+            self.style = "zxzxz"
+        elif {"rx", "ry", "rz"} <= basis:
+            self.style = "zyz"
+        else:
+            raise RebaseError(f"basis {sorted(basis)} lacks universal 1q coverage")
+        self.basis = basis
+        self.template = tuple(_rebase_cx(0, 1, native, self.style, basis))
+        split = next(i for i, op in enumerate(self.template) if len(op.qubits) == 2)
+        before = _reach(self.template[:split], 0, 1)
+        after = _reach(self.template[split:], 0, 1)
+        # the 1q ops before the split reach no other wire, and the ops after
+        # it start from the higher of the two wires
+        self.shape = (split, (before[0][0], before[1][1]), (after[0][0], after[1][0]))
+        # the profile keeps this object: a strong reference back would be a cycle
+        self.profile = weakref.proxy(profile)
+        self._fidelities, self._cxs, self._cx_1q, self._swaps, self._chains = {}, {}, {}, {}, {}
+
+    def compiled_fidelity(self, op: GateInstance) -> float:
+        """gate_fidelity(op), memoized on (kind, qubits); a failed lookup is not stored."""
+        key = (op.kind, op.qubits)
+        f = self._fidelities.get(key)
+        if f is None:
+            f = self._fidelities[key] = self.profile.gate_fidelity(op)
+        return f
+
+    def native_cx(self, a: int, b: int) -> tuple:
+        """cx(a, b) in basis gates: (ops, fidelities, shape); memoized, each op
+        record checked when it is made.
+
+        The template relabelled onto (a, b), which come from a checked cx.
+        Template op i put on qubit q is one 1q record, made for the first
+        entry that needs it and shared by every later one, so an entry adds
+        only its 2-qubit op and the 1q ops no earlier entry has made.
+
+        shape = (split, before, after) is the template's, shared by every
+        entry.  ops[split] is the one 2-qubit op, so ops[:split] are 1q ops,
+        after which wires a and b sit before[0] and before[1] levels higher.
+        ops[split:] start on both wires, so after them wire a sits at
+        after[0] and wire b at after[1] levels above the higher of the two
+        wires' levels at their start.  Routing runs ops[:split] on the pair
+        as it stands and ops[split:] on the pair that SWAPs made coupled.
+        So the fidelities cover all of ops only when a and b are coupled; on
+        an uncoupled pair they cover ops[:split], as a 2-qubit op there has
+        no fidelity.
+        """
+        entry = self._cxs.get((a, b))
+        if entry is None:
+            wires = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
+            ops = []
+            for i, op in enumerate(self.template):
+                qubits = wires[op.qubits]
+                shared = len(qubits) == 1
+                record = self._cx_1q.get((i, qubits)) if shared else None
+                if record is None:
+                    record = GateInstance(op.kind, qubits, op.params)
+                    check_gate(record, max(a, b) + 1)
+                    if shared:
+                        self._cx_1q[i, qubits] = record
+                ops.append(record)
+            ops = tuple(ops)
+            scored = ops if self.profile.is_coupled(a, b) else ops[:self.shape[0]]
+            entry = self._cxs[a, b] = (ops, tuple(map(self.compiled_fidelity, scored)), self.shape)
+        return entry
+
+    def native_swap(self, u: int, v: int) -> tuple:
+        """SWAP of coupled qubits u, v in basis gates: (ops, fidelities, reach); memoized.
+
+        The ops are native_cx(u, v), native_cx(v, u), native_cx(u, v): lowering
+        writes a SWAP as those three cx, and routing takes each from native_cx.
+        After the SWAP, wire u sits at level max(level_u + reach[0][0],
+        level_v + reach[0][1]) and wire v at max(level_u + reach[1][0],
+        level_v + reach[1][1]), which is what circuit_depth counts op by op.
+        """
+        entry = self._swaps.get((u, v))
+        if entry is None:
+            (uv, f_uv, _), (vu, f_vu, _) = self.native_cx(u, v), self.native_cx(v, u)
+            ops = uv + vu + uv
+            reach = _reach(ops, u, v)
+            entry = self._swaps[u, v] = (ops, f_uv + f_vu + f_uv,
+                                         (tuple(map(int, reach[0])), tuple(map(int, reach[1]))))
+        return entry
+
+    def swap_chain(self, a: int, b: int) -> tuple:
+        """The SWAPs that make uncoupled a and b coupled: (hops, swaps); memoized.
+
+        a hops to the profile's next_hop(a, b) until it is coupled to b: hops
+        lists the qubits it reaches in turn, and swaps[i] is the native_swap
+        entry itself (one joined tuple per chain ran no faster and held about
+        1.3 MB more on the bundled heavy-hex profile after labelling
+        corpus200) for the qubit it leaves and hops[i].  Raises DeviceError,
+        and stores nothing, when no path joins a and b.
+        """
+        entry = self._chains.get((a, b))
+        if entry is None:
+            hops, swaps = [], []
+            u = a
+            while not self.profile.is_coupled(u, b):
+                v = self.profile.next_hop(u, b)
+                hops.append(v)
+                swaps.append(self.native_swap(u, v))
+                u = v
+            entry = self._chains[a, b] = (tuple(hops), tuple(swaps))
+        return entry
 
 
-def basis_style(profile) -> tuple[frozenset[str], str]:
-    """(basis, 1q style) of a profile; raises RebaseError when the basis cannot
-    express arbitrary circuits, whether or not a circuit has a cx."""
-    basis = frozenset(profile.basis_gates)
-    _pick_native_2q(basis)
-    return basis, _pick_1q_style(basis)
+def native_gates(profile) -> NativeGates:
+    """The profile's NativeGates, made on first use; raises RebaseError, and
+    keeps nothing, for a basis that cannot express arbitrary circuits."""
+    gates = profile._native
+    if gates is None:
+        gates = NativeGates(profile)
+        object.__setattr__(profile, "_native", gates)  # the profile is a frozen dataclass
+    return gates
+
+
+def _reach(ops, u: int, v: int) -> tuple:
+    """Levels each of wires u and v gains over ops, from each wire's start:
+    result[w][x] for w, x in (u, v), -inf where no op links wire x to wire w."""
+    reach = {u: (0, -math.inf), v: (-math.inf, 0)}
+    for op in ops:
+        after = tuple(max(reach[w][x] for w in op.qubits) + 1 for x in (0, 1))
+        for w in op.qubits:
+            reach[w] = after
+    return reach[u], reach[v]
 
 
 def rebase(circ: Circuit, profile) -> Circuit:
@@ -148,9 +261,9 @@ def rebase(circ: Circuit, profile) -> Circuit:
     angle is never emitted.  An angle whose expansion overflows raises
     RebaseError ("math domain error") from the identity test.
     """
-    basis, style = basis_style(profile)
+    gates = native_gates(profile)
     n = circ.num_qubits
-    native_cx = profile.native_cx
+    native_cx = gates.native_cx
     u3s: dict[tuple, list[GateInstance]] = {}
     out: list[GateInstance] = []
     for op in circ.ops:
@@ -161,7 +274,7 @@ def rebase(circ: Circuit, profile) -> Circuit:
             ops = u3s.get(key)
             if ops is None:
                 try:
-                    ops = u3s[key] = _rebase_u3(op.qubits[0], *op.params, style, basis)
+                    ops = u3s[key] = _rebase_u3(op.qubits[0], *op.params, gates.style, gates.basis)
                 except ValueError as exc:  # "math domain error": an angle sum overflowed
                     raise RebaseError(*exc.args) from None
             out.extend(ops)

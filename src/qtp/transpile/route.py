@@ -5,23 +5,16 @@ Walks the lowered {u3, cx} op list in order, keeping a logical-to-physical
 layout.  When a cx lands on uncoupled physical qubits, the first operand
 hops along a shortest path until adjacent to the second.  Each hop goes to
 the smallest-index neighbor one hop closer (`DeviceProfile.next_hop`), so
-routing is deterministic.  Inserted SWAPs are the device's native SWAP
-(`DeviceProfile.native_swap`: the three cx of a lowered SWAP, each from the
-profile's `native_cx` memo), so the output stays inside the device basis.
-The hops from one physical qubit towards another never change, so the
-profile keeps them as a chain (`DeviceProfile.swap_chain`): the qubits the
-first operand reaches in turn, each with its native SWAP.  A cx on an
-uncoupled pair takes its chain in one lookup and walks it, adding each
-SWAP's ops and fidelities and updating the levels and the layout.
+routing is deterministic.
 
 Each op is expanded into the basis as it is routed, from memo entries that
 already hold their native ops, their fidelities and the levels they add:
 - a u3 from a per-call memo on (physical qubit, angles), filled by
   `rebase._rebase_u3`;
-- a cx from the profile's `native_cx` entry, split at its 2-qubit op: the
-  ops before it run on the pair as it stands, then come the SWAPs, then the
-  rest on the routed pair.  That is the order in which routing the output
-  of `rebase` would emit them.
+- a cx from the profile's `rebase.native_gates` entry, split at its 2-qubit
+  op: the ops before it run on the pair as it stands, then come the native
+  SWAPs of the pair's memoized chain, then the rest on the routed pair, the
+  order in which routing the output of `rebase` would emit them.
 So no native op is relabelled, scored or levelled on its own.  The levels
 kept per wire have `circuit_depth` of the output as their maximum.
 
@@ -44,7 +37,7 @@ from .. import DataError
 from ..circuit import Circuit, GateInstance
 from ..devices import DeviceError, DeviceProfile
 from ..gates import GateKind
-from .rebase import RebaseError, _rebase_u3, basis_style
+from .rebase import RebaseError, _rebase_u3, native_gates
 
 
 class RouteError(DataError):
@@ -74,7 +67,7 @@ def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[
     The layout lists the physical home of each logical qubit after all
     inserted SWAPs.  The initial layout is the identity.
     """
-    basis, style = basis_style(profile)
+    gates = native_gates(profile)
     if circ.num_qubits > profile.num_qubits:
         raise RouteError(
             f"circuit needs {circ.num_qubits} qubits, device has {profile.num_qubits}"
@@ -85,9 +78,9 @@ def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[
     level = [0] * n  # layer of the last op on each physical wire
     all_to_all = profile.coupling == "all-to-all"
     is_coupled = profile.is_coupled
-    fidelity = profile.compiled_fidelity
-    native_cx = profile.native_cx
-    swap_chain = profile.swap_chain
+    fidelity = gates.compiled_fidelity
+    native_cx = gates.native_cx
+    swap_chain = gates.swap_chain
     u3s: dict[tuple, tuple] = {}  # (physical qubit, angles) -> (ops, fidelities)
     ops: list[GateInstance] = []
     fidelities: list[float] = []
@@ -100,7 +93,7 @@ def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[
             entry = u3s.get(key)
             if entry is None:
                 try:
-                    expansion = tuple(_rebase_u3(a, *op.params, style, basis))
+                    expansion = tuple(_rebase_u3(a, *op.params, gates.style, gates.basis))
                 except ValueError as exc:  # "math domain error": an angle sum overflowed
                     raise RebaseError(*exc.args) from None
                 entry = u3s[key] = (expansion, tuple(map(fidelity, expansion)))

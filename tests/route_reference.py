@@ -1,6 +1,7 @@
 """The route of qtp before it expanded ops as it routes, kept as a test oracle.
 
-Verbatim except for the imports and this docstring: it takes a circuit that
+Verbatim except for the imports, this docstring and the owner of the memos
+(`native_gates(profile)`, once on the profile itself): it takes a circuit that
 `rebase` has already put in the device basis, and relabels, scores and levels
 every native op on its own.  `tests/test_transpile.py::TestRouteAgainstReference`
 compares `qtp.transpile.route` of a lowered circuit with this `route` of the
@@ -13,11 +14,11 @@ gate lands on uncoupled physical qubits, the first operand hops along a
 shortest path until adjacent to the second.  Each hop goes to the
 smallest-index neighbor one hop closer (`DeviceProfile.next_hop`), so routing
 is deterministic.  Inserted SWAPs are the device's native SWAP
-(`DeviceProfile.native_swap`: the three cx of a lowered SWAP, each from the
-profile's `native_cx` memo), so the output stays inside the device basis.
+(`NativeGates.native_swap`: the three cx of a lowered SWAP, each from the
+`native_cx` memo), so the output stays inside the device basis.
 
 The same walk collects what scoring needs: per-op fidelities from the
-profile's memoized `compiled_fidelity`, which checks basis and coupling for
+memoized `NativeGates.compiled_fidelity`, which checks basis and coupling for
 every distinct op, and per-wire levels, whose maximum is `circuit_depth` of
 the output.  Output ops are never re-checked as a `Circuit`: the input was
 checked when it was built, routing only permutes qubits, and each cx of a
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from qtp.circuit import Circuit, GateInstance
 from qtp.devices import DeviceError, DeviceProfile
+from qtp.transpile.rebase import native_gates
 from qtp.transpile.route import CompiledCircuit, RouteError
 
 
@@ -47,7 +49,8 @@ def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[
     level = [0] * n  # layer of the last op on each physical wire
     all_to_all = profile.coupling == "all-to-all"
     is_coupled = profile.is_coupled
-    fidelity = profile.compiled_fidelity
+    gates = native_gates(profile)
+    fidelity = gates.compiled_fidelity
     ops: list[GateInstance] = []
     fidelities: list[float] = []
 
@@ -65,7 +68,7 @@ def route(circ: Circuit, profile: DeviceProfile) -> tuple[CompiledCircuit, list[
                     hop = profile.next_hop(a, b)
                 except DeviceError:
                     raise RouteError(f"no path between physical qubits {a} and {b}") from None
-                swap_ops, swap_fidelities, ((aa, ah), (ha, hh)) = profile.native_swap(a, hop)
+                swap_ops, swap_fidelities, ((aa, ah), (ha, hh)) = gates.native_swap(a, hop)
                 ops.extend(swap_ops)
                 fidelities.extend(swap_fidelities)
                 la, lh = level[a], level[hop]

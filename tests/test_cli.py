@@ -397,6 +397,24 @@ class TestExitCodes:
         assert code == 2
         assert str(bad) in err and "internal error" not in err
 
+    def test_label_duplicate_profile_name(self, pipeline, tmp_path, capsys):
+        # the eagle profile under the trapped-ion profile's name: its costs
+        # would be labelled with the other's technology
+        _, corpus, _ = pipeline
+        fake = json.loads(
+            (Path(qtp.devices.__file__).parent / "profiles" / "ibm-eagle-like.json").read_text()
+        )
+        fake["name"] = "ionq-forte-like"
+        path = tmp_path / "fake.json"
+        path.write_text(json.dumps(fake))
+        out = tmp_path / "m.json"
+        code = main(["label", "--circuits", str(corpus),
+                     "--profiles", "ionq-forte-like", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "two profiles are named 'ionq-forte-like'" in err and "internal error" not in err
+        assert not out.exists()
+
     def test_label_missing_circuit_dir(self, tmp_path):
         code = main([
             "label", "--circuits", str(tmp_path / "nowhere"),

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qtp.devices
 from qtp.circuit import Circuit, GateInstance, circuit_depth
 from qtp.devices import (
     DeviceError,
@@ -11,6 +16,7 @@ from qtp.devices import (
 )
 from qtp.gates import GateKind
 from qtp.transpile import lower_to_canonical, rebase
+from qtp.transpile.rebase import native_gates
 
 
 def _line3(**overrides):
@@ -160,11 +166,22 @@ def _wire_level(ops, wire, k=100):
     return circuit_depth(list(ops) + [GateInstance(GateKind.X, (wire,))] * k) - k
 
 
+def test_import_loads_no_transpiler_module():
+    # the transpiler imports devices, and devices keeps only a field for the
+    # transpiler's memos: a fresh interpreter shows no import back
+    src = str(Path(qtp.devices.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qtp.devices; "
+            "print(sorted(m for m in sys.modules if m.startswith('qtp.transpile')))")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
 class TestNativeSwap:
     @staticmethod
     def _check(profile, u, v):
-        ops, fidelities, reach = profile.native_swap(u, v)
-        cx = profile.native_cx
+        ops, fidelities, reach = native_gates(profile).native_swap(u, v)
+        cx = native_gates(profile).native_cx
         assert ops == cx(u, v)[0] + cx(v, u)[0] + cx(u, v)[0]
         swap = Circuit(max(u, v) + 1, [GateInstance(GateKind.SWAP, (u, v))])
         assert list(ops) == rebase(lower_to_canonical(swap), profile).ops
@@ -200,7 +217,7 @@ class TestNativeCx:
         basis, fidelity_1q = _BASES[native]
         profile = _line3(basis_gates=basis, fidelity_1q=fidelity_1q)
         for a, b in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
-            ops, fidelities, (split, before, after) = profile.native_cx(a, b)
+            ops, fidelities, (split, before, after) = native_gates(profile).native_cx(a, b)
             cx = Circuit(3, [GateInstance(GateKind.CX, (a, b))])
             assert list(ops) == rebase(cx, profile).ops
             assert [len(op.qubits) for op in ops].index(2) == split
@@ -218,8 +235,9 @@ class TestNativeCx:
 
     def test_entries_share_their_1q_records(self):
         profile = bundled_profile("ibm-eagle-like")
-        template = profile.native_cx(0, 1)[0]
-        entries = {pair: profile.native_cx(*pair)[0] for pair in ((5, 4), (5, 6), (5, 30), (4, 5))}
+        gates = native_gates(profile)
+        template = gates.template
+        entries = {pair: gates.native_cx(*pair)[0] for pair in ((5, 4), (5, 6), (5, 30), (4, 5))}
         for (a, b), ops in entries.items():
             assert ops == tuple(
                 GateInstance(op.kind, tuple((a, b)[w] for w in op.qubits), op.params)
@@ -231,7 +249,7 @@ class TestNativeCx:
             else:  # on the other qubit, or the 2-qubit op: one record each
                 assert len({id(r) for r in records}) == 3
         # one record per (template position, qubit) that a relabelled entry used
-        assert set(profile._cx_1q) == {
+        assert set(gates._cx_1q) == {
             (i, (q,)) for (a, b) in entries for i, op in enumerate(template)
             if len(op.qubits) == 1 for q in [(a, b)[op.qubits[0]]]}
 

@@ -9,6 +9,7 @@ import operator
 import os
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -17,7 +18,8 @@ import pytest
 
 from qtp.circuit import Circuit
 from qtp.corpus import gen_corpus
-from qtp.devices import bundled_profile
+from qtp.dag import load_graph
+from qtp.devices import bundled_profile, load_profile
 from qtp.gates import GateKind
 from qtp.labeling import (
     LabelError,
@@ -34,6 +36,7 @@ from qtp.labeling import (
 from qtp.qasm import parse_qasm, serialize_qasm
 from qtp.transpile import CompiledCircuit, compile_for, compiled_from_circuit
 from qtp.transpile import pipeline as pipeline_module
+from qtp.transpile.rebase import native_gates
 import qtp.labeling as labeling_module
 from util import add, random_circuit
 
@@ -254,6 +257,30 @@ class TestScoreDevices:
         assert lowered == ["bell"]
 
 
+class TestProfileNames:
+    """Costs and labels are keyed on profile names: two profiles of one name are refused."""
+
+    @staticmethod
+    def _twins(ion_profile, sc_profile):
+        return [ion_profile, replace(sc_profile, name=ion_profile.name)]
+
+    def test_score_devices_names_the_duplicate(self, ion_profile, sc_profile):
+        circ = Circuit(2, name="bell")
+        add(circ, GateKind.H, (0,))
+        add(circ, GateKind.CX, (0, 1))
+        with pytest.raises(LabelError, match="^two profiles are named 'ionq-forte-like'$"):
+            score_devices(circ, self._twins(ion_profile, sc_profile))
+
+    def test_build_manifest_refuses_before_labelling(self, tmp_path, ion_profile, sc_profile):
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        (circuits / "bell.qasm").write_text("qreg q[2];\nh q[0];\ncx q[0],q[1];\n")
+        out = tmp_path / "labels" / "manifest.json"
+        with pytest.raises(LabelError, match="^two profiles are named 'ionq-forte-like'$"):
+            build_manifest(circuits, self._twins(ion_profile, sc_profile), out)
+        assert not out.parent.exists()
+
+
 class TestManifest:
     @pytest.fixture()
     def small_manifest(self, tmp_path, ion_aa3, sc_line3, rng):
@@ -272,6 +299,40 @@ class TestManifest:
         assert len(manifest.entries) == 6
         assert [s["circuit"] for s in manifest.skipped] == ["broken.qasm"]
         assert sum(manifest.class_counts) == 6
+
+    def test_graph_file_per_circuit(self, tmp_path, ion_aa3, sc_line3):
+        # `x` and `x.dag.json` would both write dags/x.dag.json if the suffix
+        # were appended only to a name that lacks it
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        (circuits / "x.qasm").write_text("qreg q[3];\nh q[0];\ncx q[0],q[2];\n")
+        (circuits / "x.dag.json.qasm").write_text("qreg q[2];\nh q[0];\ncx q[0],q[1];\n")
+        out = tmp_path / "manifest.json"
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], out)
+        assert [(e.name, e.dag_path) for e in manifest.entries] == [
+            ("x.dag.json", "dags/x.dag.json.dag.json"), ("x", "dags/x.dag.json")]
+        for entry, path in zip(manifest.entries, resolve_dag_paths(out, manifest)):
+            graph = load_graph(path)
+            assert (graph.name, graph.num_qubits) == (entry.name, entry.num_qubits)
+
+    def test_partial_fidelity_map_labels(self, tmp_path, ion_profile):
+        # per-pair fidelities for (1, 2) and (2, 3) only: the circuit's cx on
+        # (2, 3) is scored, and no (0, 1) fidelity is asked for
+        line4 = load_profile({
+            "name": "line4", "technology": "superconducting", "num_qubits": 4,
+            "basis_gates": ["ecr", "id", "rz", "sx", "x"],
+            "coupling": [[0, 1], [1, 2], [2, 3]],
+            "fidelity_1q": {"id": 0.9999, "rz": 1.0, "sx": 0.9999, "x": 0.9999},
+            "fidelity_2q": {"1-2": 0.98, "2-3": 0.99},
+        })
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        (circuits / "c.qasm").write_text("qreg q[4];\nh q[2];\ncx q[2],q[3];\n")
+        manifest = build_manifest(circuits, [ion_profile, line4], tmp_path / "m.json")
+        assert manifest.skipped == []
+        [entry] = manifest.entries
+        circ = parse_qasm("qreg q[4];\nh q[2];\ncx q[2],q[3];\n")
+        assert entry.costs["line4"] == cost(compile_for(circ, line4))
 
     def test_overflowed_angles_skipped(self, tmp_path, ion_profile, sc_profile):
         # finite angles whose lowering or rebase sums overflow to inf
@@ -404,8 +465,10 @@ class TestManifest:
             ("qreg q[2];\nh q[0];\ncx q[0],q[1] $;\n", "line 3, column 14: unexpected character '$'"),
             # parses, but h is not an ion-aa3 basis gate
             ("qreg q[2];\nh q[0];\n", "h is outside the ion-aa3 basis"),
+            # parses, but a compiled circuit with no gates has no cost
+            ("qreg q[2];\n", "cost is undefined for an empty compiled circuit"),
         ],
-        ids=["parse", "device"],
+        ids=["parse", "device", "empty"],
     )
     def test_bad_precompiled_variant_named(self, tmp_path, ion_aa3, sc_line3, variant, error):
         circuits, pre = tmp_path / "circuits", tmp_path / "pre"
@@ -633,7 +696,7 @@ def test_label_bytes_pinned_with_warm_profiles(labeled_manifest, tmp_path):
     for circ in gen_corpus(40, seed=5):
         (other / f"{circ.name}.qasm").write_text(serialize_qasm(circ))
     build_manifest(other, profiles, tmp_path / "other-labels" / "manifest.json")
-    assert profiles[1]._chains
+    assert native_gates(profiles[1])._chains
     want = json.loads(LABEL_PIN.read_text())
     for name in ("after-another-corpus", "after-corpus200"):
         # the pinned layout: the circuits directory next to the manifest

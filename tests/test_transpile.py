@@ -1,6 +1,9 @@
+import copy as copy_module
 import dataclasses
+import gc
 import importlib
 import math
+import pickle
 import re
 import sys
 from collections import Counter
@@ -33,6 +36,7 @@ from util import add, compiled_distance, ops_unitary, random_circuit
 rebase_module = importlib.import_module("qtp.transpile.rebase")  # the package exports the function
 route_module = importlib.import_module("qtp.transpile.route")
 pipeline_module = importlib.import_module("qtp.transpile.pipeline")
+native_gates = rebase_module.native_gates
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -172,10 +176,11 @@ class TestRebase:
             GateKind.H, GateKind.T, GateKind.CX, GateKind.CZ, GateKind.SWAP, GateKind.CCX]))
         circ.ops.insert(0, GateInstance(GateKind.CX, (0, 1)))
         for module in (qtp.circuit, qtp.devices, rebase_module, route_module):
-            # neither pass imports check_gate; a call one gained would be counted here
+            # only the cx memo in rebase calls check_gate; a call one gained would be counted here
             monkeypatch.setattr(module, "check_gate", counting_check, raising=False)
         out = rebase(circ, profile).ops
-        cx_records = {id(op) for ops, _, _ in profile._cxs.values() for op in ops}
+        cxs = native_gates(profile)._cxs
+        cx_records = {id(op) for ops, _, _ in cxs.values() for op in ops}
         # cx expansions come from the profile memo, checked once when it is filled;
         # u3 expansions are built by templates from checked input and not checked
         assert set(checked) == cx_records
@@ -188,24 +193,44 @@ class TestRebase:
         assert not checked  # a filled memo is not checked again
         assert again == out
         # route checks only the cx entries of the pairs that routing moved to
-        before = set(profile._cxs)
+        before = set(cxs)
         route(circ, profile)
-        added = {id(op) for pair in set(profile._cxs) - before for op in profile._cxs[pair][0]}
+        added = {id(op) for pair in set(cxs) - before for op in cxs[pair][0]}
         assert set(checked) == added and set(checked.values()) <= {1}
 
     def test_cx_memo_empty_on_a_replace_copy(self, sc_line3):
         profile = dataclasses.replace(sc_line3)
         circ = Circuit(3, [GateInstance(GateKind.CX, pair) for pair in ((0, 2), (2, 0), (0, 2))])
         ecr = rebase(circ, profile).ops
-        assert set(profile._cxs) == {(0, 1), (0, 2), (2, 0)}  # the template, then one per pair
+        # one entry per pair: the template on (0, 1) is not an entry of its own
+        assert set(native_gates(profile)._cxs) == {(0, 2), (2, 0)}
         copy = dataclasses.replace(profile, fidelity_2q=0.9)
-        assert copy._cxs == {}
+        assert copy._native is None and native_gates(copy)._cxs == {}
         assert rebase(circ, copy).ops == ecr
         cx_native = dataclasses.replace(
             profile, basis_gates=("cx", "rz", "sx"), fidelity_1q={"rz": 1.0, "sx": 0.9999})
-        assert cx_native._cxs == {}
+        assert cx_native._native is None and native_gates(cx_native)._cxs == {}
         assert [op.kind for op in rebase(circ, cx_native).ops] == [GateKind.CX] * 3
         assert GateKind.ECR in {op.kind for op in rebase(circ, profile).ops}
+
+    def test_dropped_profile_leaves_no_cyclic_garbage(self, sc_line3):
+        # the profile holds its NativeGates, which refers back only weakly, so
+        # dropping a profile frees its memos without the cyclic collector
+        profile = dataclasses.replace(sc_line3)
+        route(Circuit(3, [GateInstance(GateKind.CX, (0, 2))]), profile)
+        assert native_gates(profile)._chains
+        gc.collect()
+        del profile
+        assert gc.collect() == 0
+
+    def test_copied_profile_makes_its_own_native_gates(self, sc_line3):
+        profile = dataclasses.replace(sc_line3)
+        circ = Circuit(3, [GateInstance(GateKind.CX, (0, 2))])
+        routed = route(circ, profile)[0]
+        for copy in (copy_module.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
+            assert copy == profile and copy._native is None
+            assert route(circ, copy)[0] == routed
+            assert native_gates(copy) is not native_gates(profile)
 
 
 # Canonical circuits for the differential check against tests/rebase_reference.py:
@@ -452,6 +477,19 @@ class TestErrorOrder:
         with pytest.raises(RebaseError, match="no supported 2q native"):
             route(Circuit(4), profile)
 
+    def test_compiled_from_circuit_needs_no_compilable_basis(self, sc_cx3):
+        # a basis with no supported 2q native compiles nothing, yet still
+        # scores a circuit compiled elsewhere
+        profile = dataclasses.replace(sc_cx3, basis_gates=("rz", "sx", "cz"),
+                                      fidelity_1q={"rz": 1.0, "sx": 0.999})
+        circ = Circuit(2, [GateInstance(GateKind.SX, (0,)), GateInstance(GateKind.CZ, (0, 1))])
+        assert compiled_from_circuit(circ, profile).fidelities == (0.999, 0.99)
+        with pytest.raises(DeviceError, match="^qubits 0,2 are not coupled on sc-cx3$"):
+            compiled_from_circuit(Circuit(3, [GateInstance(GateKind.CZ, (0, 2))]), profile)
+        assert profile._native is None
+        with pytest.raises(RebaseError, match="no supported 2q native"):
+            route(circ, profile)
+
     def test_non_canonical_op_in_op_order(self):
         split = _sc_profile("sc-split4", 4, [[0, 1], [2, 3]])
         h = GateInstance(GateKind.H, (1,))
@@ -501,10 +539,11 @@ class TestRoute:
         with pytest.raises(RouteError, match=r"^no path between physical qubits 0 and 3$"):
             route(circ, split)
         # no SWAP chain is stored for a pair that has none
-        assert split._chains == {}
+        gates = native_gates(split)
+        assert gates._chains == {}
         with pytest.raises(DeviceError, match="not connected"):
-            split.swap_chain(3, 0)
-        assert split._chains == {}
+            gates.swap_chain(3, 0)
+        assert gates._chains == {}
 
     def test_deterministic(self, sc_line3, rng):
         circ = lower_to_canonical(random_circuit(rng, 3, 10))
@@ -514,7 +553,7 @@ class TestRoute:
 
 
 class TestSwapChain:
-    """DeviceProfile.swap_chain against the hop-by-hop walk that route made before it."""
+    """NativeGates.swap_chain against the hop-by-hop walk that route made before it."""
 
     @staticmethod
     def _walk(profile, a, b):
@@ -522,18 +561,19 @@ class TestSwapChain:
         while not profile.is_coupled(a, b):
             hop = profile.next_hop(a, b)
             hops.append(hop)
-            swaps.append(profile.native_swap(a, hop))
+            swaps.append(native_gates(profile).native_swap(a, hop))
             a = hop
         return hops, swaps
 
     def test_same_swaps_as_the_walk_on_heavy_hex(self):
         profile = bundled_profile("ibm-eagle-like")
+        gates = native_gates(profile)
         walker = dataclasses.replace(profile)  # its own memos, filled by the walk alone
         pairs = [(a, b) for a in range(0, 127, 6) for b in range(127)
                  if a != b and not profile.is_coupled(a, b)]
         assert len(pairs) > 2000
         for a, b in pairs:
-            hops, swaps = profile.swap_chain(a, b)
+            hops, swaps = gates.swap_chain(a, b)
             want_hops, want_swaps = self._walk(walker, a, b)
             assert list(hops) == want_hops and len(swaps) == len(hops)
             # the same ops, fidelities and level steps, hop by hop
@@ -542,20 +582,58 @@ class TestSwapChain:
             assert [s[2] for s in swaps] == [s[2] for s in want_swaps]
             # each is the profile's own native_swap entry, not a copy
             for u, v, swap in zip((a, *hops), hops, swaps):
-                assert swap is profile.native_swap(u, v)
-            assert profile.swap_chain(a, b) is profile._chains[a, b]
-        assert len(profile._chains) == len(pairs)
+                assert swap is gates.native_swap(u, v)
+            assert gates.swap_chain(a, b) is gates._chains[a, b]
+        assert len(gates._chains) == len(pairs)
 
     def test_memo_empty_on_a_replace_copy(self, sc_line3):
         profile = dataclasses.replace(sc_line3)
-        (hop,), (swap,) = profile.swap_chain(0, 2)
-        assert hop == 1 and set(profile._chains) == {(0, 2)}
-        assert profile._cx_1q
+        gates = native_gates(profile)
+        (hop,), (swap,) = gates.swap_chain(0, 2)
+        assert hop == 1 and set(gates._chains) == {(0, 2)}
+        assert gates._cx_1q
         copy = dataclasses.replace(profile, fidelity_2q=0.9)
-        assert copy._chains == {} and copy._cx_1q == {}
-        (copy_hop,), (copy_swap,) = copy.swap_chain(0, 2)
+        assert copy._native is None
+        copy_gates = native_gates(copy)
+        assert copy_gates is not gates
+        assert copy_gates._chains == {} and copy_gates._cx_1q == {}
+        (copy_hop,), (copy_swap,) = copy_gates.swap_chain(0, 2)
         assert copy_hop == 1 and copy_swap[0] == swap[0]
         assert 0.9 in copy_swap[1] and 0.9 not in swap[1]  # the copy's own fidelities
+
+
+class TestPartialFidelityMap:
+    """A per-pair fidelity_2q need cover only the pairs that compiled circuits
+    use: the cx template on (0, 1) is not scored as the device's (0, 1)."""
+
+    @pytest.fixture()
+    def line4(self):
+        return load_profile({
+            "name": "line4",
+            "technology": "superconducting",
+            "num_qubits": 4,
+            "basis_gates": ["ecr", "id", "rz", "sx", "x"],
+            "coupling": [[0, 1], [1, 2], [2, 3]],
+            "fidelity_1q": {"id": 0.9999, "rz": 1.0, "sx": 0.9999, "x": 0.9999},
+            "fidelity_2q": {"1-2": 0.98, "2-3": 0.99},
+        })
+
+    def test_covered_pairs_compile(self, line4):
+        near = compile_for(Circuit(4, [GateInstance(GateKind.CX, (2, 3))]), line4)
+        assert [f for f, op in zip(near.fidelities, near.ops) if len(op.qubits) == 2] == [0.99]
+        # cx(1, 3) hops 1 to 2 first: a SWAP on (1, 2), then the cx on (2, 3)
+        far = compile_for(Circuit(4, [GateInstance(GateKind.CX, (1, 3))]), line4)
+        assert [f for f, op in zip(far.fidelities, far.ops)
+                if len(op.qubits) == 2] == [0.98, 0.98, 0.98, 0.99]
+        assert far.layout == (0, 2, 1, 3)
+        assert (0, 1) not in native_gates(line4)._cxs
+
+    def test_uncovered_pair_still_raises(self, line4):
+        with pytest.raises(DeviceError, match=re.escape("no 2q fidelity for pair (0, 1) on line4")):
+            compile_for(Circuit(4, [GateInstance(GateKind.CX, (0, 1))]), line4)
+        with pytest.raises(DeviceError, match=re.escape("no 2q fidelity for pair (0, 1) on line4")):
+            native_gates(line4).native_cx(1, 0)
+        assert not native_gates(line4)._cxs  # a failed entry is not stored
 
 
 def _swap_template(profile):
