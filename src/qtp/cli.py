@@ -2,7 +2,9 @@
 
 Every subcommand is a batch operation writing files; the only console output
 besides logging is predict's single result line.  Exit codes: 0 success,
-1 usage error, 2 bad input data, 3 internal failure.
+1 usage error, 2 bad input data, 3 internal failure.  Files are read and
+written as UTF-8 whatever the locale (`jsonio`); the CSV tables and predict's
+line write floats with `jsonio.fmt_float`.
 
 Importing this module pins BLAS to one thread, before numpy is first
 imported: a multi-threaded BLAS splits matmul sums differently, so `train`
@@ -33,13 +35,15 @@ import numpy as np
 
 from . import DataError
 from .corpus import CorpusError, CorpusParams, gen_corpus
-from .dag import FeaturizeError, GraphData, featurize_circuit, load_graph, write_graph
+from .dag import (GRAPH_SUFFIX, FeaturizeError, GraphData, featurize_circuit, load_graph,
+                  write_graph)
 from .devices import (DeviceError, DeviceProfile, bundled_profile, bundled_profile_names,
                       load_profile)
+from .jsonio import fmt_float, read_text, write_text
 from .labeling import LabelError, build_manifest, load_manifest, resolve_dag_paths, write_stats
 from .model import (CheckpointError, ModelConfig, ModelError, iter_grid, load_checkpoint,
                     predict_proba, save_checkpoint)
-from .qasm import QasmError, parse_qasm, serialize_qasm
+from .qasm import parse_qasm, serialize_qasm
 from .training import TrainResult, evaluate, train
 
 log = logging.getLogger("qtp")
@@ -62,10 +66,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _load_profiles(specs: list[str]) -> list[DeviceProfile]:
     profiles = []
     for spec in specs:
@@ -80,7 +80,7 @@ def _load_profiles(specs: list[str]) -> list[DeviceProfile]:
 
 def _load_config(spec: str) -> ModelConfig:
     try:
-        text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
+        text = spec if spec.lstrip().startswith("{") else read_text(spec)
         return ModelConfig.from_json(json.loads(text))
     except (RecursionError, ValueError) as exc:  # also non-UTF-8 text and ModelError
         raise ModelError(f"bad model config {spec!r}: {exc}") from exc
@@ -99,10 +99,9 @@ def _load_dataset(manifest_path: str) -> list[GraphData]:
 
 
 def _load_circuit(path: Path):
-    # Undecodable bytes become U+FFFD, which the tokenizer rejects with its position.
     try:
-        return parse_qasm(path.read_text(errors="replace"), name=path.stem)
-    except QasmError as exc:
+        return parse_qasm(read_text(path), name=path.stem)
+    except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
@@ -121,19 +120,15 @@ def _running(checkpoint):
 
 
 def _table_row(name: str, agg: dict) -> dict:
-    return {
-        "model": name,
-        "f1_class0": _g17(agg["f1_class0"]["mean"]),
-        "f1_class1": _g17(agg["f1_class1"]["mean"]),
-        "accuracy": _g17(agg["accuracy"]["mean"]),
-        "f1_class0_std": _g17(agg["f1_class0"]["std"]),
-        "f1_class1_std": _g17(agg["f1_class1"]["std"]),
-        "accuracy_std": _g17(agg["accuracy"]["std"]),
-    }
+    row = {"model": name}
+    for col in TABLE_COLUMNS[1:]:  # a metric's fold mean, or its std under `<metric>_std`
+        metric = col.removesuffix("_std")
+        row[col] = fmt_float(agg[metric]["mean" if metric == col else "std"])
+    return row
 
 
 def _write_table(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=TABLE_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -160,7 +155,7 @@ def _cmd_featurize(args) -> int:
     for path in targets:
         circ = _load_circuit(path)
         dest_dir = out_dir if out_dir else path.parent
-        dest = write_graph(circ, dest_dir / f"{path.stem}.dag.json")
+        dest = write_graph(circ, dest_dir / f"{path.stem}{GRAPH_SUFFIX}")
         log.info("featurize %s -> %s", path, dest)
     return 0
 
@@ -193,7 +188,7 @@ def _cmd_gen_corpus(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for circ in circuits:
-        (out / f"{circ.name}.qasm").write_text(serialize_qasm(circ))
+        write_text(out / f"{circ.name}.qasm", serialize_qasm(circ))
     log.info("gen-corpus: wrote %d circuits to %s", len(circuits), out)
     return 0
 
@@ -259,7 +254,7 @@ def _cmd_train(args) -> int:
         "fold_reports": [r.to_json() for r in result.folds],
         "aggregate": result.aggregate,
     }
-    (out / "run_report.json").write_text(json.dumps(report_json, indent=2) + "\n")
+    write_text(out / "run_report.json", json.dumps(report_json, indent=2) + "\n")
     _write_table(out / "results.csv", [_table_row(config.name, result.aggregate)])
     log.info("train %s: accuracy %.4f", config.name, result.aggregate["accuracy"]["mean"])
     return 0
@@ -313,7 +308,7 @@ def _cmd_grid(args) -> int:
         "split_mode": args.split_mode,
         "results": [{"name": c.name, "config": c.to_json(), "aggregate": agg} for c, agg in scored],
     }
-    (out / "grid_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_text(out / "grid_report.json", json.dumps(report, indent=2) + "\n")
     log.info("grid: ranked %d configs into %s", len(scored), out / "grid.csv")
     return 0
 
@@ -329,7 +324,7 @@ def _cmd_evaluate(args) -> int:
         "num_graphs": len(graphs),
         "metrics": body,
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    write_text(args.out, json.dumps(payload, indent=2) + "\n")
     log.info("evaluate %s: accuracy %.4f", config.name, body["accuracy"])
     return 0
 
@@ -342,7 +337,7 @@ def _cmd_predict(args) -> int:
     with _running(args.checkpoint):
         probs = predict_proba(config, weights, [graph])[0]
     cls = int(probs.argmax())
-    print(f"class={cls} p0={_g17(probs[0])} p1={_g17(probs[1])}")
+    print(f"class={cls} p0={fmt_float(probs[0])} p1={fmt_float(probs[1])}")
     return 0
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import DataError
 from .circuit import Circuit, GateInstance
 from .gates import VOCABULARY, GateKind, gate_by_name
-from .jsonio import dumps as json_dumps, scalar as json_scalar
+from .jsonio import dumps as json_dumps, read_text, scalar as json_scalar, write_text
 
 MAX_FEATURE_QUBITS = 27
 ONE_HOT_INDEX: dict[GateKind, int] = {k: i for i, k in enumerate(VOCABULARY)}
@@ -117,7 +117,7 @@ def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Pa
     head = json_dumps(doc)[: -len("\n}\n")]  # reopened to add "ops" as the last key
     rows = ",\n    ".join(map(_ops_row, circ.ops))
     ops = f"[\n    {rows}\n  ]" if rows else "[]"
-    path.write_text(f'{head},\n  "ops": {ops}\n}}\n')
+    write_text(path, f'{head},\n  "ops": {ops}\n}}\n')
     return path
 
 
@@ -138,7 +138,7 @@ def load_graph(path: str | Path) -> GraphData:
     """Featurize a stored circuit; any malformed content raises FeaturizeError."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(read_text(path))
         ops = [
             GateInstance(gate_by_name(kind), tuple(map(_int, qubits)), tuple(map(_number, params)))
             for kind, qubits, params in raw["ops"]

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import DataError
 from .circuit import GateInstance
 from .gates import gate_by_name
+from .jsonio import read_text
 
 TECHNOLOGIES = ("trapped-ion", "superconducting")
 
@@ -194,7 +195,7 @@ def load_profile(source: str | Path | dict) -> DeviceProfile:
     if not isinstance(source, (str, Path)):
         return _profile_from_json(source)
     try:
-        raw = json.loads(Path(source).read_text())
+        raw = json.loads(read_text(source))
     except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise DeviceError(f"{source}: invalid JSON ({exc})") from None
     try:
@@ -258,7 +259,7 @@ def bundled_profile(name: str) -> DeviceProfile:
     path = resources.files("qtp.profiles").joinpath(f"{name}.json")
     if not path.is_file():
         raise DeviceError(f"no bundled profile {name!r}; have {bundled_profile_names()}")
-    return load_profile(json.loads(path.read_text()))
+    return load_profile(json.loads(path.read_text(encoding="utf-8")))
 
 
 def bundled_profiles() -> tuple[DeviceProfile, ...]:

@@ -1,23 +1,41 @@
-"""Deterministic JSON writing with 17-significant-digit floats.
+"""UTF-8 file text, and deterministic JSON with 17-significant-digit floats.
 
-The stdlib encoder renders floats with shortest-roundtrip repr; artifact
-files (graphs, manifests, reports) instead pin floats to %.17g so their byte
-layout is stable and still lossless.  Dict order is insertion order; callers
-build their dicts deterministically.
+qtp reads and writes its text files through `read_text` and `write_text`:
+UTF-8 whatever the locale, with universal newlines on reading.  `fmt_float`
+is the one 17-digit float form, of graphs, manifests, QASM, CSV tables and
+predict's line: stable and lossless, where the stdlib encoder gives the
+shortest round-trip repr.  Dict order is insertion order; callers build
+their dicts deterministically.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
-__all__ = ["dumps", "scalar"]
+from . import DataError
+
+__all__ = ["dumps", "fmt_float", "read_text", "scalar", "write_text"]
 
 
-def _fmt(x: float) -> str:
+def read_text(path: str | Path) -> str:
+    """The file's text as UTF-8; DataError with the codec's message for other bytes."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(str(exc)) from None
+
+
+def write_text(path: str | Path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def fmt_float(x: float) -> str:
+    """x as a float with 17 significant digits; ValueError for inf and NaN."""
     if not math.isfinite(x):
         raise ValueError(f"non-finite float {x!r} has no JSON form")
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def _scalar(x) -> str | None:
@@ -25,7 +43,7 @@ def _scalar(x) -> str | None:
     # exact types first, the bulk of every artifact; bool, None and subclasses take the chain
     t = type(x)
     if t is float:
-        return _fmt(x)
+        return fmt_float(x)
     if t is int:
         return str(x)
     if t is str and x.isascii() and x.isidentifier():
@@ -33,7 +51,7 @@ def _scalar(x) -> str | None:
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return json.dumps(x)
     if isinstance(x, float):
-        return _fmt(x)
+        return fmt_float(x)
     return None
 
 

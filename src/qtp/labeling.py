@@ -8,6 +8,8 @@ where D is the compiled depth, F_i the per-gate fidelities, and K the
 average of the best and worst gate fidelity in that compilation.  Lower is
 better; the winning device's technology becomes the class label (trapped-ion
 0, superconducting 1).  Positive rescaling of costs never changes labels.
+Circuits, variants, manifests and stats tables are read and written with
+`jsonio`'s UTF-8 helpers, and table floats take `jsonio.fmt_float`'s form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .circuit import Circuit, circuit_depth
 # (bench/spans.py) hooks it at this module's name
 from .dag import GRAPH_SUFFIX, featurize_circuit, write_graph  # noqa: F401
 from .devices import TECHNOLOGY_CLASS, DeviceProfile
-from .jsonio import dumps as json_dumps
+from .jsonio import dumps as json_dumps, fmt_float, read_text, write_text
 from .qasm import parse_qasm
 from .transpile import CompiledCircuit, compile_each, compiled_from_circuit
 # compile_for is not called here either (score_devices lowers once through
@@ -150,38 +152,27 @@ class Manifest:
         return [e.label for e in self.entries]
 
 
-def _read_text(path: Path) -> str:
-    """A circuit file's text; undecodable bytes raise LabelError with the codec's message."""
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise LabelError(str(exc)) from None
-
-
 def _load_precompiled(
     circuit_path: Path, profiles: list[DeviceProfile], precompiled_dir: Path
 ) -> dict[str, list[CompiledCircuit]]:
-    """Variants follow <circuit>.<device-name>[.*].qasm; a bad one raises LabelError naming it."""
+    """Variants follow <circuit>.<device-name>[.*].qasm, each scored for the
+    longest device name it matches; a bad one raises LabelError naming it."""
     stem = circuit_path.name[: -len(".qasm")]
     out: dict[str, list[CompiledCircuit]] = {}
-    for profile in profiles:
-        prefix = f"{stem}.{profile.name}"
-        # the stem may hold glob metacharacters (`qft[3]`), so it is matched literally
-        hits = sorted(
-            p for p in precompiled_dir.glob(f"{glob.escape(prefix)}*.qasm")
-            if p.name == f"{prefix}.qasm" or p.name.startswith(f"{prefix}.")
-        )
-        variants = []
-        for path in hits:
-            try:
-                circ = parse_qasm(_read_text(path), name=path.stem)
-                if not circ.ops:
-                    raise LabelError("cost is undefined for an empty compiled circuit")
-                variants.append(compiled_from_circuit(circ, profile))
-            except DataError as exc:
-                raise LabelError(f"{path}: {exc}") from None
-        if variants:
-            out[profile.name] = variants
+    # the stem may hold glob metacharacters (`qft[3]`), so it is matched literally
+    for path in sorted(precompiled_dir.glob(f"{glob.escape(stem)}.*.qasm")):
+        rest = path.name[len(stem) + 1 : -len(".qasm")]
+        owners = [p for p in profiles if rest == p.name or rest.startswith(f"{p.name}.")]
+        if not owners:
+            continue
+        profile = max(owners, key=lambda p: len(p.name))
+        try:
+            circ = parse_qasm(read_text(path), name=path.stem)
+            if not circ.ops:
+                raise LabelError("cost is undefined for an empty compiled circuit")
+            out.setdefault(profile.name, []).append(compiled_from_circuit(circ, profile))
+        except DataError as exc:
+            raise LabelError(f"{path}: {exc}") from None
     return out
 
 
@@ -226,7 +217,7 @@ def build_manifest(
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("always")
-                    circ = parse_qasm(_read_text(path), name=path.name[: -len(".qasm")])
+                    circ = parse_qasm(read_text(path), name=path.name[: -len(".qasm")])
                 variants = None
                 if precompiled_dir is not None:
                     variants = _load_precompiled(path, profiles, Path(precompiled_dir))
@@ -258,7 +249,7 @@ def build_manifest(
         class_counts=(counts[0], counts[1]),
         skipped=skipped,
     )
-    out_path.write_text(manifest_to_json(manifest))
+    write_text(out_path, manifest_to_json(manifest))
     return manifest
 
 
@@ -301,7 +292,7 @@ def manifest_to_json(m: Manifest) -> str:
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(read_text(path))
         entries = [ManifestEntry(**e) for e in raw["entries"]]
         manifest = Manifest(
             profiles=raw["profiles"],
@@ -377,8 +368,8 @@ def stats_tables(manifest: Manifest) -> dict[str, str]:
     qd = ["name,qubits,depth,label"]
     for e in manifest.entries:
         norm.append(
-            f"{e.name},{e.num_qubits},{format(e.depth / e.num_qubits, '.17g')},"
-            f"{format(e.gate_count / e.num_qubits, '.17g')},{e.label}"
+            f"{e.name},{e.num_qubits},{fmt_float(e.depth / e.num_qubits)},"
+            f"{fmt_float(e.gate_count / e.num_qubits)},{e.label}"
         )
         qd.append(f"{e.name},{e.num_qubits},{e.depth},{e.label}")
 
@@ -395,6 +386,6 @@ def write_stats(manifest: Manifest, out_dir: str | Path) -> list[Path]:
     written = []
     for fname, text in stats_tables(manifest).items():
         p = out_dir / fname
-        p.write_text(text)
+        write_text(p, text)
         written.append(p)
     return written

@@ -326,14 +326,15 @@ def bind_params(tape: ad.Tape, weights: dict[str, np.ndarray]) -> dict[str, Tens
 # --- forward ------------------------------------------------------------------
 
 
-def _check_params(config: ModelConfig, params: dict, in_dim: int) -> None:
-    """ModelError unless `params` (Tensors or arrays) has the config's names and shapes."""
+def _check_params(config: ModelConfig, params: dict, in_dim: int) -> dict:
+    """The config's shapes; ModelError unless `params` (Tensors or arrays) has them."""
     expected = param_shapes(config, in_dim)
     if set(expected) != set(params):
         raise ModelError("parameter set does not match the config")
     for name, shape in expected.items():
-        if tuple(params[name].shape) != shape:
-            raise ModelError(f"parameter {name} has shape {params[name].shape}, wants {shape}")
+        if np.shape(params[name]) != shape:
+            raise ModelError(f"parameter {name} has shape {np.shape(params[name])}, wants {shape}")
+    return expected
 
 
 def _heads(config: ModelConfig, params: dict) -> list[tuple]:
@@ -418,15 +419,10 @@ def _checked_shapes(config: ModelConfig, weights: dict[str, np.ndarray], path) -
     first = np.shape(next(iter(weights.values()), None))
     if len(first) != 2:
         raise CheckpointError(f"{path}: first parameter has shape {first}, wants a matrix")
-    expected = param_shapes(config, first[0])
-    if set(expected) != set(weights):
-        raise CheckpointError(f"{path}: parameter names do not match the config")
-    for name, shape in expected.items():
-        if np.shape(weights[name]) != shape:
-            raise CheckpointError(
-                f"{path}: parameter {name} has shape {np.shape(weights[name])}, wants {shape}"
-            )
-    return expected
+    try:
+        return _check_params(config, weights, first[0])
+    except ModelError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def save_checkpoint(

@@ -13,6 +13,9 @@ op list to its `Circuit`.  Everything else, and anything the scanner does not
 take, goes to the token parser, which alone reads expressions, comments and
 other layouts, appends each gate through `Circuit.append` and reports every
 error with its position.
+
+The reader takes text; callers read files with `jsonio.read_text`.
+`serialize_qasm` writes angles in `jsonio.fmt_float`'s lossless form.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import warnings
 from . import DataError
 from .circuit import Circuit, CircuitError, GateInstance
 from .gates import VOCABULARY, gate_by_name
+from .jsonio import fmt_float
 
-__all__ = ["QasmError", "QasmWarning", "parse_qasm", "serialize_qasm", "fmt_angle"]
+__all__ = ["QasmError", "QasmWarning", "parse_qasm", "serialize_qasm"]
 
 
 class QasmError(DataError):
@@ -401,11 +405,6 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
 _NAMES = {k: k.value for k in VOCABULARY}  # Enum's .value is a property call per op
 
 
-def fmt_angle(x: float) -> str:
-    """Format a float with 17 significant digits (lossless for doubles)."""
-    return format(float(x), ".17g")
-
-
 def serialize_qasm(circ: Circuit) -> str:
     """Render a Circuit back to OpenQASM 2.0, one statement per line."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circ.num_qubits}];"]
@@ -413,7 +412,7 @@ def serialize_qasm(circ: Circuit) -> str:
     for op in circ.ops:
         operands = ",".join([wire[q] for q in op.qubits])
         if op.params:
-            args = ",".join([fmt_angle(p) for p in op.params])
+            args = ",".join([fmt_float(p) for p in op.params])
             lines.append(f"{_NAMES[op.kind]}({args}) {operands};")
         else:
             lines.append(f"{_NAMES[op.kind]} {operands};")

@@ -970,3 +970,91 @@ class TestProcessEntry:
         )
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "non-finite forward pass" in proc.stderr
+
+
+# A locale whose default text encoding is ASCII: no coercion to C.UTF-8, no UTF-8 mode.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+# b"\xe9" is é in Latin-1, not UTF-8; in a comment the parser would ignore it
+_LATIN1_COMMENT = b'OPENQASM 2.0;\ninclude "qelib1.inc";\n// caf\xe9\nqreg q[1];\nx q[0];\n'
+
+
+def _qtp_process(*argv, env):
+    return subprocess.run([sys.executable, "-m", "qtp.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=300, env={**os.environ, **env})
+
+
+@pytest.fixture(scope="module")
+def ascii_locale():
+    """_ASCII_LOCALE, once a process under it is seen to default to a non-UTF-8 encoding."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, **_ASCII_LOCALE},
+    )
+    assert proc.returncode == 0 and "utf" not in proc.stdout.lower(), proc.stdout
+    return _ASCII_LOCALE
+
+
+class TestFileText:
+    """Input files are read, and output files written, as UTF-8 whatever the locale."""
+
+    @pytest.mark.parametrize("command", ["featurize", "predict"])
+    def test_undecodable_circuit_is_bad_data(self, trained, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.qasm"
+        bad.write_bytes(_LATIN1_COMMENT)
+        argv = [command, str(bad)]
+        if command == "predict":
+            argv += ["--checkpoint", str(trained / "fold0.ckpt")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"qtp {command}: {bad}: 'utf-8' codec can't decode byte 0xe9 in position 42:"
+            " invalid continuation byte\n"
+        )
+        assert not (tmp_path / "latin1.dag.json").exists()
+
+    @pytest.mark.parametrize("text", [_BELL, _BELL + "// token path\n"],
+                             ids=["scanner", "token-parser"])
+    def test_crlf_circuit_reads_as_its_lf_copy(self, tmp_path, text):
+        for newline in ("lf", "crlf"):
+            circuits = tmp_path / newline
+            circuits.mkdir()
+            data = text.encode() if newline == "lf" else text.replace("\n", "\r\n").encode()
+            (circuits / "bell.qasm").write_bytes(data)
+            assert main(["featurize", str(circuits / "bell.qasm")]) == 0
+            assert main(["label", "--circuits", str(circuits),
+                         "--out", str(circuits / "out" / "manifest.json")]) == 0
+        for rel in ("bell.dag.json", "out/manifest.json", "out/dags/bell.dag.json"):
+            assert (tmp_path / "lf" / rel).read_bytes() == (tmp_path / "crlf" / rel).read_bytes()
+
+    def test_non_ascii_profile_name_loads_under_an_ascii_locale(self, tmp_path, ascii_locale):
+        raw = json.loads(
+            (Path(qtp.devices.__file__).parent / "profiles" / "ionq-forte-like.json").read_text())
+        raw["name"] = "lïne"
+        profile = tmp_path / "line.json"
+        profile.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "bell.qasm").write_text(_BELL)
+        for run, env in (("utf8", {}), ("ascii", ascii_locale)):
+            proc = _qtp_process("label", "--circuits", tmp_path / "c", "--profiles", profile,
+                                "ibm-eagle-like", "--out", tmp_path / run / "m.json", env=env)
+            assert proc.returncode == 0, proc.stderr
+        assert [p["name"] for p in load_manifest(tmp_path / "ascii" / "m.json").profiles] == [
+            "lïne", "ibm-eagle-like"]
+        for rel in ("m.json", "dags/bell.dag.json"):
+            assert (tmp_path / "ascii" / rel).read_bytes() == (tmp_path / "utf8" / rel).read_bytes()
+
+    def test_stats_of_a_non_ascii_circuit_name_under_an_ascii_locale(self, tmp_path,
+                                                                     ascii_locale):
+        circuits = tmp_path / "c"
+        circuits.mkdir()
+        (circuits / "café.qasm").write_text(_BELL)  # labelled under this process's locale
+        manifest = tmp_path / "m.json"
+        assert main(["label", "--circuits", str(circuits), "--out", str(manifest)]) == 0
+        assert main(["stats", "--manifest", str(manifest), "--out", str(tmp_path / "utf8")]) == 0
+        proc = _qtp_process("stats", "--manifest", manifest, "--out", tmp_path / "ascii",
+                            env=ascii_locale)
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in (tmp_path / "utf8").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "ascii").iterdir())
+        for name in names:
+            assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+        assert "café,2," in (tmp_path / "utf8" / "normalized.csv").read_text(encoding="utf-8")

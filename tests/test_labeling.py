@@ -505,6 +505,24 @@ class TestManifest:
         assert entry.name == "qft[3]"
         assert entry.costs["sc-line3"] == min(variants)
 
+    def test_variant_belongs_to_the_longest_profile_name(self, tmp_path, sc_line3):
+        # with profiles `line` and `line.b`, bell.line.b.qasm is line.b's variant only
+        line, line_b = (replace(sc_line3, name=name) for name in ("line", "line.b"))
+        circuits, pre = tmp_path / "circuits", tmp_path / "pre"
+        circuits.mkdir()
+        pre.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        variant = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nsx q[0];\n'
+        (circuits / "bell.qasm").write_text(bell)
+        (pre / "bell.line.b.qasm").write_text(variant)
+        manifest = build_manifest(circuits, [line, line_b], tmp_path / "m.json",
+                                  precompiled_dir=pre)
+        [entry] = manifest.entries
+        pipeline_cost = cost(compile_for(parse_qasm(bell), line))
+        variant_cost = cost(compiled_from_circuit(parse_qasm(variant), line_b))
+        assert variant_cost < pipeline_cost
+        assert entry.costs == {"line": pipeline_cost, "line.b": variant_cost}
+
     def test_missing_directory_rejected(self, tmp_path, ion_aa3, sc_line3):
         with pytest.raises(LabelError, match="not a directory"):
             build_manifest(tmp_path / "nowhere", [ion_aa3, sc_line3], tmp_path / "m.json")

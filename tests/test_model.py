@@ -1099,7 +1099,7 @@ class TestCheckpoint:
         config = ModelConfig("gcn", 8, 1, (16,))
         weights = init_weights(config, seed=10, in_dim=9)
         weights.pop("out.b")
-        with pytest.raises(CheckpointError, match="names"):
+        with pytest.raises(CheckpointError, match="parameter set"):
             save_checkpoint(tmp_path / "x.ckpt", config, weights, seed=10)
 
     def test_save_rejects_wrong_shape(self, tmp_path):

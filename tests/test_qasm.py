@@ -10,7 +10,8 @@ import qtp.qasm
 from qtp.circuit import Circuit, GateInstance
 from qtp.corpus import gen_corpus
 from qtp.gates import GateKind, VOCABULARY
-from qtp.qasm import QasmError, QasmWarning, fmt_angle, parse_qasm, serialize_qasm
+from qtp.jsonio import fmt_float
+from qtp.qasm import QasmError, QasmWarning, parse_qasm, serialize_qasm
 from util import add
 
 
@@ -204,10 +205,10 @@ class TestSerialize:
         ]
 
     def test_angle_precision(self):
-        assert fmt_angle(math.pi) == "3.1415926535897931"
-        assert fmt_angle(0.5) == "0.5"
+        assert fmt_float(math.pi) == "3.1415926535897931"
+        assert fmt_float(0.5) == "0.5"
         # 17 significant digits survive a float round-trip exactly
-        assert float(fmt_angle(0.1 + 0.2)) == 0.1 + 0.2
+        assert float(fmt_float(0.1 + 0.2)) == 0.1 + 0.2
 
 
 def _random_circuit(draw):
