@@ -30,16 +30,23 @@ All data is float64.  Every op checks that its output is finite
 messages, so silent overflow cannot leak into training or prediction.
 
 Memory: a training step allocates n×width arrays (an n×128 batch array is
-4–5 MB) and frees them at its end.  By default glibc hands that memory back
-to the OS (it trims the heap top and unmaps chunks above its mmap threshold),
-so the next step faults every page in again: about 120 k minor faults and
-0.4 s of system time in a 3 s 5-fold unit of the acceptance GAT config on
-`gen_corpus(200, seed=11)` (2-core x86-64 host, one BLAS thread).  Importing
-this module therefore sets glibc's allocator policy once, so freed buffers
-stay in the process.  The heap then grows to the step's peak once, in the
-first unit (10.5 k faults), and every later unit takes under 500 faults and
-under 0.01 s of system time.  Where `mallopt` does not exist (macOS, Windows)
-nothing is changed.
+4–5 MB).  A step keeps only what its backward still reads: each op keeps
+the buffers its push reads (a GCN layer's slopes as a one-byte mask), and
+backward pops each record and drops its output before the push runs, so a
+buffer goes once no remaining push reads it.  On the largest 32-graph batch
+of the benchmark's train corpus at seed 11 (6,183 nodes), a step of the
+acceptance GAT config peaks in backward at 33.5 MiB under tracemalloc, 5.5
+n×128 arrays.
+
+By default glibc hands freed memory back to the OS (it trims the heap top
+and unmaps chunks above its mmap threshold), so the next step faults every
+page in again: about 120 k minor faults and 0.4 s of system time in a 3 s
+5-fold unit of the acceptance GAT config on `gen_corpus(200, seed=11)`
+(2-core x86-64 host, one BLAS thread).  Importing this module therefore sets
+glibc's allocator policy once, so freed buffers stay in the process.  The
+heap then grows to the step's peak once, in the first unit (10.5 k faults),
+and every later unit takes under 500 faults and under 0.01 s of system
+time.  Where `mallopt` does not exist (macOS, Windows) nothing is changed.
 """
 
 from __future__ import annotations
@@ -56,8 +63,8 @@ Array = np.ndarray
 # Setting any threshold pins it: trim alone would leave it at 128 KiB.
 MMAP_THRESHOLD = 32 << 20
 # Above the whole process's peak RSS for the widest grid config (GAT 64×8 with two
-# blocks: 423 MB in a 5-fold run on corpus200), so a step's freed transient memory
-# is never trimmed from the heap top.
+# blocks: 286 MiB in a 5-fold run on the benchmark's train corpus), so a step's freed
+# transient memory is never trimmed from the heap top.
 TRIM_THRESHOLD = 1 << 30
 
 
@@ -102,6 +109,7 @@ class Tape:
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, Callable[[Array], None]]] = []
         self.params: dict[str, Tensor] = {}
+        self._spent = False
 
     def const(self, value) -> Tensor:
         return Tensor(np.asarray(value, dtype=np.float64), self, requires_grad=False)
@@ -123,28 +131,40 @@ class Tape:
         """Seed the scalar loss with 1 and replay adjoints in reverse order.
 
         Returns every parameter's gradient, zeros where backward never reached.
+        Each record is popped before its push runs and its output is dropped,
+        so a buffer goes as soon as no remaining push reads it.  The tape is
+        spent afterwards: a second call raises ValueError.
         """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        for out, _ in self._records:
-            out.grad = None
+        if self._spent:
+            raise ValueError("backward already ran on this tape")
+        self._spent = True
         for p in self.params.values():
             p.grad = np.zeros_like(p.data)
         loss.grad = np.ones_like(loss.data)
-        for out, push in reversed(self._records):
-            if out.grad is not None:
-                push(out.grad)
+        records = self._records
+        while records:
+            out, push = records.pop()
+            g = out.grad
+            # the later ops' pushes that read `out` have run and gone, so this
+            # frees it unless the caller holds it
+            del out
+            if g is not None:
+                push(g)
         return {name: p.grad.copy() for name, p in self.params.items()}
 
     def release(self) -> None:
-        """Drop all records so the batch's buffers free immediately.
+        """Drop all records and parameters so the batch's buffers free immediately.
 
         Tape and Tensor reference each other, so a discarded tape waits for
         the cycle collector; a loop building one tape per batch would pile up
-        several batches of intermediates before that runs.  Call this once a
-        tape's outputs have been read.  The tape must not be reused after.
+        several batches of intermediates before that runs.  `backward` has
+        already dropped the records; this drops the rest, and the records of a
+        tape backward never ran on.  Call it once a tape's outputs have been
+        read.  The tape must not be reused after.
         """
         self._records.clear()
         self.params.clear()
@@ -267,19 +287,19 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
     return tape.record(np.concatenate([t.data for t in tensors], axis=-1), push)
 
 
-def leaky_gain(x: Array, alpha: float) -> Array:
-    """LeakyReLU's slope at x: 1.0 where x > 0, alpha elsewhere.
+def leaky_gain(positive: Array, alpha: float) -> Array:
+    """LeakyReLU's slopes from the mask `x > 0`: 1.0 where it is set, alpha elsewhere.
 
     Exact when (1.0 - alpha) + alpha == 1.0, which holds for the model's
     slopes (a test pins them).
     """
-    gain = (x > 0) * (1.0 - alpha)
+    gain = positive * (1.0 - alpha)
     gain += alpha
     return gain
 
 
 def leaky_relu(a: Tensor, alpha: float) -> Tensor:
-    slope = leaky_gain(a.data, alpha)
+    slope = leaky_gain(a.data > 0, alpha)
 
     def push(g: Array) -> None:
         accumulate(a, g * slope)
@@ -498,7 +518,7 @@ class NeighborTable:
         out[self.order] = acc
         return out
 
-    def gather_sum(self, x: Array, weights: Array) -> Array:
+    def gather_sum(self, x: Array, weights: Array, add_to: Array | None = None) -> Array:
         """out[i] = sum of weights[p] * x[cols[p]] over the positions p of row i.
 
         `weights` is (positions,), or (positions, groups) with column k
@@ -506,13 +526,16 @@ class NeighborTable:
         `order` `block_rows(width)` rows at a time: a block takes its part of
         every slot that reaches it, then goes straight to its rows of the
         output, so the (rows, width) temporaries stay in cache.
+
+        With 1-D weights, `add_to` (num_rows, width) takes the sums added in
+        place, with the bits of `add_to += out`, and is returned.
         """
         num_rows, width = self.num_rows, x.shape[1]
         # a row of x, split into its column groups when there are several
         row = (width,) if weights.ndim == 1 else (weights.shape[1], width // weights.shape[1])
         x = x.reshape((-1,) + row)
         weights = weights.reshape((-1,) + row[:-1] + (1,))
-        out = np.empty((num_rows,) + row)
+        out = np.empty((num_rows,) + row) if add_to is None else add_to
         step = block_rows(width)
         for r0 in range(0, num_rows, step):
             r1 = min(r0 + step, num_rows)
@@ -524,7 +547,10 @@ class NeighborTable:
                 term = x[self.cols[lo + r0 : lo + end]]
                 term *= weights[lo + r0 : lo + end]
                 acc[: end - r0] += term
-            out[self.order[r0:r1]] = acc
+            if add_to is None:
+                out[self.order[r0:r1]] = acc
+            else:
+                out[self.order[r0:r1]] += acc
         return out.reshape(num_rows, width)
 
     def pair_dots(self, left: Array, right: Array, groups: int) -> Array:
@@ -555,15 +581,19 @@ class NeighborTable:
 def gcn_arrays(
     h: Array, table: NeighborTable, w: Array, b: Array, slope: float, residual: bool
 ) -> tuple[Array, Array, Array]:
-    """`gcn_layer`'s forward on plain arrays of aligned shapes: (output, ÂH, slopes)."""
+    """`gcn_layer`'s forward on plain arrays of aligned shapes.
+
+    Returns the output, ÂH, and the mask of positive pre-activations, from
+    which `leaky_gain` rebuilds the slopes.
+    """
     ah = table.gather_sum(h, table.vals)
     out = ah @ w
     out += b
-    gain = leaky_gain(out, slope)
-    out *= gain
+    positive = out > 0
+    out *= leaky_gain(positive, slope)
     if residual:
         out += h
-    return out, ah, gain
+    return out, ah, positive
 
 
 def gcn_layer(
@@ -573,7 +603,9 @@ def gcn_layer(
 
     `table` holds a symmetric Â with values, so the backward's Âᵀ G is the same
     table sum.  The forward works in place on the product's buffer, and only
-    ÂH and the slopes are kept for the backward.
+    ÂH and the boolean mask of positive pre-activations (one byte an element)
+    are kept for the backward, which rebuilds the slopes from the mask in the
+    buffer of the pre-activation's gradient.
     """
     tape = _same_tape((h, w, b))
     width = w.data.shape[1]
@@ -583,16 +615,24 @@ def gcn_layer(
         raise ValueError(
             f"gcn_layer shapes {h.data.shape}, {w.data.shape}, {b.data.shape} do not align"
         )
-    out, ah, gain = gcn_arrays(h.data, table, w.data, b.data, slope, residual)
+    out, ah, positive = gcn_arrays(h.data, table, w.data, b.data, slope, residual)
 
     def push(g: Array) -> None:
-        d = g * gain
+        nonlocal ah
+        d = leaky_gain(positive, slope)
+        d *= g  # gain * g: the bits of g * gain
         if residual:
             accumulate(h, g)
         accumulate(b, d.sum(axis=0))
         accumulate(w, ah.T @ d)
+        ah = None  # a push runs once, so ÂH can go before the table sum allocates
         if h.requires_grad:
-            accumulate(h, table.gather_sum(d @ w.data.T, table.vals))
+            back = d @ w.data.T
+            del d
+            if h.grad is None:
+                accumulate(h, table.gather_sum(back, table.vals))
+            else:  # an earlier adjoint, already h's own: the sum goes straight in
+                table.gather_sum(back, table.vals, add_to=h.grad)
 
     return tape.record(out, push)
 
@@ -619,7 +659,7 @@ def gat_arrays(
         s_src[:, k] = (wh @ a_src)[:, 0]
     # an overflowed score of -inf would give a zero weight, not a non-finite output
     z = check_finite(s_dst[into.rows] + s_src[into.cols], "attention score")
-    gain = leaky_gain(z, slope)
+    gain = leaky_gain(z > 0, slope)
     logit = z * gain
     e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
     alpha = e / into.reduce(e)[into.rows]

@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,6 +165,7 @@ def _load_precompiled(
         rest = path.name[len(stem) + 1 : -len(".qasm")]
         owners = [p for p in profiles if rest == p.name or rest.startswith(f"{p.name}.")]
         if not owners:
+            log.warning("skipping %s: %r names no device profile", path, rest)
             continue
         profile = max(owners, key=lambda p: len(p.name))
         try:
@@ -185,8 +187,11 @@ def build_manifest(
     """Label every .qasm under circuits_dir and write the manifest, with the
     graph files in a `dags` directory next to it.
 
-    Per-file bad data (a `DataError`: parse errors, unscorable circuits) goes
-    to the manifest's skipped list; any other exception is a defect and ends the run.
+    Per-file bad data (a `DataError`: parse errors, unscorable circuits, a
+    file name that is not UTF-8) goes to the manifest's skipped list; any
+    other exception is a defect and ends the run.  Names and paths in the
+    manifest are the text of the file names' bytes in UTF-8, whatever the
+    locale, and each graph file's name has the bytes of its circuit's.
 
     The per-file loop runs with the cyclic garbage collector paused, and the
     caller's setting comes back when the loop ends or raises.  The pass makes
@@ -215,22 +220,25 @@ def build_manifest(
     try:
         for path in files:
             try:
+                name = _text(path.name)[: -len(".qasm")]
+                circuit_path = _rel(path, out_path.parent)
                 with warnings.catch_warnings():
                     warnings.simplefilter("always")
-                    circ = parse_qasm(read_text(path), name=path.name[: -len(".qasm")])
+                    circ = parse_qasm(read_text(path), name=name)
                 variants = None
                 if precompiled_dir is not None:
                     variants = _load_precompiled(path, profiles, Path(precompiled_dir))
                 label, best, costs = label_circuit(circ, profiles, variants)
                 dag_path = _write_graph(circ, dag_dir, label)
             except DataError as exc:
-                skipped.append({"circuit": path.name, "error": str(exc)})
-                log.warning("skipping %s: %s", path.name, exc)
+                shown = os.fsencode(path.name).decode("utf-8", "backslashreplace")
+                skipped.append({"circuit": shown, "error": str(exc)})
+                log.warning("skipping %s: %s", shown, exc)
                 continue
             counts[label] += 1
             entries.append(ManifestEntry(
                 name=circ.name,
-                circuit_path=_rel(path, out_path.parent),
+                circuit_path=circuit_path,
                 dag_path=_rel(dag_path, out_path.parent),
                 num_qubits=circ.num_qubits,
                 depth=circuit_depth(circ),
@@ -264,20 +272,35 @@ def _write_graph(circ: Circuit, dag_dir: Path, label: int) -> Path:
     the circuit's.
     """
     try:
-        return write_graph(circ, dag_dir / (circ.name + GRAPH_SUFFIX), label)
+        return write_graph(circ, dag_dir / _fs_name(circ.name + GRAPH_SUFFIX), label)
     except OSError as exc:
         name = Path(exc.filename).name
         if exc.errno != errno.ENAMETOOLONG or (
             len(os.fsencode(name)) <= os.pathconf(dag_dir, "PC_NAME_MAX")
         ):
             raise
-        raise LabelError(f"graph file name {name} is too long") from None
+        raise LabelError(f"graph file name {_text(name)} is too long") from None
+
+
+def _text(name: str) -> str:
+    """A file-system name as the text its bytes spell in UTF-8, whatever the
+    locale decoded them with; LabelError naming the file if they spell none."""
+    raw = os.fsencode(name)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise LabelError(f"{raw.decode('utf-8', 'backslashreplace')} is not valid UTF-8") from None
+
+
+def _fs_name(text: str) -> str:
+    """The file-system name whose bytes are `text` in UTF-8: `_text`'s inverse."""
+    return os.fsdecode(text.encode("utf-8"))
 
 
 def _rel(path: Path, base: Path) -> str:
     """path from base, through `..` if need be, so the manifest's bytes do not
-    depend on where the tree sits."""
-    return Path(os.path.relpath(path.resolve(), base.resolve())).as_posix()
+    depend on where the tree sits; text, as `_text` gives it."""
+    return _text(Path(os.path.relpath(path.resolve(), base.resolve())).as_posix())
 
 
 def manifest_to_json(m: Manifest) -> str:
@@ -307,12 +330,20 @@ def load_manifest(path: str | Path) -> Manifest:
     return manifest
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _check_entry(e: ManifestEntry, path: Path) -> None:
     """Types and ranges of one loaded entry's fields; raises LabelError.
 
     Counts stay below 2**63 and costs within the float range, so that the
-    stats tables' ratios cannot overflow and a cost is always a float.
+    stats tables' ratios cannot overflow and a cost is always a float.  A
+    string must have a UTF-8 form: JSON escapes can spell lone surrogates,
+    which no output file could hold.
     """
+    def text(x) -> bool:
+        return isinstance(x, str) and not _SURROGATE.search(x)
+
     def count(x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < 2**63
 
@@ -325,10 +356,10 @@ def _check_entry(e: ManifestEntry, path: Path) -> None:
             return False
 
     for attr, ok, want in (
-        ("name", isinstance(e.name, str), "a string"),
-        ("circuit_path", isinstance(e.circuit_path, str), "a string"),
-        ("dag_path", isinstance(e.dag_path, str), "a string"),
-        ("best_device", isinstance(e.best_device, str), "a string"),
+        ("name", text(e.name), "a UTF-8 string"),
+        ("circuit_path", text(e.circuit_path), "a UTF-8 string"),
+        ("dag_path", text(e.dag_path), "a UTF-8 string"),
+        ("best_device", text(e.best_device), "a UTF-8 string"),
         ("num_qubits", count(e.num_qubits) and e.num_qubits >= 1, "an int in [1, 2**63)"),
         ("depth", count(e.depth), "an int in [0, 2**63)"),
         ("gate_count", count(e.gate_count), "an int in [0, 2**63)"),
@@ -345,7 +376,7 @@ def _check_entry(e: ManifestEntry, path: Path) -> None:
 
 def resolve_dag_paths(manifest_path: str | Path, manifest: Manifest) -> list[Path]:
     base = Path(manifest_path).resolve().parent
-    return [base / e.dag_path for e in manifest.entries]
+    return [base / _fs_name(e.dag_path) for e in manifest.entries]
 
 
 # --- summary tables ---------------------------------------------------------

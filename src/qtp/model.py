@@ -404,7 +404,7 @@ def predict_proba(
     for j in range(1, len(config.ffnn) + 1):
         h = h @ params[f"ffnn{j}.w"]
         h += params[f"ffnn{j}.b"]
-        h *= ad.leaky_gain(h, LEAKY_SLOPE)
+        h *= ad.leaky_gain(h > 0, LEAKY_SLOPE)
         ad.check_finite(h)
     logits = h @ params["out.w"]
     logits += params["out.b"]

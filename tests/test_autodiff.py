@@ -4,6 +4,7 @@ import math
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -262,13 +263,27 @@ class TestTapeMechanics:
         grads = tape.backward(ad.mean_all(ad.add(x, x)))
         assert np.allclose(grads["x"], 2.0 / 3.0)
 
-    def test_backward_rezeros_grads(self):
+    def test_second_backward_raises(self):
+        # backward consumes the records, so the tape is spent once it has run
         tape = ad.Tape()
         x = tape.param("x", [[1.0, -1.0]])
         loss = ad.mean_all(ad.mul(x, x))
-        first = tape.backward(loss)
-        second = tape.backward(loss)
-        assert np.array_equal(first["x"], second["x"])
+        assert np.array_equal(tape.backward(loss)["x"], [[1.0, -1.0]])
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(loss)
+
+    def test_backward_frees_outputs_no_push_reads(self):
+        tape = ad.Tape()
+        x = tape.param("x", [1.0, 2.0])
+        data = x.data * 2.0
+        freed = weakref.ref(data)
+        mid = tape.record(data, lambda g: ad.accumulate(x, 2.0 * g))
+        loss = ad.mean_all(ad.scale(mid, 3.0))
+        del data, mid
+        assert freed() is not None  # the record and scale's push hold it
+        grads = tape.backward(loss)
+        assert freed() is None  # gone before release()
+        assert np.array_equal(grads["x"], [3.0, 3.0])
 
     def test_gradients_only_where_backward_reaches(self):
         tape = ad.Tape()

@@ -520,10 +520,14 @@ class TestExitCodes:
             ("gate_count", 10**400),
             ("num_qubits", 10**400),
             ("depth", 2**63),
+            # what label wrote for café.qasm under an ASCII locale, and stats then exited 3 on
+            ("name", "caf\udcc3\udca9"),
+            ("circuit_path", "../c/caf\udcc3\udca9.qasm"),
         ],
         ids=["zero-qubits", "float-qubits", "negative-depth", "bool-gates",
              "string-cost", "cost-list", "int-name", "null-path", "cost-past-float",
-             "depth-past-float", "gates-past-float", "qubits-past-float", "depth-past-int64"],
+             "depth-past-float", "gates-past-float", "qubits-past-float", "depth-past-int64",
+             "surrogate-name", "surrogate-path"],
     )
     def test_stats_bad_entry_field(self, pipeline, tmp_path, capsys, field, value):
         _, _, manifest = pipeline
@@ -1040,6 +1044,25 @@ class TestFileText:
         assert [p["name"] for p in load_manifest(tmp_path / "ascii" / "m.json").profiles] == [
             "lïne", "ibm-eagle-like"]
         for rel in ("m.json", "dags/bell.dag.json"):
+            assert (tmp_path / "ascii" / rel).read_bytes() == (tmp_path / "utf8" / rel).read_bytes()
+
+    def test_non_ascii_circuit_name_labels_the_same_under_an_ascii_locale(self, tmp_path,
+                                                                          ascii_locale):
+        circuits = tmp_path / "c"
+        circuits.mkdir()
+        (circuits / "café.qasm").write_text(_BELL)
+        (circuits / "bell.qasm").write_text(_BELL)
+        for run, env in (("utf8", {}), ("ascii", ascii_locale)):
+            proc = _qtp_process("label", "--circuits", circuits, "--out",
+                                tmp_path / run / "m.json", env=env)
+            assert proc.returncode == 0, proc.stderr
+            proc = _qtp_process("stats", "--manifest", tmp_path / run / "m.json",
+                                "--out", tmp_path / run / "stats", env=ascii_locale)
+            assert proc.returncode == 0, proc.stderr
+        manifest = load_manifest(tmp_path / "ascii" / "m.json")
+        assert [e.name for e in manifest.entries] == ["bell", "café"]
+        assert manifest.entries[1].dag_path == "dags/café.dag.json"
+        for rel in ("m.json", "dags/bell.dag.json", "dags/café.dag.json", "stats/normalized.csv"):
             assert (tmp_path / "ascii" / rel).read_bytes() == (tmp_path / "utf8" / rel).read_bytes()
 
     def test_stats_of_a_non_ascii_circuit_name_under_an_ascii_locale(self, tmp_path,

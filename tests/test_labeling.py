@@ -484,6 +484,39 @@ class TestManifest:
         assert [e.name for e in manifest.entries] == ["other"]
         assert manifest.skipped == [{"circuit": "bell.qasm", "error": f"{bad}: {error}"}]
 
+    def test_variant_naming_no_profile_is_logged(self, tmp_path, ion_aa3, sc_line3, caplog):
+        circuits, pre = tmp_path / "circuits", tmp_path / "pre"
+        circuits.mkdir()
+        pre.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        (circuits / "bell.qasm").write_text(bell)
+        stray = pre / "bell.sc-line.qasm"  # the device is sc-line3
+        stray.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nsx q[0];\n')
+        with caplog.at_level(logging.WARNING, logger="qtp.labeling"):
+            with_stray = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "a" / "m.json",
+                                        precompiled_dir=pre)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping {stray}: 'sc-line' names no device profile"]
+        build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "b" / "m.json")
+        assert with_stray.skipped == []
+        assert (tmp_path / "a" / "m.json").read_bytes() == (tmp_path / "b" / "m.json").read_bytes()
+
+    def test_file_name_not_utf8_skipped(self, tmp_path, ion_aa3, sc_line3, caplog):
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        (circuits / os.fsdecode(b"caf\xe9.qasm")).write_text(bell)  # é in Latin-1
+        (circuits / "bell.qasm").write_text(bell)
+        with caplog.at_level(logging.WARNING, logger="qtp.labeling"):
+            manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json")
+        assert [e.name for e in manifest.entries] == ["bell"]
+        assert manifest.skipped == [
+            {"circuit": "caf\\xe9.qasm", "error": "caf\\xe9.qasm is not valid UTF-8"}]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping caf\\xe9.qasm: caf\\xe9.qasm is not valid UTF-8"]
+        assert os.listdir(tmp_path / "dags") == ["bell.dag.json"]
+        assert load_manifest(tmp_path / "m.json").skipped == manifest.skipped
+
     def test_variants_of_a_circuit_named_with_glob_metacharacters(
             self, tmp_path, ion_aa3, sc_line3):
         circuits, pre = tmp_path / "circuits", tmp_path / "pre"

@@ -1,6 +1,7 @@
 """Training stack: splitting, loss, Adam, metrics, and the fold loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtp import training as tr
-from qtp.dag import FEATURE_DIM, GraphData
-from qtp.model import ModelConfig
+from qtp.dag import FEATURE_DIM, GraphData, featurize_circuit
+from qtp.model import ModelConfig, batch_graphs, bind_params, init_weights, model_forward
 from qtp.training import (
     QUBIT_BUCKETS,
     AdamState,
@@ -484,3 +485,29 @@ class TestTrainLoop:
         weights = train(_TOY_CONFIG, graphs, k=2, epochs=1, seed=0).weights[0]
         with pytest.raises(TrainingError, match="labels"):
             evaluate(_TOY_CONFIG, weights, bad)
+
+
+# --- step memory -------------------------------------------------------------------
+
+
+def test_gat32_backward_peak(corpus200):
+    """One step of the acceptance GAT config peaks in backward at no more than
+    7.5 (n, width) float64 arrays: what the forward keeps plus what backward
+    builds, with each buffer freed once no remaining push reads it.  The tape
+    that kept every buffer to the end peaked at about 9.5."""
+    circuits = sorted(corpus200, key=lambda c: (-len(c.ops), c.name))[:32]
+    batch = batch_graphs([featurize_circuit(c, label=i % 2) for i, c in enumerate(circuits)])
+    config = ModelConfig("gat", 32, 1, (256, 32), heads=4)
+    params = init_weights(config, 0)
+    tracemalloc.start()
+    try:
+        tape = ad.Tape()
+        probs = model_forward(config, bind_params(tape, params), batch)
+        loss = weighted_cross_entropy(probs, batch.labels, class_weights(batch.labels))
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (batch.features.shape[0] * config.width * 8)
+    assert arrays <= 7.5, f"backward peaked at {arrays:.2f} (n, width) arrays"
