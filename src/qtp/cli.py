@@ -4,7 +4,8 @@ Every subcommand is a batch operation writing files; the only console output
 besides logging is predict's single result line.  Exit codes: 0 success,
 1 usage error, 2 bad input data, 3 internal failure.  Files are read and
 written as UTF-8 whatever the locale (`jsonio`); the CSV tables and predict's
-line write floats with `jsonio.fmt_float`.
+line write floats with `jsonio.fmt_float`.  Circuit files are named, read and
+written through `labeling`, as `label` does; `predict` names no circuit.
 
 Importing this module pins BLAS to one thread, before numpy is first
 imported: a multi-threaded BLAS splits matmul sums differently, so `train`
@@ -35,12 +36,12 @@ import numpy as np
 
 from . import DataError
 from .corpus import CorpusError, CorpusParams, gen_corpus
-from .dag import (GRAPH_SUFFIX, FeaturizeError, GraphData, featurize_circuit, load_graph,
-                  write_graph)
+from .dag import FeaturizeError, GraphData, featurize_circuit, load_graph
 from .devices import (DeviceError, DeviceProfile, bundled_profile, bundled_profile_names,
                       load_profile)
 from .jsonio import fmt_float, read_text, write_text
-from .labeling import LabelError, build_manifest, load_manifest, resolve_dag_paths, write_stats
+from .labeling import (LabelError, build_manifest, load_manifest, path_text, read_circuit,
+                       resolve_dag_paths, write_graph_file, write_stats)
 from .model import (CheckpointError, ModelConfig, ModelError, iter_grid, load_checkpoint,
                     predict_proba, save_checkpoint)
 from .qasm import parse_qasm, serialize_qasm
@@ -98,11 +99,13 @@ def _load_dataset(manifest_path: str) -> list[GraphData]:
     return graphs
 
 
-def _load_circuit(path: Path):
+@contextlib.contextmanager
+def _reading(path: Path):
+    """Bad data met while reading a circuit file names the file."""
     try:
-        return parse_qasm(read_text(path), name=path.stem)
+        yield
     except DataError as exc:
-        exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{path_text(path)}: {exc}",)
         raise
 
 
@@ -150,12 +153,20 @@ def _cmd_featurize(args) -> int:
     if not targets:
         raise FeaturizeError("no circuits to featurize")
     out_dir = Path(args.out) if args.out else None
+    # every input is read before a graph is written: bad data, or two inputs for
+    # one graph file (one circuit name in one directory), writes nothing
+    graphs = {}  # (directory, circuit name) -> (path, circuit)
+    for path in targets:
+        with _reading(path):
+            circ = read_circuit(path)
+        first, _ = graphs.setdefault(((out_dir or path.parent).resolve(), circ.name), (path, circ))
+        if first.resolve() != path.resolve():
+            raise FeaturizeError(f"{path_text(first)} and {path_text(path)} both write the "
+                                 f"graph file of circuit {circ.name!r}")
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for path in targets:
-        circ = _load_circuit(path)
-        dest_dir = out_dir if out_dir else path.parent
-        dest = write_graph(circ, dest_dir / f"{path.stem}{GRAPH_SUFFIX}")
+    for path, circ in graphs.values():
+        dest = write_graph_file(circ, out_dir or path.parent)
         log.info("featurize %s -> %s", path, dest)
     return 0
 
@@ -332,7 +343,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     config, weights, _, _ = load_checkpoint(args.checkpoint)
     path = Path(args.circuit)
-    circ = _load_circuit(path)
+    with _reading(path):  # the circuit is not named, so any file name reads
+        circ = parse_qasm(read_text(path))
     graph = featurize_circuit(circ)
     with _running(args.checkpoint):
         probs = predict_proba(config, weights, [graph])[0]

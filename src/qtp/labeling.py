@@ -9,14 +9,18 @@ average of the best and worst gate fidelity in that compilation.  Lower is
 better; the winning device's technology becomes the class label (trapped-ion
 0, superconducting 1).  Positive rescaling of costs never changes labels.
 Circuits, variants, manifests and stats tables are read and written with
-`jsonio`'s UTF-8 helpers, and table floats take `jsonio.fmt_float`'s form.
+`jsonio`'s UTF-8 helpers, and table floats take `jsonio.fmt_float`'s form;
+`read_circuit` and `write_graph_file` name circuit and graph files for label,
+featurize and variants alike.
 """
 
 from __future__ import annotations
 
+import csv
 import errno
 import gc
 import glob
+import io
 import json
 import logging
 import math
@@ -154,27 +158,27 @@ class Manifest:
 
 
 def _load_precompiled(
-    circuit_path: Path, profiles: list[DeviceProfile], precompiled_dir: Path
+    name: str, profiles: list[DeviceProfile], precompiled_dir: Path
 ) -> dict[str, list[CompiledCircuit]]:
-    """Variants follow <circuit>.<device-name>[.*].qasm, each scored for the
-    longest device name it matches; a bad one raises LabelError naming it."""
-    stem = circuit_path.name[: -len(".qasm")]
+    """Variants of circuit `name` follow <name>.<device-name>[.*].qasm, each
+    scored for the longest device name it matches; a bad one raises LabelError
+    naming it.  Names are compared as text, as `read_circuit` gives them."""
     out: dict[str, list[CompiledCircuit]] = {}
-    # the stem may hold glob metacharacters (`qft[3]`), so it is matched literally
-    for path in sorted(precompiled_dir.glob(f"{glob.escape(stem)}.*.qasm")):
-        rest = path.name[len(stem) + 1 : -len(".qasm")]
-        owners = [p for p in profiles if rest == p.name or rest.startswith(f"{p.name}.")]
-        if not owners:
-            log.warning("skipping %s: %r names no device profile", path, rest)
-            continue
-        profile = max(owners, key=lambda p: len(p.name))
+    # the name may hold glob metacharacters (`qft[3]`), so it is matched literally
+    for path in sorted(precompiled_dir.glob(f"{glob.escape(_fs_name(name))}.*.qasm")):
         try:
-            circ = parse_qasm(read_text(path), name=path.stem)
+            rest = _text(path.name)[len(name) + 1 : -len(".qasm")]
+            owners = [p for p in profiles if rest == p.name or rest.startswith(f"{p.name}.")]
+            if not owners:
+                log.warning("skipping %s: %r names no device profile", path_text(path), rest)
+                continue
+            profile = max(owners, key=lambda p: len(p.name))
+            circ = read_circuit(path)
             if not circ.ops:
                 raise LabelError("cost is undefined for an empty compiled circuit")
             out.setdefault(profile.name, []).append(compiled_from_circuit(circ, profile))
         except DataError as exc:
-            raise LabelError(f"{path}: {exc}") from None
+            raise LabelError(f"{path_text(path)}: {exc}") from None
     return out
 
 
@@ -189,9 +193,9 @@ def build_manifest(
 
     Per-file bad data (a `DataError`: parse errors, unscorable circuits, a
     file name that is not UTF-8) goes to the manifest's skipped list; any
-    other exception is a defect and ends the run.  Names and paths in the
-    manifest are the text of the file names' bytes in UTF-8, whatever the
-    locale, and each graph file's name has the bytes of its circuit's.
+    other exception is a defect and ends the run.  Circuits are read by
+    `read_circuit` and graphs written by `write_graph_file`; paths in the
+    manifest are, like names, the text of the file names' bytes in UTF-8.
 
     The per-file loop runs with the cyclic garbage collector paused, and the
     caller's setting comes back when the loop ends or raises.  The pass makes
@@ -220,18 +224,17 @@ def build_manifest(
     try:
         for path in files:
             try:
-                name = _text(path.name)[: -len(".qasm")]
-                circuit_path = _rel(path, out_path.parent)
                 with warnings.catch_warnings():
                     warnings.simplefilter("always")
-                    circ = parse_qasm(read_text(path), name=name)
+                    circ = read_circuit(path)
+                circuit_path = _rel(path, out_path.parent)
                 variants = None
                 if precompiled_dir is not None:
-                    variants = _load_precompiled(path, profiles, Path(precompiled_dir))
+                    variants = _load_precompiled(circ.name, profiles, Path(precompiled_dir))
                 label, best, costs = label_circuit(circ, profiles, variants)
-                dag_path = _write_graph(circ, dag_dir, label)
+                dag_path = write_graph_file(circ, dag_dir, label)
             except DataError as exc:
-                shown = os.fsencode(path.name).decode("utf-8", "backslashreplace")
+                shown = path_text(path.name)
                 skipped.append({"circuit": shown, "error": str(exc)})
                 log.warning("skipping %s: %s", shown, exc)
                 continue
@@ -261,9 +264,16 @@ def build_manifest(
     return manifest
 
 
-def _write_graph(circ: Circuit, dag_dir: Path, label: int) -> Path:
-    """`write_graph` into dag_dir, named after the circuit plus GRAPH_SUFFIX,
-    even when the name ends in it: circuits `x` and `x.dag.json` write two files.
+def read_circuit(path: Path) -> Circuit:
+    """Parse a circuit file named by its file name's UTF-8 text less the last
+    suffix (`bell.v2.qasm` is `bell.v2`); a name that is not UTF-8 is refused."""
+    name = _text(path.name)
+    return parse_qasm(read_text(path), name=name[: name.rindex(".")] if "." in name else name)
+
+
+def write_graph_file(circ: Circuit, dag_dir: Path, label: int | None = None) -> Path:
+    """`write_graph` into dag_dir as `<name>` + GRAPH_SUFFIX in UTF-8 bytes, the
+    suffix added even to a name ending in it: `x` and `x.dag.json` write two files.
 
     Refuses, with LabelError, a file name longer than dag_dir's file system
     takes, as `write_graph` refuses a circuit too wide for the feature layout.
@@ -282,14 +292,18 @@ def _write_graph(circ: Circuit, dag_dir: Path, label: int) -> Path:
         raise LabelError(f"graph file name {_text(name)} is too long") from None
 
 
+def path_text(path: str | Path) -> str:
+    """A path's bytes as UTF-8 text, other bytes as backslash escapes: for messages."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _text(name: str) -> str:
     """A file-system name as the text its bytes spell in UTF-8, whatever the
     locale decoded them with; LabelError naming the file if they spell none."""
-    raw = os.fsencode(name)
     try:
-        return raw.decode("utf-8")
+        return os.fsencode(name).decode("utf-8")
     except UnicodeDecodeError:
-        raise LabelError(f"{raw.decode('utf-8', 'backslashreplace')} is not valid UTF-8") from None
+        raise LabelError(f"{path_text(name)} is not valid UTF-8") from None
 
 
 def _fs_name(text: str) -> str:
@@ -388,27 +402,29 @@ def stats_tables(manifest: Manifest) -> dict[str, str]:
     qubit_histogram: class counts per qubit count;
     normalized: depth and gate count normalized by qubit count;
     qubits_depth: raw qubit count vs depth.
+    A name holding a comma, a quote or a newline is one quoted field.
     """
     by_qubits: dict[int, list[int]] = {}
     for e in manifest.entries:
         by_qubits.setdefault(e.num_qubits, [0, 0])[e.label] += 1
-    hist = ["qubits,class0,class1"]
-    hist += [f"{q},{c[0]},{c[1]}" for q, c in sorted(by_qubits.items())]
+    hist = [("qubits", "class0", "class1")]
+    hist += [(q, c[0], c[1]) for q, c in sorted(by_qubits.items())]
 
-    norm = ["name,qubits,depth_norm,gates_norm,label"]
-    qd = ["name,qubits,depth,label"]
+    norm = [("name", "qubits", "depth_norm", "gates_norm", "label")]
+    qd = [("name", "qubits", "depth", "label")]
     for e in manifest.entries:
-        norm.append(
-            f"{e.name},{e.num_qubits},{fmt_float(e.depth / e.num_qubits)},"
-            f"{fmt_float(e.gate_count / e.num_qubits)},{e.label}"
-        )
-        qd.append(f"{e.name},{e.num_qubits},{e.depth},{e.label}")
+        norm.append((e.name, e.num_qubits, fmt_float(e.depth / e.num_qubits),
+                     fmt_float(e.gate_count / e.num_qubits), e.label))
+        qd.append((e.name, e.num_qubits, e.depth, e.label))
 
-    return {
-        "qubit_histogram.csv": "\n".join(hist) + "\n",
-        "normalized.csv": "\n".join(norm) + "\n",
-        "qubits_depth.csv": "\n".join(qd) + "\n",
-    }
+    return {"qubit_histogram.csv": _csv(hist), "normalized.csv": _csv(norm),
+            "qubits_depth.csv": _csv(qd)}
+
+
+def _csv(rows: list[tuple]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def write_stats(manifest: Manifest, out_dir: str | Path) -> list[Path]:

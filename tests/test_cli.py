@@ -1081,3 +1081,97 @@ class TestFileText:
         for name in names:
             assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
         assert "café,2," in (tmp_path / "utf8" / "normalized.csv").read_text(encoding="utf-8")
+
+    def test_featurize_non_ascii_name_under_an_ascii_locale(self, tmp_path, ascii_locale):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "café.qasm").write_text(_BELL)
+        for run, env in (("utf8", {}), ("ascii", ascii_locale)):
+            proc = _qtp_process("featurize", tmp_path / "c", "--out", tmp_path / run, env=env)
+            assert proc.returncode == 0, proc.stderr
+        assert os.listdir(tmp_path / "ascii") == ["café.dag.json"]
+        assert load_graph(tmp_path / "ascii" / "café.dag.json").name == "café"
+        assert ((tmp_path / "ascii" / "café.dag.json").read_bytes()
+                == (tmp_path / "utf8" / "café.dag.json").read_bytes())
+
+    def test_featurize_file_name_not_utf8_under_either_locale(self, tmp_path, ascii_locale):
+        bad = tmp_path / os.fsdecode(b"caf\xe9.qasm")  # é in Latin-1
+        bad.write_text(_BELL)
+        for env in ({}, ascii_locale):
+            proc = _qtp_process("featurize", bad, "--out", tmp_path / "out", env=env)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == (f"qtp featurize: {tmp_path}/caf\\xe9.qasm: "
+                                   "caf\\xe9.qasm is not valid UTF-8\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_variant_for_a_non_ascii_profile_labels_the_same_under_an_ascii_locale(
+            self, tmp_path, ascii_locale):
+        raw = json.loads(
+            (Path(qtp.devices.__file__).parent / "profiles" / "ionq-forte-like.json").read_text())
+        raw["name"] = "lïne"
+        profile = tmp_path / "line.json"
+        profile.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "bell.qasm").write_text(_BELL)
+        (tmp_path / "pre").mkdir()
+        # one native rz: cheaper on lïne than either device's compile of h + cx
+        (tmp_path / "pre" / "bell.lïne.qasm").write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nrz(0.1) q[0];\n')
+        for run, env in (("utf8", {}), ("ascii", ascii_locale)):
+            proc = _qtp_process("label", "--circuits", tmp_path / "c", "--profiles", profile,
+                                "ibm-eagle-like", "--precompiled-dir", tmp_path / "pre",
+                                "--out", tmp_path / run / "m.json", env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+        manifest = load_manifest(tmp_path / "ascii" / "m.json")
+        assert manifest.class_counts == (1, 0)
+        assert manifest.entries[0].best_device == "lïne"
+        for rel in ("m.json", "dags/bell.dag.json"):
+            assert (tmp_path / "ascii" / rel).read_bytes() == (tmp_path / "utf8" / rel).read_bytes()
+
+    def test_predict_takes_a_file_name_that_is_not_utf8(self, trained, tmp_path, capsys):
+        plain = tmp_path / "bell.qasm"
+        plain.write_text(_BELL)
+        latin1 = tmp_path / os.fsdecode(b"caf\xe9.qasm")
+        latin1.write_text(_BELL)
+        lines = []
+        for path in (plain, latin1):
+            assert main(["predict", str(path), "--checkpoint", str(trained / "fold0.ckpt")]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] and lines[0].startswith("class=")
+
+
+class TestFeaturizeOutputs:
+    def test_two_inputs_for_one_graph_file_write_nothing(self, tmp_path, capsys):
+        for sub, text in (("a", _BELL), ("b", 'OPENQASM 2.0;\nqreg q[3];\nh q[2];\n')):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.qasm").write_text(text)
+        out = tmp_path / "g"
+        assert main(["featurize", str(tmp_path / "a" / "x.qasm"), str(tmp_path / "b" / "x.qasm"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"qtp featurize: {tmp_path}/a/x.qasm and {tmp_path}/b/x.qasm both write the"
+            " graph file of circuit 'x'\n")
+        assert not out.exists()
+
+    def test_one_directory_two_suffixes_collide(self, tmp_path, capsys):
+        (tmp_path / "x.qasm").write_text(_BELL)
+        (tmp_path / "x.txt").write_text(_BELL)
+        assert main(["featurize", str(tmp_path / "x.qasm"), str(tmp_path / "x.txt")]) == 2
+        assert "both write the graph file of circuit 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "x.dag.json").exists()
+
+    def test_one_file_given_twice_is_written_once(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "x.qasm").write_text(_BELL)
+        twice = [str(tmp_path / "c" / "x.qasm"), str(tmp_path / "c" / ".." / "c" / "x.qasm")]
+        assert main(["featurize", *twice, str(tmp_path / "c"), "--out", str(tmp_path / "g")]) == 0
+        assert os.listdir(tmp_path / "g") == ["x.dag.json"]
+
+    def test_graph_file_named_by_the_label_rule(self, tmp_path):
+        # the last suffix goes, whatever it is; a file without one keeps its name
+        for name in ("bell.v2.qasm", "plain"):
+            (tmp_path / name).write_text(_BELL)
+        assert main(["featurize", str(tmp_path / "bell.v2.qasm"), str(tmp_path / "plain"),
+                     "--out", str(tmp_path / "g")]) == 0
+        assert sorted(os.listdir(tmp_path / "g")) == ["bell.v2.dag.json", "plain.dag.json"]
+        assert load_graph(tmp_path / "g" / "bell.v2.dag.json").name == "bell.v2"

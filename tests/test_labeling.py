@@ -1,5 +1,7 @@
+import csv
 import errno
 import functools
+import io
 import gc
 import hashlib
 import json
@@ -21,6 +23,7 @@ from qtp.corpus import gen_corpus
 from qtp.dag import load_graph
 from qtp.devices import bundled_profile, load_profile
 from qtp.gates import GateKind
+from qtp.jsonio import fmt_float
 from qtp.labeling import (
     LabelError,
     build_manifest,
@@ -517,6 +520,34 @@ class TestManifest:
         assert os.listdir(tmp_path / "dags") == ["bell.dag.json"]
         assert load_manifest(tmp_path / "m.json").skipped == manifest.skipped
 
+    def test_circuit_named_by_its_file_name_less_the_last_suffix(self, tmp_path):
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        for name, want in (("bell.v2.qasm", "bell.v2"), ("café.qasm", "café"), ("plain", "plain"),
+                           (".qasm", "")):
+            (tmp_path / name).write_text(bell)
+            assert labeling_module.read_circuit(tmp_path / name).name == want
+        latin1 = tmp_path / os.fsdecode(b"caf\xe9.qasm")
+        latin1.write_bytes(b"\xff")  # the name is refused before the text is read
+        with pytest.raises(LabelError) as info:
+            labeling_module.read_circuit(latin1)
+        assert str(info.value) == "caf\\xe9.qasm is not valid UTF-8"
+
+    def test_variant_file_name_not_utf8_skips_its_circuit(self, tmp_path, ion_aa3, sc_line3):
+        circuits, pre = tmp_path / "circuits", tmp_path / "pre"
+        circuits.mkdir()
+        pre.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        (circuits / "bell.qasm").write_text(bell)
+        (circuits / "other.qasm").write_text(bell)
+        (pre / os.fsdecode(b"bell.ion-aa3.\xe9.qasm")).write_text(bell)
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json",
+                                  precompiled_dir=pre)
+        assert [e.name for e in manifest.entries] == ["other"]
+        assert manifest.skipped == [{
+            "circuit": "bell.qasm",
+            "error": f"{pre}/bell.ion-aa3.\\xe9.qasm: bell.ion-aa3.\\xe9.qasm is not valid UTF-8",
+        }]
+
     def test_variants_of_a_circuit_named_with_glob_metacharacters(
             self, tmp_path, ion_aa3, sc_line3):
         circuits, pre = tmp_path / "circuits", tmp_path / "pre"
@@ -703,6 +734,30 @@ class TestStats:
         lines = tables["normalized.csv"].strip().splitlines()
         assert lines[0] == "name,qubits,depth_norm,gates_norm,label"
         assert len(lines) == 1 + len(manifest_for_stats.entries)
+
+    def test_plain_rows_keep_their_bytes(self, manifest_for_stats):
+        tables = stats_tables(manifest_for_stats)
+        norm, qd = ["name,qubits,depth_norm,gates_norm,label"], ["name,qubits,depth,label"]
+        for e in manifest_for_stats.entries:
+            norm.append(f"{e.name},{e.num_qubits},{fmt_float(e.depth / e.num_qubits)},"
+                        f"{fmt_float(e.gate_count / e.num_qubits)},{e.label}")
+            qd.append(f"{e.name},{e.num_qubits},{e.depth},{e.label}")
+        assert tables["normalized.csv"] == "\n".join(norm) + "\n"
+        assert tables["qubits_depth.csv"] == "\n".join(qd) + "\n"
+
+    def test_name_needing_quotes_is_one_field(self, tmp_path, ion_aa3, sc_line3):
+        circuits = tmp_path / "c"
+        circuits.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        for name in ("a,b", "bell", 'say "hi"', "two\nlines"):
+            (circuits / f"{name}.qasm").write_text(bell)
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json")
+        tables = stats_tables(manifest)
+        for table, width in (("normalized.csv", 5), ("qubits_depth.csv", 4)):
+            rows = list(csv.reader(io.StringIO(tables[table], newline="")))
+            assert [len(row) for row in rows] == [width] * 5
+            assert [row[0] for row in rows[1:]] == ["a,b", "bell", 'say "hi"', "two\nlines"]
+        assert tables["qubits_depth.csv"].splitlines()[1].startswith('"a,b",2,')
 
     def test_write_stats_files(self, manifest_for_stats, tmp_path):
         paths = write_stats(manifest_for_stats, tmp_path / "stats")
