@@ -39,7 +39,7 @@ from .corpus import CorpusError, CorpusParams, gen_corpus
 from .dag import FeaturizeError, GraphData, featurize_circuit, load_graph
 from .devices import (DeviceError, DeviceProfile, bundled_profile, bundled_profile_names,
                       load_profile)
-from .jsonio import fmt_float, read_text, write_text
+from .jsonio import fmt_float, loads, read_text, write_text
 from .labeling import (LabelError, build_manifest, load_manifest, path_text, read_circuit,
                        resolve_dag_paths, write_graph_file, write_stats)
 from .model import (CheckpointError, ModelConfig, ModelError, iter_grid, load_checkpoint,
@@ -82,8 +82,8 @@ def _load_profiles(specs: list[str]) -> list[DeviceProfile]:
 def _load_config(spec: str) -> ModelConfig:
     try:
         text = spec if spec.lstrip().startswith("{") else read_text(spec)
-        return ModelConfig.from_json(json.loads(text))
-    except (RecursionError, ValueError) as exc:  # also non-UTF-8 text and ModelError
+        return ModelConfig.from_json(loads(text))
+    except DataError as exc:  # not UTF-8, not JSON or not a config
         raise ModelError(f"bad model config {spec!r}: {exc}") from exc
 
 

@@ -23,7 +23,6 @@ layout: `write_graph` renders each op row itself, in the form
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +32,8 @@ import numpy as np
 from . import DataError
 from .circuit import Circuit, GateInstance
 from .gates import VOCABULARY, GateKind, gate_by_name
-from .jsonio import dumps as json_dumps, read_text, scalar as json_scalar, write_text
+from .jsonio import (dumps as json_dumps, integer, loads, number, read_text, scalar as json_scalar,
+                     string, write_text)
 
 MAX_FEATURE_QUBITS = 27
 ONE_HOT_INDEX: dict[GateKind, int] = {k: i for i, k in enumerate(VOCABULARY)}
@@ -121,32 +121,19 @@ def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Pa
     return path
 
 
-def _int(x) -> int:
-    # JSON gives exactly int, float, bool, str, None, list or dict; a bool is no qubit
-    if type(x) is not int:
-        raise TypeError(f"{x!r} is not an integer")
-    return x
-
-
-def _number(x) -> float:
-    if type(x) not in (int, float):
-        raise TypeError(f"{x!r} is not a number")
-    return float(x)
-
-
 def load_graph(path: str | Path) -> GraphData:
     """Featurize a stored circuit; any malformed content raises FeaturizeError."""
     path = Path(path)
     try:
-        raw = json.loads(read_text(path))
-        ops = [
-            GateInstance(gate_by_name(kind), tuple(map(_int, qubits)), tuple(map(_number, params)))
-            for kind, qubits, params in raw["ops"]
-        ]
-        circ = Circuit(_int(raw["num_qubits"]), ops, str(raw["name"]))
+        raw = loads(read_text(path))
+        ops = [GateInstance(gate_by_name(kind), tuple(map(integer, qubits)),
+                            tuple(map(number, params))) for kind, qubits, params in raw["ops"]]
+        circ = Circuit(integer(raw["num_qubits"], "num_qubits"), ops, string(raw["name"], "name"))
         label = raw.get("label")
-        return featurize_circuit(circ, None if label is None else _int(label))
-    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        if label is not None and integer(label, "label") not in (0, 1):
+            raise ValueError(f"label {label} is not 0 or 1")
+        return featurize_circuit(circ, label)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FeaturizeError(f"{path}: malformed graph file ({exc})") from None
 
 

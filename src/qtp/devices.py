@@ -7,14 +7,11 @@ coupling and a superconducting device on a heavy-hex style lattice.
 A profile memoizes its topology on first use (hop rows and next hops), and
 keeps the transpiler's memos (`transpile.rebase.native_gates`) in one field;
 this module imports nothing from the transpiler.
-
-`num_qubits` is at most `MAX_QUBITS`, so that the per-wire lists that
-routing and the hop rows keep stay small.
 """
 
 from __future__ import annotations
 
-import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
@@ -23,7 +20,7 @@ from pathlib import Path
 from . import DataError
 from .circuit import GateInstance
 from .gates import gate_by_name
-from .jsonio import read_text
+from .jsonio import integer, loads, number, read_text, string
 
 TECHNOLOGIES = ("trapped-ion", "superconducting")
 
@@ -186,7 +183,7 @@ class DeviceProfile:
 
 
 def _check_fidelity(f: float, what: str) -> None:
-    if not isinstance(f, (int, float)) or not 0.0 < float(f) <= 1.0:
+    if not 0.0 < f <= 1.0:
         raise DeviceError(f"{what} must be in (0, 1], got {f!r}")
 
 
@@ -195,12 +192,8 @@ def load_profile(source: str | Path | dict) -> DeviceProfile:
     if not isinstance(source, (str, Path)):
         return _profile_from_json(source)
     try:
-        raw = json.loads(read_text(source))
-    except (RecursionError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-        raise DeviceError(f"{source}: invalid JSON ({exc})") from None
-    try:
-        return _profile_from_json(raw)
-    except DeviceError as exc:
+        return _profile_from_json(loads(read_text(source)))
+    except DataError as exc:
         raise DeviceError(f"{source}: {exc}") from None
 
 
@@ -212,42 +205,37 @@ def _profile_from_json(raw) -> DeviceProfile:
     missing = [k for k in required if k not in raw]
     if missing:
         raise DeviceError(f"profile missing fields: {', '.join(missing)}")
-    # JSON gives exactly int, float, bool, str, None, list or dict: 1e7 and true are no count
-    if type(raw["num_qubits"]) is not int:
-        raise DeviceError(f"num_qubits must be an integer, got {raw['num_qubits']!r}")
-    if raw["num_qubits"] > MAX_QUBITS:
+    coupling, f2q = raw["coupling"], raw["fidelity_2q"]
+    if not isinstance(raw["basis_gates"], list):  # not a string, read as one gate a letter
+        raise DeviceError("basis_gates must be a list of gate names")
+    try:
+        num_qubits = integer(raw["num_qubits"], "num_qubits")
+        if coupling != "all-to-all":
+            coupling = tuple((integer(a, "coupling qubit"), integer(b, "coupling qubit"))
+                             for a, b in coupling)
+        if isinstance(f2q, dict):
+            f2q = {_pair(key): number(f, f"fidelity_2q[{key}]") for key, f in f2q.items()}
+        else:
+            f2q = number(f2q, "fidelity_2q")
+        name = string(raw["name"], "name")
+        basis = tuple(string(g, "basis gate") for g in raw["basis_gates"])
+        f1q = {g: number(f, f"fidelity_1q[{g}]") for g, f in raw["fidelity_1q"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DeviceError(f"malformed profile ({type(exc).__name__}: {exc})") from None
+    if num_qubits > MAX_QUBITS:
         # an int's repr can run to thousands of digits, so it is not echoed
         raise DeviceError(f"num_qubits must be at most {MAX_QUBITS}")
-    coupling = raw["coupling"]
-    if coupling != "all-to-all" and not isinstance(coupling, list):
-        raise DeviceError("coupling must be \"all-to-all\" or a list of pairs")
-    try:
-        if coupling != "all-to-all":
-            coupling = tuple((int(a), int(b)) for a, b in coupling)
-        f2q = raw["fidelity_2q"]
-        if isinstance(f2q, dict):
-            parsed = {}
-            for key, val in f2q.items():
-                try:
-                    a, b = (int(x) for x in key.split("-"))
-                except ValueError:
-                    raise ValueError(f"fidelity_2q key {key!r} is not of the form \"a-b\"") from None
-                parsed[(a, b) if a < b else (b, a)] = float(val)
-            f2q = parsed
-        else:
-            f2q = float(f2q)
-        fields = {
-            "name": str(raw["name"]),
-            "technology": str(raw["technology"]),
-            "num_qubits": raw["num_qubits"],
-            "basis_gates": tuple(str(g) for g in raw["basis_gates"]),
-            "coupling": coupling,
-            "fidelity_1q": {str(g): float(f) for g, f in raw["fidelity_1q"].items()},
-            "fidelity_2q": f2q,
-        }
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise DeviceError(f"malformed profile ({type(exc).__name__}: {exc})") from None
-    return DeviceProfile(**fields)
+    return DeviceProfile(name, raw["technology"], num_qubits, basis, coupling, f1q, f2q)
+
+
+_PAIR_KEY = re.compile("[0-9]+-[0-9]+")
+
+
+def _pair(key: str) -> tuple[int, int]:
+    """A fidelity_2q key "a-b" as its ordered pair; ValueError for any other text."""
+    if not _PAIR_KEY.fullmatch(key):
+        raise ValueError(f"fidelity_2q key {key!r} is not of the form \"a-b\"")
+    return tuple(sorted(map(int, key.split("-"))))
 
 
 def bundled_profile_names() -> tuple[str, ...]:
@@ -259,7 +247,7 @@ def bundled_profile(name: str) -> DeviceProfile:
     path = resources.files("qtp.profiles").joinpath(f"{name}.json")
     if not path.is_file():
         raise DeviceError(f"no bundled profile {name!r}; have {bundled_profile_names()}")
-    return load_profile(json.loads(path.read_text(encoding="utf-8")))
+    return load_profile(loads(path.read_text(encoding="utf-8")))
 
 
 def bundled_profiles() -> tuple[DeviceProfile, ...]:

@@ -1,7 +1,12 @@
-"""UTF-8 file text, and deterministic JSON with 17-significant-digit floats.
+"""UTF-8 file text, JSON values read by exact type, and deterministic JSON
+with 17-significant-digit floats.
 
 qtp reads and writes its text files through `read_text` and `write_text`:
-UTF-8 whatever the locale, with universal newlines on reading.  `fmt_float`
+UTF-8 whatever the locale, with universal newlines on reading.  Every JSON
+file qtp reads is parsed by `loads`, and its values are read by `integer`,
+`number` and `string`, which take only their exact JSON type (no bool is a
+count, no float a qubit, no number a name) and raise TypeError, which each
+loader reports naming its file; ranges stay with the loaders.  `fmt_float`
 is the one 17-digit float form, of graphs, manifests, QASM, CSV tables and
 predict's line: stable and lossless, where the stdlib encoder gives the
 shortest round-trip repr.  Dict order is insertion order; callers build
@@ -12,11 +17,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 from . import DataError
 
-__all__ = ["dumps", "fmt_float", "read_text", "scalar", "write_text"]
+__all__ = ["dumps", "fmt_float", "integer", "loads", "number", "read_text", "scalar",
+           "string", "write_text"]
 
 
 def read_text(path: str | Path) -> str:
@@ -29,6 +37,41 @@ def read_text(path: str | Path) -> str:
 
 def write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
+
+
+def loads(text: str | bytes):
+    """The JSON value of text; DataError for invalid JSON or too deep a nesting."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:  # ValueError: also bytes that are not UTF-8
+        raise DataError(f"invalid JSON ({exc})") from None
+
+
+def integer(x, what: str = "value") -> int:
+    """x if it is a JSON integer; TypeError for anything else, bools and floats too."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def number(x, what: str = "value") -> int | float:
+    """x if it is a JSON int or float of finite float value; TypeError for anything
+    else, bools, NaN and infinities too."""
+    if type(x) is float and math.isfinite(x) or type(x) is int and abs(x) <= sys.float_info.max:
+        return x
+    shown = "an int past the float range" if type(x) is int else repr(x)  # such reprs run long
+    raise TypeError(f"{what} must be a finite number, got {shown}")
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def string(x, what: str = "value") -> str:
+    """x if it is a JSON string with a UTF-8 form, which a JSON escape of a lone
+    surrogate lacks; TypeError for anything else."""
+    if type(x) is not str or _SURROGATE.search(x):
+        raise TypeError(f"{what} must be a UTF-8 string, got {x!r}")
+    return x
 
 
 def fmt_float(x: float) -> str:

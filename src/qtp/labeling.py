@@ -20,14 +20,12 @@ import csv
 import errno
 import gc
 import glob
-import io
-import json
 import logging
 import math
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,7 +35,8 @@ from .circuit import Circuit, circuit_depth
 # (bench/spans.py) hooks it at this module's name
 from .dag import GRAPH_SUFFIX, featurize_circuit, write_graph  # noqa: F401
 from .devices import TECHNOLOGY_CLASS, DeviceProfile
-from .jsonio import dumps as json_dumps, fmt_float, read_text, write_text
+from .jsonio import (dumps as json_dumps, fmt_float, integer, loads, number, read_text, string,
+                     write_text)
 from .qasm import parse_qasm
 from .transpile import CompiledCircuit, compile_each, compiled_from_circuit
 # compile_for is not called here either (score_devices lowers once through
@@ -177,8 +176,8 @@ def _load_precompiled(
             if not circ.ops:
                 raise LabelError("cost is undefined for an empty compiled circuit")
             out.setdefault(profile.name, []).append(compiled_from_circuit(circ, profile))
-        except DataError as exc:
-            raise LabelError(f"{path_text(path)}: {exc}") from None
+        except DataError as exc:  # named as the skipped list names circuits, by file name
+            raise LabelError(f"{path_text(path.name)}: {exc}") from None
     return out
 
 
@@ -329,63 +328,43 @@ def manifest_to_json(m: Manifest) -> str:
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
-        raw = json.loads(read_text(path))
+        raw = loads(read_text(path))
         entries = [ManifestEntry(**e) for e in raw["entries"]]
-        manifest = Manifest(
-            profiles=raw["profiles"],
-            entries=entries,
-            class_counts=tuple(raw["class_counts"]),
-            skipped=raw.get("skipped", []),
-        )
-    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+        manifest = Manifest(raw["profiles"], entries, tuple(raw["class_counts"]),
+                            raw.get("skipped", []))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LabelError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
     for e in entries:
         _check_entry(e, path)
     return manifest
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
 def _check_entry(e: ManifestEntry, path: Path) -> None:
     """Types and ranges of one loaded entry's fields; raises LabelError.
 
     Counts stay below 2**63 and costs within the float range, so that the
-    stats tables' ratios cannot overflow and a cost is always a float.  A
-    string must have a UTF-8 form: JSON escapes can spell lone surrogates,
-    which no output file could hold.
+    stats tables' ratios cannot overflow and every cost converts to a float.
+    A check reads its field with a `jsonio` reader, which raises TypeError,
+    and is False when the value is out of range.
     """
-    def text(x) -> bool:
-        return isinstance(x, str) and not _SURROGATE.search(x)
-
-    def count(x) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < 2**63
-
-    def finite(x) -> bool:
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            return False
-        try:
-            return math.isfinite(x)
-        except OverflowError:  # an int past the float range
-            return False
-
-    for attr, ok, want in (
-        ("name", text(e.name), "a UTF-8 string"),
-        ("circuit_path", text(e.circuit_path), "a UTF-8 string"),
-        ("dag_path", text(e.dag_path), "a UTF-8 string"),
-        ("best_device", text(e.best_device), "a UTF-8 string"),
-        ("num_qubits", count(e.num_qubits) and e.num_qubits >= 1, "an int in [1, 2**63)"),
-        ("depth", count(e.depth), "an int in [0, 2**63)"),
-        ("gate_count", count(e.gate_count), "an int in [0, 2**63)"),
+    for attr, check, want in (
+        ("name", string, "a UTF-8 string"),
+        ("circuit_path", string, "a UTF-8 string"),
+        ("dag_path", string, "a UTF-8 string"),
+        ("best_device", string, "a UTF-8 string"),
+        ("num_qubits", lambda n: 1 <= integer(n) < 2**63, "an int in [1, 2**63)"),
+        ("depth", lambda n: 0 <= integer(n) < 2**63, "an int in [0, 2**63)"),
+        ("gate_count", lambda n: 0 <= integer(n) < 2**63, "an int in [0, 2**63)"),
         # JSON object keys are always strings, so only the costs themselves need checking
-        ("costs", isinstance(e.costs, dict) and all(map(finite, e.costs.values())),
-         "a map of device names to finite numbers"),
-        ("label", count(e.label) and e.label <= 1, "0 or 1"),
+        ("costs", lambda c: [*map(number, c.values())], "a map of device names to finite numbers"),
+        ("label", lambda n: integer(n) in (0, 1), "0 or 1"),
     ):
-        if not ok:
-            raise LabelError(
-                f"{path}: entry {e.name!r} has {attr} {getattr(e, attr)!r}, want {want}"
-            )
+        try:
+            if check(getattr(e, attr)) is not False:
+                continue
+        except (AttributeError, TypeError):
+            pass
+        raise LabelError(f"{path}: entry {e.name!r} has {attr} {getattr(e, attr)!r}, want {want}")
 
 
 def resolve_dag_paths(manifest_path: str | Path, manifest: Manifest) -> list[Path]:
@@ -402,7 +381,8 @@ def stats_tables(manifest: Manifest) -> dict[str, str]:
     qubit_histogram: class counts per qubit count;
     normalized: depth and gate count normalized by qubit count;
     qubits_depth: raw qubit count vs depth.
-    A name holding a comma, a quote or a newline is one quoted field.
+    A name holding a comma, a quote, a newline or a carriage return is one
+    quoted field.
     """
     by_qubits: dict[int, list[int]] = {}
     for e in manifest.entries:
@@ -422,9 +402,12 @@ def stats_tables(manifest: Manifest) -> dict[str, str]:
 
 
 def _csv(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    # csv quotes a field holding a character of the line terminator, so rows are
+    # written with "\r\n", which quotes a lone "\r" that a reader would end a row
+    # at, and then end in "\n"
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def write_stats(manifest: Manifest, out_dir: str | Path) -> list[Path]:

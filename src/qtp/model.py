@@ -17,6 +17,7 @@ offset per graph, so it is block-diagonal for free.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,6 +27,7 @@ import numpy as np
 from . import DataError, autodiff as ad
 from .autodiff import Tensor
 from .dag import FEATURE_DIM, GraphData
+from .jsonio import integer, loads, string
 
 GAT_HIDDEN = (32, 64)
 GAT_HEADS = (4, 8)
@@ -73,7 +75,6 @@ class ModelConfig:
             raise ModelError("heads only apply to a gat first layer")
         if self.blocks < 0:
             raise ModelError("negative residual block count")
-        object.__setattr__(self, "ffnn", tuple(int(w) for w in self.ffnn))
         if not self.ffnn or any(w < 1 for w in self.ffnn):
             raise ModelError("ffnn needs at least one positive width")
 
@@ -103,18 +104,14 @@ class ModelConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
         try:
-            fields = {
-                "first_layer": obj["first_layer"],
-                "hidden": int(obj["hidden"]),
-                "blocks": int(obj["blocks"]),
-                "ffnn": tuple(int(w) for w in obj["ffnn"]),
-                "heads": int(obj.get("heads", 0)),
-            }
+            return cls(obj["first_layer"], integer(obj["hidden"], "hidden"),
+                       integer(obj["blocks"], "blocks"),
+                       tuple(integer(w, "ffnn width") for w in obj["ffnn"]),
+                       integer(obj.get("heads", 0), "heads"))
         except KeyError as exc:
             raise ModelError(f"config is missing field {exc}") from exc
-        except (OverflowError, TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise ModelError(f"malformed config ({type(exc).__name__}: {exc})") from exc
-        return cls(**fields)
 
 
 def _ffnn_tuples() -> list[tuple[int, ...]]:
@@ -467,26 +464,27 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict
     (hlen,) = struct.unpack_from("<I", data, pos)
     pos += 4
     try:
-        header = json.loads(data[pos : pos + hlen])
-    except (RecursionError, ValueError) as exc:
+        header = loads(data[pos : pos + hlen])
+    except DataError as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
     pos += hlen
     try:
         config = ModelConfig.from_json(header["config"])
-        seed = int(header.get("seed", 0))
-        params = [(str(e["name"]), tuple(int(d) for d in e["shape"]), int(e["offset"]))
-                  for e in header["params"]]
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        seed = integer(header.get("seed", 0), "seed")
+        params = [(string(e["name"], "name"), tuple(integer(d, "shape entry") for d in e["shape"]),
+                   integer(e["offset"], "offset")) for e in header["params"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: ModelError
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     payload = data[pos:]
     weights: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape, start in params:
-        if start != offset or name in weights or min(shape, default=0) < 0:
+        # every size at least 1 and an exact product: the payload then bounds each size
+        if start != offset or name in weights or min(shape, default=1) < 1:
             raise CheckpointError(
-                f"{path}: parameter {name} is duplicated, negative-sized or not contiguous"
+                f"{path}: parameter {name} is duplicated, not positive-sized or not contiguous"
             )
-        end = start + 8 * int(np.prod(shape))
+        end = start + 8 * math.prod(shape)
         if end > len(payload):
             raise CheckpointError(f"{path}: payload shorter than manifest")
         weights[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()

@@ -316,7 +316,7 @@ class TestPrecompiled:
         assert [e.name for e in manifest.entries] == ["other"]
         assert manifest.skipped == [{
             "circuit": "bell.qasm",
-            "error": f"{bad}: line 3, column 14: unexpected character '$'",
+            "error": f"{bad.name}: line 3, column 14: unexpected character '$'",
         }]
 
 
@@ -376,11 +376,21 @@ class TestExitCodes:
             # refused at load: routing would ask for lists of this length
             {"num_qubits": 10**400},
             {"num_qubits": qtp.devices.MAX_QUBITS + 1},
+            # each loaded before, coerced or as written
+            {"fidelity_2q": True},
+            {"fidelity_1q": {"rx": "0.9998", "ry": 0.9998, "rz": 0.9998}},
+            {"coupling": [[0.7, 1]]},
+            {"name": 12},
+            {"name": "ion\ud800"},
+            {"basis_gates": "hx", "fidelity_1q": {"h": 0.99, "x": 0.99}},
+            {"fidelity_2q": {"1_0-2": 0.99}},
         ],
         ids=["num-qubits-word", "num-qubits-inf", "fidelity-1q-list", "fidelity-2q-key",
              "coupling-short-pair", "basis-number", "technology", "fidelity-range",
              "not-a-profile-object", "fidelity-1q-missing-gate", "num-qubits-float",
-             "num-qubits-bool", "num-qubits-past-float", "num-qubits-past-bound"],
+             "num-qubits-bool", "num-qubits-past-float", "num-qubits-past-bound",
+             "fidelity-2q-bool", "fidelity-1q-string", "coupling-float-qubit", "number-name",
+             "surrogate-name", "basis-string", "fidelity-2q-key-underscore"],
     )
     def test_label_malformed_profile_file(self, pipeline, tmp_path, capsys, edit):
         _, corpus, _ = pipeline
@@ -440,8 +450,16 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "content",
         [b"[1]", b'{"first_layer": "gcn", "hidden": "x", "blocks": 1, "ffnn": [8]}',
-         b'{"first_layer": "gcn", "hidden": 8, "blocks": 1, "ffnn": 8}', b"\xff{}"],
-        ids=["list", "hidden-word", "ffnn-number", "not-utf8"],
+         b'{"first_layer": "gcn", "hidden": 8, "blocks": 1, "ffnn": 8}', b"\xff{}",
+         # each trained before, on the widths cut to ints
+         b'{"first_layer": "gcn", "hidden": 8.9, "blocks": 1, "ffnn": [8]}',
+         b'{"first_layer": "gcn", "hidden": true, "blocks": 1, "ffnn": [8]}',
+         b'{"first_layer": "gcn", "hidden": 8, "blocks": true, "ffnn": [8]}',
+         b'{"first_layer": "gat", "hidden": 8, "heads": 2.0, "blocks": 1, "ffnn": [8]}',
+         b'{"first_layer": "gcn", "hidden": 8, "blocks": 1, "ffnn": [8.5]}',
+         b'{"first_layer": "gcn", "hidden": 8, "blocks": 1, "ffnn": [true]}'],
+        ids=["list", "hidden-word", "ffnn-number", "not-utf8", "hidden-float", "hidden-bool",
+             "blocks-bool", "heads-float", "ffnn-float", "ffnn-bool"],
     )
     def test_train_malformed_config_file(self, pipeline, tmp_path, capsys, content):
         _, _, manifest = pipeline
@@ -478,10 +496,20 @@ class TestExitCodes:
             (lambda header: None, b"\x00" * 8),
             (_zero_offsets, b""),
             (_infinite_offset, b""),
+            # each loaded before, coerced or as written
+            (lambda header: header["params"][1].update(offset=float(header["params"][1]["offset"])),
+             b""),
+            (lambda header: header["params"][0].update(shape=[66.0, 8]), b""),
+            (lambda header: header.update(seed="3"), b""),
+            (lambda header: header["config"].update(hidden=8.0), b""),
+            # exit 3 before: the shape's product wrapped to 0 in int64
+            (lambda header: header["params"][0].update(shape=[2**62, 4, 1]), b""),
         ],
-        ids=["no-config", "no-params", "trailing-bytes", "zero-offsets", "infinite-offset"],
+        ids=["no-config", "no-params", "trailing-bytes", "zero-offsets", "infinite-offset",
+             "float-offset", "float-shape", "string-seed", "float-hidden", "shape-past-int64"],
     )
-    def test_evaluate_malformed_checkpoint(self, pipeline, trained, tmp_path, edit_header, tail):
+    def test_evaluate_malformed_checkpoint(self, pipeline, trained, tmp_path, capsys,
+                                           edit_header, tail):
         _, _, manifest = pipeline
         bad = tmp_path / "bad.ckpt"
         _rewrite_checkpoint(trained / "fold0.ckpt", bad, edit_header, tail)
@@ -489,6 +517,8 @@ class TestExitCodes:
             "evaluate", "--checkpoint", str(bad),
             "--manifest", str(manifest), "--out", str(tmp_path / "e.json"),
         ]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "internal error" not in err
 
     @pytest.mark.parametrize("label", [None, 2], ids=["missing", "out-of-range"])
     def test_stats_bad_entry_label(self, pipeline, tmp_path, label):

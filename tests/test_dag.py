@@ -245,25 +245,32 @@ class TestGraphIO:
             write_graph(circ, tmp_path / "bad")
 
     @pytest.mark.parametrize(
-        "ops",
+        "field, value",
         [
-            [["frob", [0], []]],
-            [["input", [0], []]],
-            [["cx", [0, 2], []]],
-            [["cx", [1, 1], []]],
-            [["cx", [1], []]],
-            [["h", [0], [0.5]]],
-            [["h", [0.0], []]],
-            [["h", [True], []]],
-            [["rz", [0], [float("inf")]]],
-            None,
+            ("ops", [["frob", [0], []]]),
+            ("ops", [["input", [0], []]]),
+            ("ops", [["cx", [0, 2], []]]),
+            ("ops", [["cx", [1, 1], []]]),
+            ("ops", [["cx", [1], []]]),
+            ("ops", [["h", [0], [0.5]]]),
+            ("ops", [["h", [0.0], []]]),
+            ("ops", [["h", [True], []]]),
+            ("ops", [["rz", [0], [float("inf")]]]),
+            ("ops", None),
+            # loaded as label 7 and name '12' before
+            ("label", 7),
+            ("label", True),
+            ("name", 12),
+            ("name", "bell\ud800"),
+            ("ops", [["rz", [0], [True]]]),
         ],
         ids=["unknown-gate", "input", "qubit-out-of-range", "duplicate-qubits", "wrong-arity",
-             "wrong-param-count", "float-qubit", "bool-qubit", "non-finite-param", "missing-ops"],
+             "wrong-param-count", "float-qubit", "bool-qubit", "non-finite-param", "missing-ops",
+             "label-out-of-range", "bool-label", "number-name", "surrogate-name", "bool-param"],
     )
-    def test_malformed_ops_rejected(self, tmp_path, ops):
+    def test_malformed_ops_rejected(self, tmp_path, field, value):
         path = write_graph(_bell(), tmp_path / "bad.dag.json")
-        _rewrite(path, lambda b: b.pop("ops") if ops is None else b.__setitem__("ops", ops))
+        _rewrite(path, lambda b: b.pop(field) if value is None else b.__setitem__(field, value))
         with pytest.raises(FeaturizeError, match="bad.dag.json"):
             load_graph(path)
 

@@ -394,8 +394,8 @@ class TestManifest:
         assert manifest.skipped == [
             {"circuit": "bad.qasm", "error": "'utf-8' codec can't decode byte 0x80 in position"
                                              " 19: invalid start byte"},
-            {"circuit": "bell.qasm", "error": f"{variant}: 'utf-8' codec can't decode byte 0xff"
-                                              " in position 11: invalid start byte"},
+            {"circuit": "bell.qasm", "error": "bell.ion-aa3.qasm: 'utf-8' codec can't decode byte"
+                                              " 0xff in position 11: invalid start byte"},
         ]
 
     def test_too_wide_for_the_feature_layout_skipped(self, tmp_path, ion_profile, sc_profile):
@@ -485,7 +485,26 @@ class TestManifest:
         manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json",
                                   precompiled_dir=pre)
         assert [e.name for e in manifest.entries] == ["other"]
-        assert manifest.skipped == [{"circuit": "bell.qasm", "error": f"{bad}: {error}"}]
+        assert manifest.skipped == [{"circuit": "bell.qasm", "error": f"{bad.name}: {error}"}]
+
+    def test_precompiled_dir_spelling_leaves_manifest_bytes(
+            self, tmp_path, ion_aa3, sc_line3, monkeypatch):
+        # a bad variant's skipped error names its file, not the path as the flag spelled it
+        circuits, pre = tmp_path / "circuits", tmp_path / "pre"
+        circuits.mkdir()
+        pre.mkdir()
+        bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        (circuits / "bell.qasm").write_text(bell)
+        (circuits / "other.qasm").write_text(bell)
+        (pre / "bell.ion-aa3.qasm").write_text("qreg q[2];\nh q[0];\n")
+        absolute, relative = tmp_path / "abs" / "m.json", tmp_path / "rel" / "m.json"
+        build_manifest(circuits, [ion_aa3, sc_line3], absolute, precompiled_dir=pre)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        manifest = build_manifest(circuits, [ion_aa3, sc_line3], relative,
+                                  precompiled_dir=Path("..") / "pre")
+        assert [s["circuit"] for s in manifest.skipped] == ["bell.qasm"]
+        assert absolute.read_bytes() == relative.read_bytes()
 
     def test_variant_naming_no_profile_is_logged(self, tmp_path, ion_aa3, sc_line3, caplog):
         circuits, pre = tmp_path / "circuits", tmp_path / "pre"
@@ -545,7 +564,7 @@ class TestManifest:
         assert [e.name for e in manifest.entries] == ["other"]
         assert manifest.skipped == [{
             "circuit": "bell.qasm",
-            "error": f"{pre}/bell.ion-aa3.\\xe9.qasm: bell.ion-aa3.\\xe9.qasm is not valid UTF-8",
+            "error": "bell.ion-aa3.\\xe9.qasm: bell.ion-aa3.\\xe9.qasm is not valid UTF-8",
         }]
 
     def test_variants_of_a_circuit_named_with_glob_metacharacters(
@@ -749,15 +768,19 @@ class TestStats:
         circuits = tmp_path / "c"
         circuits.mkdir()
         bell = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
-        for name in ("a,b", "bell", 'say "hi"', "two\nlines"):
+        names = ["a\rb", "a,b", "bell", 'say "hi"', "two\nlines"]  # in file-name order
+        for name in names:
             (circuits / f"{name}.qasm").write_text(bell)
         manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json")
         tables = stats_tables(manifest)
         for table, width in (("normalized.csv", 5), ("qubits_depth.csv", 4)):
             rows = list(csv.reader(io.StringIO(tables[table], newline="")))
-            assert [len(row) for row in rows] == [width] * 5
-            assert [row[0] for row in rows[1:]] == ["a,b", "bell", 'say "hi"', "two\nlines"]
-        assert tables["qubits_depth.csv"].splitlines()[1].startswith('"a,b",2,')
+            assert [len(row) for row in rows] == [width] * 6
+            assert [row[0] for row in rows[1:]] == names
+        # a reader ends a row at a lone "\r", so it is quoted too; a plain name is not
+        lines = tables["qubits_depth.csv"].split("\n")
+        assert lines[1].startswith('"a\rb",2,') and lines[2].startswith('"a,b",2,')
+        assert lines[3].startswith("bell,2,")
 
     def test_write_stats_files(self, manifest_for_stats, tmp_path):
         paths = write_stats(manifest_for_stats, tmp_path / "stats")
