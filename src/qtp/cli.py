@@ -39,8 +39,8 @@ from .corpus import CorpusError, CorpusParams, gen_corpus
 from .dag import FeaturizeError, GraphData, featurize_circuit, load_graph
 from .devices import (DeviceError, DeviceProfile, bundled_profile, bundled_profile_names,
                       load_profile)
-from .jsonio import fmt_float, loads, read_text, write_text
-from .labeling import (LabelError, build_manifest, load_manifest, path_text, read_circuit,
+from .jsonio import fmt_float, loads, path_text, read_text, reading, write_text
+from .labeling import (LabelError, build_manifest, load_manifest, read_circuit,
                        resolve_dag_paths, write_graph_file, write_stats)
 from .model import (CheckpointError, ModelConfig, ModelError, iter_grid, load_checkpoint,
                     predict_proba, save_checkpoint)
@@ -75,38 +75,27 @@ def _load_profiles(specs: list[str]) -> list[DeviceProfile]:
         elif spec in bundled_profile_names():
             profiles.append(bundled_profile(spec))
         else:
-            raise DeviceError(f"{spec}: not a profile file or bundled profile name")
+            raise DeviceError(f"{path_text(spec)}: not a profile file or bundled profile name")
     return profiles
 
 
 def _load_config(spec: str) -> ModelConfig:
-    try:
-        text = spec if spec.lstrip().startswith("{") else read_text(spec)
-        return ModelConfig.from_json(loads(text))
-    except DataError as exc:  # not UTF-8, not JSON or not a config
-        raise ModelError(f"bad model config {spec!r}: {exc}") from exc
+    """The config given as JSON text, named by that text, or in the file it names."""
+    with reading(spec, ModelError):
+        return ModelConfig.from_json(loads(spec if spec.lstrip().startswith("{") else
+                                           read_text(spec)))
 
 
 def _load_dataset(manifest_path: str) -> list[GraphData]:
     manifest = load_manifest(manifest_path)
     if not manifest.entries:
-        raise LabelError(f"{manifest_path}: manifest has no usable entries")
+        raise LabelError(f"{path_text(manifest_path)}: manifest has no usable entries")
     graphs = []
     for entry, dag_path in zip(manifest.entries, resolve_dag_paths(manifest_path, manifest)):
         graph = load_graph(dag_path)
         graph.label = entry.label
         graphs.append(graph)
     return graphs
-
-
-@contextlib.contextmanager
-def _reading(path: Path):
-    """Bad data met while reading a circuit file names the file."""
-    try:
-        yield
-    except DataError as exc:
-        exc.args = (f"{path_text(path)}: {exc}",)
-        raise
 
 
 @contextlib.contextmanager
@@ -118,7 +107,7 @@ def _running(checkpoint):
             yield
     except FloatingPointError as exc:
         raise CheckpointError(
-            f"{checkpoint}: weights give a non-finite forward pass ({exc})"
+            f"{path_text(checkpoint)}: weights give a non-finite forward pass ({exc})"
         ) from None
 
 
@@ -149,7 +138,7 @@ def _cmd_featurize(args) -> int:
         elif p.exists():
             targets.append(p)
         else:
-            raise FeaturizeError(f"{spec}: no such file or directory")
+            raise FeaturizeError(f"{path_text(spec)}: no such file or directory")
     if not targets:
         raise FeaturizeError("no circuits to featurize")
     out_dir = Path(args.out) if args.out else None
@@ -157,7 +146,7 @@ def _cmd_featurize(args) -> int:
     # one graph file (one circuit name in one directory), writes nothing
     graphs = {}  # (directory, circuit name) -> (path, circuit)
     for path in targets:
-        with _reading(path):
+        with reading(path, FeaturizeError, fields=False):
             circ = read_circuit(path)
         first, _ = graphs.setdefault(((out_dir or path.parent).resolve(), circ.name), (path, circ))
         if first.resolve() != path.resolve():
@@ -342,10 +331,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     config, weights, _, _ = load_checkpoint(args.checkpoint)
-    path = Path(args.circuit)
-    with _reading(path):  # the circuit is not named, so any file name reads
-        circ = parse_qasm(read_text(path))
-    graph = featurize_circuit(circ)
+    # predict names no circuit, so any file name reads
+    with reading(args.circuit, FeaturizeError, fields=False):
+        graph = featurize_circuit(parse_qasm(read_text(args.circuit)))
     with _running(args.checkpoint):
         probs = predict_proba(config, weights, [graph])[0]
     cls = int(probs.argmax())

@@ -32,8 +32,8 @@ import numpy as np
 from . import DataError
 from .circuit import Circuit, GateInstance
 from .gates import VOCABULARY, GateKind, gate_by_name
-from .jsonio import (dumps as json_dumps, integer, loads, number, read_text, scalar as json_scalar,
-                     string, write_text)
+from .jsonio import (dumps as json_dumps, integer, loads, number, read_text, reading,
+                     scalar as json_scalar, string, write_text)
 
 MAX_FEATURE_QUBITS = 27
 ONE_HOT_INDEX: dict[GateKind, int] = {k: i for i, k in enumerate(VOCABULARY)}
@@ -122,19 +122,16 @@ def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Pa
 
 
 def load_graph(path: str | Path) -> GraphData:
-    """Featurize a stored circuit; any malformed content raises FeaturizeError."""
-    path = Path(path)
-    try:
+    """Featurize a stored circuit; any malformed content raises FeaturizeError naming the file."""
+    with reading(path, FeaturizeError):
         raw = loads(read_text(path))
         ops = [GateInstance(gate_by_name(kind), tuple(map(integer, qubits)),
                             tuple(map(number, params))) for kind, qubits, params in raw["ops"]]
         circ = Circuit(integer(raw["num_qubits"], "num_qubits"), ops, string(raw["name"], "name"))
         label = raw.get("label")
         if label is not None and integer(label, "label") not in (0, 1):
-            raise ValueError(f"label {label} is not 0 or 1")
+            raise FeaturizeError(f"label {label} is not 0 or 1")
         return featurize_circuit(circ, label)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FeaturizeError(f"{path}: malformed graph file ({exc})") from None
 
 
 def featurize_circuit(circ: Circuit, label: int | None = None) -> GraphData:

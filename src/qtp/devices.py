@@ -20,7 +20,7 @@ from pathlib import Path
 from . import DataError
 from .circuit import GateInstance
 from .gates import gate_by_name
-from .jsonio import integer, loads, number, read_text, string
+from .jsonio import integer, loads, number, read_text, reading, string
 
 TECHNOLOGIES = ("trapped-ion", "superconducting")
 
@@ -46,11 +46,11 @@ class DeviceProfile:
     coupling: str | tuple[tuple[int, int], ...]  # "all-to-all" or undirected pairs
     fidelity_1q: dict[str, float]
     fidelity_2q: float | dict[tuple[int, int], float]
-    _adjacency: dict[int, tuple[int, ...]] = field(default=None, repr=False, compare=False)
-    # Compiler memos, filled on first use so that building a profile stays
-    # cheap: hop rows, next hops and `transpile.rebase.native_gates`.  They are
-    # not init fields: every instance, a dataclasses.replace copy with other
-    # fidelities too, starts from empty ones.
+    # Not init fields, so every instance, a dataclasses.replace copy too, derives
+    # its own: the coupling's neighbor lists, set by __post_init__, and compiler
+    # memos filled on first use so that building a profile stays cheap (hop
+    # rows, next hops and `transpile.rebase.native_gates`).
+    _adjacency: dict = field(default=None, init=False, repr=False, compare=False)
     _hops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _next_hop: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _native: object = field(default=None, init=False, repr=False, compare=False)
@@ -191,10 +191,8 @@ def load_profile(source: str | Path | dict) -> DeviceProfile:
     """Build a profile from a JSON file path or an already-parsed dict."""
     if not isinstance(source, (str, Path)):
         return _profile_from_json(source)
-    try:
+    with reading(source, DeviceError):
         return _profile_from_json(loads(read_text(source)))
-    except DataError as exc:
-        raise DeviceError(f"{source}: {exc}") from None
 
 
 def _profile_from_json(raw) -> DeviceProfile:

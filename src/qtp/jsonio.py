@@ -1,12 +1,13 @@
-"""UTF-8 file text, JSON values read by exact type, and deterministic JSON
-with 17-significant-digit floats.
+"""UTF-8 file text, the naming of a bad input file, JSON values read by exact
+type, and deterministic JSON with 17-significant-digit floats.
 
 qtp reads and writes its text files through `read_text` and `write_text`:
-UTF-8 whatever the locale, with universal newlines on reading.  Every JSON
-file qtp reads is parsed by `loads`, and its values are read by `integer`,
-`number` and `string`, which take only their exact JSON type (no bool is a
-count, no float a qubit, no number a name) and raise TypeError, which each
-loader reports naming its file; ranges stay with the loaders.  `fmt_float`
+UTF-8 whatever the locale, with universal newlines on reading.  A bad input
+file is named once, in `path_text`'s form, by the `reading` frame it is read
+in.  Every JSON file qtp reads is parsed by `loads`, and its values are read
+by `integer`, `number` and `string`, which take only their exact JSON type
+(no bool is a count, no float a qubit, no number a name) and raise
+TypeError, which `reading` reports; ranges stay with the loaders.  `fmt_float`
 is the one 17-digit float form, of graphs, manifests, QASM, CSV tables and
 predict's line: stable and lossless, where the stdlib encoder gives the
 shortest round-trip repr.  Dict order is insertion order; callers build
@@ -15,16 +16,39 @@ their dicts deterministically.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
 
 from . import DataError
 
-__all__ = ["dumps", "fmt_float", "integer", "loads", "number", "read_text", "scalar",
-           "string", "write_text"]
+__all__ = ["dumps", "fmt_float", "integer", "loads", "number", "path_text", "read_text",
+           "reading", "scalar", "string", "write_text"]
+
+
+def path_text(path: str | Path) -> str:
+    """A path's bytes as UTF-8 text, other bytes as backslash escapes: the one
+    form in which a message names a file."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
+@contextlib.contextmanager
+def reading(path: str | Path, error: type[DataError], fields: bool = True):
+    """Bad data met while reading `path` re-raised as `error`, with the message
+    `<path_text(path)>: <detail>`, which names the file once.  Bad data is a
+    DataError and, in a file of `fields` (JSON), a malformed field's lookup,
+    type, attribute or value error; in a circuit file those are defects."""
+    try:
+        yield
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:  # DataError: a ValueError
+        if not (fields or isinstance(exc, DataError)):
+            raise
+        detail = exc if isinstance(exc, DataError) else f"malformed ({type(exc).__name__}: {exc})"
+        raise error(f"{path_text(path)}: {detail}") from None
 
 
 def read_text(path: str | Path) -> str:

@@ -34,9 +34,9 @@ from .circuit import Circuit, circuit_depth
 # featurize_circuit is not called here, but the benchmark's tracer
 # (bench/spans.py) hooks it at this module's name
 from .dag import GRAPH_SUFFIX, featurize_circuit, write_graph  # noqa: F401
-from .devices import TECHNOLOGY_CLASS, DeviceProfile
-from .jsonio import (dumps as json_dumps, fmt_float, integer, loads, number, read_text, string,
-                     write_text)
+from .devices import TECHNOLOGIES, TECHNOLOGY_CLASS, DeviceProfile
+from .jsonio import (dumps as json_dumps, fmt_float, integer, loads, number, path_text, read_text,
+                     reading, string, write_text)
 from .qasm import parse_qasm
 from .transpile import CompiledCircuit, compile_each, compiled_from_circuit
 # compile_for is not called here either (score_devices lowers once through
@@ -161,11 +161,11 @@ def _load_precompiled(
 ) -> dict[str, list[CompiledCircuit]]:
     """Variants of circuit `name` follow <name>.<device-name>[.*].qasm, each
     scored for the longest device name it matches; a bad one raises LabelError
-    naming it.  Names are compared as text, as `read_circuit` gives them."""
+    naming it by file name.  Names are compared as text, as `read_circuit` gives them."""
     out: dict[str, list[CompiledCircuit]] = {}
     # the name may hold glob metacharacters (`qft[3]`), so it is matched literally
     for path in sorted(precompiled_dir.glob(f"{glob.escape(_fs_name(name))}.*.qasm")):
-        try:
+        with reading(path.name, LabelError, fields=False):
             rest = _text(path.name)[len(name) + 1 : -len(".qasm")]
             owners = [p for p in profiles if rest == p.name or rest.startswith(f"{p.name}.")]
             if not owners:
@@ -176,8 +176,6 @@ def _load_precompiled(
             if not circ.ops:
                 raise LabelError("cost is undefined for an empty compiled circuit")
             out.setdefault(profile.name, []).append(compiled_from_circuit(circ, profile))
-        except DataError as exc:  # named as the skipped list names circuits, by file name
-            raise LabelError(f"{path_text(path.name)}: {exc}") from None
     return out
 
 
@@ -206,10 +204,10 @@ def build_manifest(
     _check_names(profiles)
     circuits_dir = Path(circuits_dir)
     if not circuits_dir.is_dir():
-        raise LabelError(f"{circuits_dir} is not a directory")
+        raise LabelError(f"{path_text(circuits_dir)} is not a directory")
     files = sorted(circuits_dir.glob("*.qasm"))
     if not files:
-        raise LabelError(f"no .qasm files under {circuits_dir}")
+        raise LabelError(f"no .qasm files under {path_text(circuits_dir)}")
     out_path = Path(out_path)
     dag_dir = out_path.parent / "dags"
     dag_dir.mkdir(parents=True, exist_ok=True)
@@ -288,21 +286,16 @@ def write_graph_file(circ: Circuit, dag_dir: Path, label: int | None = None) -> 
             len(os.fsencode(name)) <= os.pathconf(dag_dir, "PC_NAME_MAX")
         ):
             raise
-        raise LabelError(f"graph file name {_text(name)} is too long") from None
-
-
-def path_text(path: str | Path) -> str:
-    """A path's bytes as UTF-8 text, other bytes as backslash escapes: for messages."""
-    return os.fsencode(path).decode("utf-8", "backslashreplace")
+        raise LabelError(f"graph file name {path_text(name)} is too long") from None
 
 
 def _text(name: str) -> str:
     """A file-system name as the text its bytes spell in UTF-8, whatever the
-    locale decoded them with; LabelError naming the file if they spell none."""
+    locale decoded them with; LabelError, which the caller names, if none."""
     try:
         return os.fsencode(name).decode("utf-8")
     except UnicodeDecodeError:
-        raise LabelError(f"{path_text(name)} is not valid UTF-8") from None
+        raise LabelError("file name is not valid UTF-8") from None
 
 
 def _fs_name(text: str) -> str:
@@ -326,20 +319,26 @@ def manifest_to_json(m: Manifest) -> str:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    path = Path(path)
-    try:
+    """A manifest file's fields, each read by `jsonio`'s value rule; LabelError
+    naming the file for any other value.  `skipped` may be left out."""
+    with reading(path, LabelError):
         raw = loads(read_text(path))
         entries = [ManifestEntry(**e) for e in raw["entries"]]
-        manifest = Manifest(raw["profiles"], entries, tuple(raw["class_counts"]),
-                            raw.get("skipped", []))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise LabelError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from None
-    for e in entries:
-        _check_entry(e, path)
-    return manifest
+        for e in entries:
+            _check_entry(e)
+        profiles = [{"name": string(p["name"], "profile name"), "technology": p["technology"]}
+                    for p in raw["profiles"]]
+        if any(p["technology"] not in TECHNOLOGIES for p in profiles):
+            raise LabelError(f"a profile's technology is not one of {', '.join(TECHNOLOGIES)}")
+        counts = tuple(integer(n, "class count") for n in raw["class_counts"])
+        if len(counts) != 2 or min(counts) < 0:
+            raise LabelError("class_counts must be two counts >= 0")
+        skipped = [{"circuit": string(s["circuit"], "skipped circuit"),
+                    "error": string(s["error"], "skipped error")} for s in raw.get("skipped", [])]
+        return Manifest(profiles, entries, counts, skipped)
 
 
-def _check_entry(e: ManifestEntry, path: Path) -> None:
+def _check_entry(e: ManifestEntry) -> None:
     """Types and ranges of one loaded entry's fields; raises LabelError.
 
     Counts stay below 2**63 and costs within the float range, so that the
@@ -364,7 +363,7 @@ def _check_entry(e: ManifestEntry, path: Path) -> None:
                 continue
         except (AttributeError, TypeError):
             pass
-        raise LabelError(f"{path}: entry {e.name!r} has {attr} {getattr(e, attr)!r}, want {want}")
+        raise LabelError(f"entry {e.name!r} has {attr} {getattr(e, attr)!r}, want {want}")
 
 
 def resolve_dag_paths(manifest_path: str | Path, manifest: Manifest) -> list[Path]:

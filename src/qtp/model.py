@@ -27,7 +27,7 @@ import numpy as np
 from . import DataError, autodiff as ad
 from .autodiff import Tensor
 from .dag import FEATURE_DIM, GraphData
-from .jsonio import integer, loads, string
+from .jsonio import integer, loads, reading
 
 GAT_HIDDEN = (32, 64)
 GAT_HEADS = (4, 8)
@@ -110,8 +110,6 @@ class ModelConfig:
                        integer(obj.get("heads", 0), "heads"))
         except KeyError as exc:
             raise ModelError(f"config is missing field {exc}") from exc
-        except TypeError as exc:
-            raise ModelError(f"malformed config ({type(exc).__name__}: {exc})") from exc
 
 
 def _ffnn_tuples() -> list[tuple[int, ...]]:
@@ -411,15 +409,14 @@ def predict_proba(
 # --- checkpoints ----------------------------------------------------------------
 
 
-def _checked_shapes(config: ModelConfig, weights: dict[str, np.ndarray], path) -> dict:
-    """Config's shapes for the first weight's row count; CheckpointError on any mismatch."""
-    first = np.shape(next(iter(weights.values()), None))
-    if len(first) != 2:
-        raise CheckpointError(f"{path}: first parameter has shape {first}, wants a matrix")
-    try:
-        return _check_params(config, weights, first[0])
-    except ModelError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+def _layout(config: ModelConfig, in_dim: int) -> list[dict]:
+    """A checkpoint header's `params`: each parameter's name, shape and payload
+    offset, in `param_shapes` order, with the float64 values back to back."""
+    layout, offset = [], 0
+    for name, shape in param_shapes(config, in_dim).items():
+        layout.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
+    return layout
 
 
 def save_checkpoint(
@@ -429,69 +426,56 @@ def save_checkpoint(
     seed: int,
     metadata: dict | None = None,
 ) -> None:
-    expected = _checked_shapes(config, weights, path)
-    manifest = []
-    offset = 0
-    blobs = []
-    for name, shape in expected.items():
-        arr = np.ascontiguousarray(weights[name], dtype="<f8")
-        manifest.append({"name": name, "shape": list(shape), "offset": offset})
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    header = {
-        "config": config.to_json(),
-        "seed": int(seed),
-        "metadata": metadata or {},
-        "params": manifest,
-    }
+    first = np.shape(next(iter(weights.values()), None))
+    if len(first) != 2:
+        raise CheckpointError(f"first parameter has shape {first}, wants a matrix")
+    try:
+        _check_params(config, weights, first[0])
+    except ModelError as exc:
+        raise CheckpointError(str(exc)) from None
+    layout = _layout(config, first[0])
+    blobs = [np.ascontiguousarray(weights[e["name"]], dtype="<f8").tobytes() for e in layout]
+    header = {"config": config.to_json(), "seed": int(seed), "metadata": metadata or {},
+              "params": layout}
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(raw)) + raw)
+        fh.writelines(blobs)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    pos = len(CHECKPOINT_MAGIC)
-    if len(data) < pos + 4:
-        raise CheckpointError(f"{path}: truncated header")
-    (hlen,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    try:
+    """Config, weights, seed and metadata; CheckpointError naming the file unless the
+    header's `params` are `_layout`'s for its config and its first entry's row
+    count, the payload has their length and every weight is finite."""
+    with reading(path, CheckpointError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise CheckpointError("not a checkpoint file")
+        pos = len(CHECKPOINT_MAGIC) + 4
+        if len(data) < pos:
+            raise CheckpointError("truncated header")
+        (hlen,) = struct.unpack_from("<I", data, pos - 4)
         header = loads(data[pos : pos + hlen])
-    except DataError as exc:
-        raise CheckpointError(f"{path}: bad header: {exc}") from exc
-    pos += hlen
-    try:
         config = ModelConfig.from_json(header["config"])
         seed = integer(header.get("seed", 0), "seed")
-        params = [(string(e["name"], "name"), tuple(integer(d, "shape entry") for d in e["shape"]),
-                   integer(e["offset"], "offset")) for e in header["params"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: ModelError
-        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
-    payload = data[pos:]
-    weights: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape, start in params:
-        # every size at least 1 and an exact product: the payload then bounds each size
-        if start != offset or name in weights or min(shape, default=1) < 1:
-            raise CheckpointError(
-                f"{path}: parameter {name} is duplicated, not positive-sized or not contiguous"
-            )
-        end = start + 8 * math.prod(shape)
-        if end > len(payload):
-            raise CheckpointError(f"{path}: payload shorter than manifest")
-        weights[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
-        if not np.isfinite(weights[name]).all():
-            raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
-        offset = end
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - offset} bytes past the last parameter")
-    _checked_shapes(config, weights, path)
-    return config, weights, seed, header.get("metadata", {})
+        in_dim = integer(header["params"][0]["shape"][0], "input width")
+        if in_dim < 1:
+            raise CheckpointError(f"input width {in_dim} is not positive")
+        layout = _layout(config, in_dim)
+        # equal as values, then as JSON text, where a float or a bool never
+        # equals an int; only what has the layout's nesting is made text
+        params = header["params"]
+        if params != layout or (json.dumps(params, sort_keys=True)
+                                != json.dumps(layout, sort_keys=True)):
+            raise CheckpointError("parameters differ from the config's layout")
+        payload = data[pos + hlen :]
+        if len(payload) != 8 * sum(math.prod(e["shape"]) for e in layout):
+            raise CheckpointError("payload length differs from the layout's")
+        weights: dict[str, np.ndarray] = {}
+        for e in layout:
+            arr = np.frombuffer(payload, "<f8", math.prod(e["shape"]), e["offset"])
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"parameter {e['name']} holds a non-finite value")
+            weights[e["name"]] = arr.reshape(e["shape"]).copy()
+        return config, weights, seed, header.get("metadata", {})

@@ -24,6 +24,7 @@ import qtp.devices
 import qtp.labeling
 from qtp.cli import TABLE_COLUMNS, main
 from qtp.dag import load_graph
+from qtp.jsonio import path_text
 from qtp.labeling import cost, load_manifest, resolve_dag_paths
 from qtp.model import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from qtp.qasm import parse_qasm
@@ -77,6 +78,25 @@ def _zero_offsets(header):
 
 def _infinite_offset(header):
     header["params"][1]["offset"] = float("inf")  # written as Infinity, read back as a float
+
+
+def _permuted_params(src, dst):
+    """Copy a checkpoint with every parameter after the first listed, stored and
+    offset in reverse order: the same weights in another layout."""
+    data = src.read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + hlen])
+    body = data[12 + hlen :]
+    params = header["params"][:1] + header["params"][:0:-1]
+    blobs, offset = [], 0
+    for entry in params:
+        size = 8 * math.prod(entry["shape"])
+        blobs.append(body[entry["offset"] : entry["offset"] + size])
+        entry["offset"] = offset
+        offset += size
+    header["params"] = params
+    raw = json.dumps(header).encode()
+    dst.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw + b"".join(blobs))
 
 
 def _scalar_first_param(src, dst):
@@ -572,6 +592,42 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"{bad}: entry {blob['entries'][0]['name']!r} has {field}" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # each exited 0 before: the three were taken as written
+            ("class_counts", "ab"),
+            ("profiles", 7),
+            ("skipped", None),
+            ("class_counts", [1, 2, 3]),
+            ("class_counts", [-1, 2]),
+            ("class_counts", [1.0, 2]),
+            ("profiles", [{"name": "x", "technology": "photonic"}]),
+            ("profiles", [{"name": 7, "technology": "trapped-ion"}]),
+            ("skipped", [{"circuit": "x.qasm"}]),
+            ("skipped", [{"circuit": "x.qasm", "error": 7}]),
+        ],
+        ids=["counts-string", "profiles-number", "skipped-null", "counts-three",
+             "counts-negative", "counts-float", "profile-technology", "profile-name-number",
+             "skipped-no-error", "skipped-error-number"],
+    )
+    def test_stats_bad_manifest_field(self, pipeline, tmp_path, capsys, field, value):
+        _, _, manifest = pipeline
+        blob = json.loads(manifest.read_text())
+        blob[field] = value
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["stats", "--manifest", str(bad), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith(f"qtp stats: {bad}: ")
+
+    def test_manifest_without_skipped_loads(self, pipeline, tmp_path):
+        _, _, manifest = pipeline
+        blob = json.loads(manifest.read_text())
+        del blob["skipped"]
+        edited = tmp_path / "manifest.json"
+        edited.write_text(json.dumps(blob))
+        assert load_manifest(edited).skipped == []
+
     def test_largest_counts_in_entry_accepted(self, pipeline, tmp_path):
         _, _, manifest = pipeline
         blob = json.loads(manifest.read_text())
@@ -586,6 +642,16 @@ class TestExitCodes:
         _scalar_first_param(trained / "fold0.ckpt", bad)
         circuit = sorted(corpus.glob("*.qasm"))[0]
         assert main(["predict", str(circuit), "--checkpoint", str(bad)]) == 2
+
+    def test_predict_parameters_out_of_layout_order(self, pipeline, trained, tmp_path, capsys):
+        # the same weights, listed and stored in another order: loaded before
+        _, corpus, _ = pipeline
+        bad = tmp_path / "permuted.ckpt"
+        _permuted_params(trained / "fold0.ckpt", bad)
+        circuit = sorted(corpus.glob("*.qasm"))[0]
+        assert main(["predict", str(circuit), "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"qtp predict: {bad}: parameters differ from the config's layout\n")
 
     def test_predict_overflowing_weights(self, pipeline, trained, tmp_path):
         _, corpus, _ = pipeline
@@ -638,6 +704,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"qtp predict: {bad}: line 4, column 1: unknown gate 'frobnicate'\n"
         )
+
+    def test_predict_circuit_too_wide_names_the_file(self, trained, tmp_path, capsys):
+        wide = tmp_path / "wide.qasm"
+        wide.write_text("OPENQASM 2.0;\nqreg q[28];\nh q[27];\n")
+        assert main([
+            "predict", str(wide), "--checkpoint", str(trained / "fold0.ckpt"),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"qtp predict: {wide}: 28 qubits exceed the 27-qubit feature layout\n")
 
     def test_gen_corpus_bad_mix(self, tmp_path, capsys):
         # an unknown family, a weight that is no number, and weights that would
@@ -733,6 +808,92 @@ def test_deeply_nested_json_is_bad_data(pipeline, trained, tmp_path, capsys, mak
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "internal error" not in err
+
+
+def _named_featurize_qasm(root, corpus, manifest, trained, d):
+    bad = d / os.fsdecode(b"bell\xe9.qasm")  # refused by its name before its text is read
+    bad.write_text(_BELL)
+    return ["featurize", str(bad), "--out", str(root / "f")], bad
+
+
+def _named_predict_qasm(root, corpus, manifest, trained, d):
+    bad = d / "bell.qasm"
+    bad.write_text(f"{_HEAD}frob q[0];\n")
+    return ["predict", str(bad), "--checkpoint", str(trained / "fold0.ckpt")], bad
+
+
+def _named_profile(root, corpus, manifest, trained, d):
+    bad = d / "profile.json"
+    bad.write_text("[1]")
+    return ["label", "--circuits", str(corpus), "--profiles", str(bad),
+            "--out", str(root / "m.json")], bad
+
+
+def _named_config(root, corpus, manifest, trained, d):
+    bad = d / "config.json"
+    bad.write_text("[1]")
+    return ["train", "--manifest", str(manifest), "--config", str(bad),
+            "--out", str(root / "t")], bad
+
+
+def _named_graph(root, corpus, manifest, trained, d):
+    bad = d / "bell.dag.json"
+    bad.write_text("[1]")
+    blob = json.loads(manifest.read_text())
+    blob["entries"] = [{**blob["entries"][0], "dag_path": bad.name}]
+    one = d / "one.json"  # a manifest's paths are text, so it sits next to the graph
+    one.write_text(json.dumps(blob))
+    return ["train", "--manifest", str(one), "--config", _CONFIG, "--out", str(root / "t")], bad
+
+
+def _named_manifest(root, corpus, manifest, trained, d):
+    bad = d / "manifest.json"
+    bad.write_text("[1]")
+    return ["stats", "--manifest", str(bad), "--out", str(root / "s")], bad
+
+
+def _named_checkpoint(root, corpus, manifest, trained, d):
+    bad = d / "fold0.ckpt"
+    bad.write_bytes(b"garbage bytes, not a checkpoint")
+    return ["predict", str(sorted(corpus.glob("*.qasm"))[0]), "--checkpoint", str(bad)], bad
+
+
+def _named_variant(root, corpus, manifest, trained, d):
+    (root / "c").mkdir()
+    for name in ("bell", "other"):
+        (root / "c" / f"{name}.qasm").write_text(_BELL)
+    bad = d / os.fsdecode(b"bell.ibm-eagle-like.\xe9.qasm")
+    bad.write_text(_BELL)
+    return ["label", "--circuits", str(root / "c"), "--precompiled-dir", str(d),
+            "--out", str(root / "m.json")], bad
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_named_featurize_qasm, _named_predict_qasm, _named_profile, _named_config, _named_graph,
+     _named_manifest, _named_checkpoint, _named_variant],
+    ids=["featurize-qasm", "predict-qasm", "profile", "config", "graph", "manifest",
+         "checkpoint", "variant"],
+)
+def test_bad_file_is_named_once_as_path_text(pipeline, trained, tmp_path, capsys, make_argv):
+    """A bad file in a directory whose name is not UTF-8 is named first and once,
+    its bytes as UTF-8 and \\xe9 for the rest; a bad variant skips its circuit,
+    named by its file name in the manifest's skipped error."""
+    _, corpus, manifest = pipeline
+    d = tmp_path / os.fsdecode(b"d\xe9")  # é in Latin-1
+    d.mkdir()
+    argv, bad = make_argv(tmp_path, corpus, manifest, trained, d)
+    code = main(argv)
+    err = capsys.readouterr().err
+    if "--precompiled-dir" in argv:
+        assert code == 0, err
+        [skip] = load_manifest(tmp_path / "m.json").skipped
+        message, first = skip["error"], path_text(bad.name)
+    else:
+        assert code == 2, err
+        message, first = err, f"qtp {argv[0]}: {path_text(bad)}"
+    assert "\\xe9" in first
+    assert message.startswith(f"{first}: ") and message.count(path_text(bad.name)) == 1
 
 
 _HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
@@ -1130,7 +1291,7 @@ class TestFileText:
             proc = _qtp_process("featurize", bad, "--out", tmp_path / "out", env=env)
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr == (f"qtp featurize: {tmp_path}/caf\\xe9.qasm: "
-                                   "caf\\xe9.qasm is not valid UTF-8\n")
+                                   "file name is not valid UTF-8\n")
         assert not (tmp_path / "out").exists()
 
     def test_variant_for_a_non_ascii_profile_labels_the_same_under_an_ascii_locale(

@@ -1,3 +1,4 @@
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import qtp.devices
 from qtp.circuit import Circuit, GateInstance, circuit_depth
 from qtp.devices import (
     DeviceError,
+    DeviceProfile,
     TECHNOLOGY_CLASS,
     bundled_profile,
     bundled_profile_names,
@@ -158,6 +160,12 @@ class TestLoad:
     def test_pair_keys_parsed(self):
         p = _line3(fidelity_2q={"0-1": 0.98, "2-1": 0.97})
         assert p.fidelity_2q == {(0, 1): 0.98, (1, 2): 0.97}
+
+    def test_constructor_takes_the_seven_profile_fields(self):
+        # the neighbor lists and compiler memos are derived, never passed in
+        assert list(inspect.signature(DeviceProfile).parameters) == [
+            "name", "technology", "num_qubits", "basis_gates", "coupling", "fidelity_1q",
+            "fidelity_2q"]
 
 
 def _wire_level(ops, wire, k=100):

@@ -533,9 +533,9 @@ class TestManifest:
             manifest = build_manifest(circuits, [ion_aa3, sc_line3], tmp_path / "m.json")
         assert [e.name for e in manifest.entries] == ["bell"]
         assert manifest.skipped == [
-            {"circuit": "caf\\xe9.qasm", "error": "caf\\xe9.qasm is not valid UTF-8"}]
+            {"circuit": "caf\\xe9.qasm", "error": "file name is not valid UTF-8"}]
         assert [r.getMessage() for r in caplog.records] == [
-            "skipping caf\\xe9.qasm: caf\\xe9.qasm is not valid UTF-8"]
+            "skipping caf\\xe9.qasm: file name is not valid UTF-8"]
         assert os.listdir(tmp_path / "dags") == ["bell.dag.json"]
         assert load_manifest(tmp_path / "m.json").skipped == manifest.skipped
 
@@ -549,7 +549,7 @@ class TestManifest:
         latin1.write_bytes(b"\xff")  # the name is refused before the text is read
         with pytest.raises(LabelError) as info:
             labeling_module.read_circuit(latin1)
-        assert str(info.value) == "caf\\xe9.qasm is not valid UTF-8"
+        assert str(info.value) == "file name is not valid UTF-8"
 
     def test_variant_file_name_not_utf8_skips_its_circuit(self, tmp_path, ion_aa3, sc_line3):
         circuits, pre = tmp_path / "circuits", tmp_path / "pre"
@@ -564,7 +564,7 @@ class TestManifest:
         assert [e.name for e in manifest.entries] == ["other"]
         assert manifest.skipped == [{
             "circuit": "bell.qasm",
-            "error": "bell.ion-aa3.\\xe9.qasm: bell.ion-aa3.\\xe9.qasm is not valid UTF-8",
+            "error": "bell.ion-aa3.\\xe9.qasm: file name is not valid UTF-8",
         }]
 
     def test_variants_of_a_circuit_named_with_glob_metacharacters(

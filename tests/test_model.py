@@ -1084,7 +1084,7 @@ class TestCheckpoint:
 
         path = tmp_path / "badjson.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 4) + b"xxxx")
-        with pytest.raises(CheckpointError, match="bad header"):
+        with pytest.raises(CheckpointError, match="badjson.ckpt: invalid JSON"):
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
