@@ -3,19 +3,27 @@
 A Tape records every op in execution order together with a closure that
 pushes the output adjoint back to the inputs; backward() replays the records
 in reverse (execution order is already topological).  The op set is what
-the graph network and its loss need, and no more general: `add` takes a (F,)
-bias against (N, F) rows besides equal shapes, and `mul`, which weights the
-loss's per-graph terms, takes equal shapes only.  Each graph layer is one op:
-`gcn_layer` and `gat_layer` run their message passing on `NeighborTable`
-row blocks, sized by width, and keep only the buffers their backward reads.
-`gat_layer` runs all its heads side by side in one pass over the table, and
-only its backward builds the transposed table.  The forward math of the
-graph layers, of `segment_mean` and of `row_softmax` lives in array
-functions (`gcn_arrays`, `gat_arrays`, `run_means`, `softmax_rows`): each op
-calls its function and records a push, and forward-only inference calls the
-same functions with no tape, so both give the same bits.  `concat`,
-`segment_sum`, `segment_softmax` and `gather_rows` are no longer called by
-the model, but `bench/spans.py` still traces them by name.
+the graph network and its loss need, and no more general.
+
+The op shapes are a contract, not a check: the operands of one op share a
+tape; `matmul` takes aligned matrices, `add` equal shapes or a (F,) bias
+against (N, F) rows, `mul` equal shapes, `log` positive entries (`clamp_min`
+runs first), `pick_columns` one in-range column per row, `segment_mean`
+sorted ids with a row in every segment, and the graph layers weights of
+`param_shapes`' shapes.  `batch_graphs`, `init_weights` and `load_checkpoint`
+make exactly that.
+
+Each graph layer is one op: `gcn_layer` and `gat_layer` run their message
+passing on `NeighborTable` row blocks, sized by width, and keep only the
+buffers their backward reads.  `gat_layer` runs all its heads side by side
+in one pass over the table, and only its backward builds the transposed
+table.  The forward math of the graph layers, of `segment_mean` and of
+`row_softmax` lives in array functions (`gcn_arrays`, `gat_arrays`,
+`run_means`, `softmax_rows`): each op calls its function and records a push,
+and forward-only inference calls the same functions with no tape, so both
+give the same bits.  `concat`, `segment_sum`, `segment_softmax` and
+`gather_rows` are no longer called by the model, but `bench/spans.py` still
+traces them by name.
 
 LeakyReLU slopes are computed without a branch, as (x > 0) * (1 - alpha) +
 alpha; for every slope the model uses, (1 - alpha) + alpha is exactly 1.0,
@@ -198,31 +206,10 @@ def accumulate(t: Tensor, g: Array) -> None:
         t.grad += g
 
 
-def _same_tape(tensors: Sequence[Tensor]) -> "Tape":
-    tape = tensors[0].tape
-    if any(t.tape is not tape for t in tensors):
-        raise ValueError("operands recorded on different tapes")
-    return tape
-
-
-def _pair(a: Tensor, b) -> tuple[Tensor, Tensor]:
-    if not isinstance(a, Tensor):
-        raise TypeError("first operand must be a Tensor")
-    if not isinstance(b, Tensor):
-        b = a.tape.const(b)
-    if a.tape is not b.tape:
-        raise ValueError("operands recorded on different tapes")
-    return a, b
-
-
 # --- primitives -------------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _pair(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shapes {a.data.shape} x {b.data.shape} do not align")
-
     def push(g: Array) -> None:
         if a.requires_grad:
             accumulate(a, g @ b.data.T)
@@ -232,12 +219,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a.tape.record(a.data @ b.data, push)
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise add; also accepts a (F,) bias against (N, F) rows."""
-    a, b = _pair(a, b)
-    bias = b.data.ndim == 1 and a.data.ndim == 2 and a.data.shape[1] == b.data.shape[0]
-    if not bias and a.data.shape != b.data.shape:
-        raise ValueError(f"add shapes {a.data.shape} vs {b.data.shape}")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise add; also takes a (F,) bias against (N, F) rows."""
+    bias = b.data.ndim < a.data.ndim
 
     def push(g: Array) -> None:
         if bias:
@@ -250,11 +234,8 @@ def add(a: Tensor, b) -> Tensor:
     return a.tape.record(a.data + b.data, push)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product of two arrays of one shape; nothing broadcasts."""
-    a, b = _pair(a, b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shapes {a.data.shape} vs {b.data.shape}")
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two arrays of one shape."""
 
     def push(g: Array) -> None:
         accumulate(a, g * b.data)
@@ -274,9 +255,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate along the last axis."""
-    if not tensors:
-        raise ValueError("concat of nothing")
-    tape = _same_tape(tensors)
     widths = [t.data.shape[-1] for t in tensors]
     bounds = np.cumsum([0] + widths)
 
@@ -284,7 +262,7 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
         for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
             accumulate(t, g[..., lo:hi])  # disjoint views of g
 
-    return tape.record(np.concatenate([t.data for t in tensors], axis=-1), push)
+    return tensors[0].tape.record(np.concatenate([t.data for t in tensors], axis=-1), push)
 
 
 def leaky_gain(positive: Array, alpha: float) -> Array:
@@ -316,8 +294,6 @@ def softmax_rows(x: Array) -> Array:
 
 
 def row_softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"row_softmax expects a matrix, got shape {a.data.shape}")
     out = softmax_rows(a.data.copy())
 
     def push(g: Array) -> None:
@@ -328,26 +304,14 @@ def row_softmax(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if (a.data <= 0).any():
-        raise ValueError("log needs strictly positive inputs")
-
     def push(g: Array) -> None:
         accumulate(a, g / a.data)
 
     return a.tape.record(np.log(a.data), push)
 
 
-def _check_ids(ids: Array, n_rows: int, num_segments: int) -> Array:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] != n_rows:
-        raise ValueError(f"segment ids shape {ids.shape} does not match {n_rows} rows")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise ValueError("segment id out of range")
-    return ids
-
-
 def segment_sum(a: Tensor, ids, num_segments: int) -> Tensor:
-    ids = _check_ids(ids, a.data.shape[0], num_segments)
+    ids = np.asarray(ids, dtype=np.int64)
     out = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
     np.add.at(out, ids, a.data)
 
@@ -358,14 +322,12 @@ def segment_sum(a: Tensor, ids, num_segments: int) -> Tensor:
 
 
 def run_means(rows: Array, counts: Array) -> Array:
-    """Mean of each run of rows: run k is the next counts[k] rows.
+    """Mean of each run of rows: run k is the next counts[k] >= 1 rows.
 
-    A count of 0 is refused, naming the first empty run.  Each run is one
-    slice sum.  With two or more columns a slice sum adds its rows in order,
-    as a scatter-add does; numpy pairs terms up only along one contiguous axis.
+    Each run is one slice sum.  With two or more columns a slice sum adds its
+    rows in order, as a scatter-add does; numpy pairs terms up only along one
+    contiguous axis.
     """
-    if (counts == 0).any():
-        raise ValueError(f"segment {int(np.argmin(counts))} is empty")
     out = np.empty((counts.size,) + rows.shape[1:])
     lo = 0
     for k, hi in enumerate(counts.cumsum().tolist()):
@@ -375,13 +337,10 @@ def run_means(rows: Array, counts: Array) -> Array:
     return out
 
 
-def segment_mean(a: Tensor, ids, num_segments: int) -> Tensor:
-    ids = _check_ids(ids, a.data.shape[0], num_segments)
+def segment_mean(a: Tensor, ids: Array, num_segments: int) -> Tensor:
+    """Mean of the rows of each segment; ids are sorted and every segment has a row."""
     counts = np.bincount(ids, minlength=num_segments)
-    rows = a.data
-    if (ids[1:] < ids[:-1]).any():
-        rows = rows[np.argsort(ids, kind="stable")]
-    out = run_means(rows, counts)
+    out = run_means(a.data, counts)
 
     def push(g: Array) -> None:
         accumulate(a, (g / counts.reshape((num_segments,) + (1,) * (g.ndim - 1)))[ids])
@@ -391,7 +350,7 @@ def segment_mean(a: Tensor, ids, num_segments: int) -> Tensor:
 
 def segment_softmax(a: Tensor, ids, num_segments: int) -> Tensor:
     """Softmax over rows sharing a segment id, per trailing column."""
-    ids = _check_ids(ids, a.data.shape[0], num_segments)
+    ids = np.asarray(ids, dtype=np.int64)
     seg_shape = (num_segments,) + a.data.shape[1:]
     peak = np.full(seg_shape, -np.inf)
     np.maximum.at(peak, ids, a.data)
@@ -410,10 +369,6 @@ def segment_softmax(a: Tensor, ids, num_segments: int) -> Tensor:
 
 def gather_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("gather_rows takes a 1-D index array")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise ValueError("row index out of range")
 
     def push(g: Array) -> None:
         grad = np.zeros_like(a.data)
@@ -426,10 +381,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 def pick_columns(a: Tensor, idx) -> Tensor:
     """out[i] = a[i, idx[i]]; the per-row class pick used by the loss."""
     idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2 or idx.shape != (a.data.shape[0],):
-        raise ValueError(f"pick_columns shapes {a.data.shape} vs {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[1]):
-        raise ValueError("column index out of range")
     rows = np.arange(a.data.shape[0])
 
     def push(g: Array) -> None:
@@ -442,8 +393,6 @@ def pick_columns(a: Tensor, idx) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     size = a.data.size
-    if size == 0:
-        raise ValueError("mean of an empty tensor")
 
     def push(g: Array) -> None:
         accumulate(a, np.full_like(a.data, float(g) / size))
@@ -607,14 +556,6 @@ def gcn_layer(
     are kept for the backward, which rebuilds the slopes from the mask in the
     buffer of the pre-activation's gradient.
     """
-    tape = _same_tape((h, w, b))
-    width = w.data.shape[1]
-    if h.data.shape[1] != w.data.shape[0] or b.data.shape != (width,) or (
-        residual and h.data.shape[1] != width
-    ):
-        raise ValueError(
-            f"gcn_layer shapes {h.data.shape}, {w.data.shape}, {b.data.shape} do not align"
-        )
     out, ah, positive = gcn_arrays(h.data, table, w.data, b.data, slope, residual)
 
     def push(g: Array) -> None:
@@ -634,7 +575,7 @@ def gcn_layer(
             else:  # an earlier adjoint, already h's own: the sum goes straight in
                 table.gather_sum(back, table.vals, add_to=h.grad)
 
-    return tape.record(out, push)
+    return h.tape.record(out, push)
 
 
 def gat_arrays(
@@ -695,20 +636,7 @@ def gat_layer(
     adds HW's gradient terms as separate ops would: attention, then a_src,
     then a_dst, then W.
     """
-    if not heads:
-        raise ValueError("gat_layer needs at least one head")
-    tape = _same_tape([h] + [t for head in heads for t in head])
     width = heads[0][0].data.shape[1]
-    for w, a_dst, a_src in heads:
-        if (
-            h.data.shape[1] != w.data.shape[0]
-            or w.data.shape[1] != width
-            or not a_dst.shape == a_src.shape == (width, 1)
-        ):
-            raise ValueError(
-                f"gat_layer head shapes {w.data.shape}, {a_dst.data.shape}, {a_src.data.shape} "
-                f"do not fit input {h.data.shape} and head width {width}"
-            )
     num_heads = len(heads)
     out, hw, alpha, gain = gat_arrays(
         h.data, [(w.data, a_dst.data, a_src.data) for w, a_dst, a_src in heads], into, slope
@@ -738,7 +666,7 @@ def gat_layer(
             if h.requires_grad:
                 accumulate(h, d_wh @ w.data.T)
 
-    return tape.record(out, push)
+    return h.tape.record(out, push)
 
 
 # --- gradient verification ---------------------------------------------------

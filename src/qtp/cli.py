@@ -36,7 +36,8 @@ import numpy as np
 
 from . import DataError
 from .corpus import CorpusError, CorpusParams, gen_corpus
-from .dag import FeaturizeError, GraphData, featurize_circuit, load_graph
+from .dag import (FEATURE_DIM, FeaturizeError, GraphData, check_width, featurize_circuit,
+                  load_graph)
 from .devices import (DeviceError, DeviceProfile, bundled_profile, bundled_profile_names,
                       load_profile)
 from .jsonio import fmt_float, loads, path_text, read_text, reading, write_text
@@ -84,6 +85,17 @@ def _load_config(spec: str) -> ModelConfig:
     with reading(spec, ModelError):
         return ModelConfig.from_json(loads(spec if spec.lstrip().startswith("{") else
                                            read_text(spec)))
+
+
+def _load_model(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """A checkpoint's config and weights, refused naming the file unless they
+    take graphs of the FEATURE_DIM-wide feature layout."""
+    config, weights, _, _ = load_checkpoint(path)
+    width = next(iter(weights.values())).shape[0]
+    if width != FEATURE_DIM:
+        raise CheckpointError(f"{path_text(path)}: input width {width} is not the "
+                              f"{FEATURE_DIM} of the feature layout")
+    return config, weights
 
 
 def _load_dataset(manifest_path: str) -> list[GraphData]:
@@ -148,6 +160,7 @@ def _cmd_featurize(args) -> int:
     for path in targets:
         with reading(path, FeaturizeError, fields=False):
             circ = read_circuit(path)
+            check_width(circ.num_qubits)
         first, _ = graphs.setdefault(((out_dir or path.parent).resolve(), circ.name), (path, circ))
         if first.resolve() != path.resolve():
             raise FeaturizeError(f"{path_text(first)} and {path_text(path)} both write the "
@@ -314,7 +327,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config, weights, _, _ = load_checkpoint(args.checkpoint)
+    config, weights = _load_model(args.checkpoint)
     graphs = _load_dataset(args.manifest)
     with _running(args.checkpoint):
         body, _ = evaluate(config, weights, graphs)
@@ -330,7 +343,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    config, weights, _, _ = load_checkpoint(args.checkpoint)
+    config, weights = _load_model(args.checkpoint)
     # predict names no circuit, so any file name reads
     with reading(args.circuit, FeaturizeError, fields=False):
         graph = featurize_circuit(parse_qasm(read_text(args.circuit)))
@@ -433,6 +446,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (DataError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{path_text(exc.filename)}: {exc.strerror}"
         print(f"qtp {args.command}: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -79,7 +79,8 @@ class GraphData:
         return int(self.features.shape[0])
 
 
-def _check_width(num_qubits: int) -> None:
+def check_width(num_qubits: int) -> None:
+    """FeaturizeError for a circuit wider than the feature layout."""
     if num_qubits > MAX_FEATURE_QUBITS:
         raise FeaturizeError(
             f"{num_qubits} qubits exceed the {MAX_FEATURE_QUBITS}-qubit feature layout")
@@ -107,7 +108,7 @@ def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Pa
     the feature layout is refused before anything is written, with
     featurize_circuit's FeaturizeError.
     """
-    _check_width(circ.num_qubits)
+    check_width(circ.num_qubits)
     path = Path(path)
     if not path.name.endswith(GRAPH_SUFFIX):
         path = path.with_name(path.name + GRAPH_SUFFIX)
@@ -144,7 +145,7 @@ def featurize_circuit(circ: Circuit, label: int | None = None) -> GraphData:
     another.
     """
     n = circ.num_qubits
-    _check_width(n)
+    check_width(n)
     ops = circ.ops
     feats = np.zeros((n + len(ops), FEATURE_DIM), dtype=np.float64)
     ones: list[int] = []  # flat positions of the 1.0 entries

@@ -149,22 +149,13 @@ class SparseAdj:
     table: ad.NeighborTable
 
 
-def _checked_edges(edges, num_nodes: int) -> np.ndarray:
-    if num_nodes < 1:
-        raise ModelError("graph has no nodes")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
-        raise ModelError(f"edge endpoint outside 0..{num_nodes - 1}")
-    return edges
-
-
 def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseAdj:
     """Symmetrize, add self-loops, and scale by inverse sqrt degrees.
 
-    Entries come out sorted by row, then column, so each row of the table
-    sums its terms in column order.
+    `edges` is an (m, 2) int64 array of endpoints in 0..num_nodes-1, and
+    num_nodes >= 1.  Entries come out sorted by row, then column, so each row
+    of the table sums its terms in column order.
     """
-    edges = _checked_edges(edges, num_nodes)
     loops = np.arange(num_nodes, dtype=np.int64)
     rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
     cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
@@ -190,8 +181,6 @@ def gcn_forward(h: Tensor, adj: SparseAdj, w: Tensor, b: Tensor) -> Tensor:
 
 def residual_gcn(h: Tensor, adj: SparseAdj, w: Tensor, b: Tensor) -> Tensor:
     """H + LeakyReLU(Â H W + b), with a square W."""
-    if w.shape[0] != w.shape[1] or w.shape[0] != h.shape[1]:
-        raise ModelError(f"residual weight {w.shape} must be square at width {h.shape[1]}")
     return ad.gcn_layer(h, adj.table, w, b, LEAKY_SLOPE, residual=True)
 
 
@@ -210,12 +199,12 @@ def gat_forward(
     All heads run as one op, side by side in one pass over the in-neighbor
     table; the op's backward builds the transposed table it needs.
     """
-    into = _in_neighbors(_checked_edges(edges, num_nodes), num_nodes)
+    into = _in_neighbors(edges, num_nodes)
     return ad.gat_layer(h, heads, into, ATTENTION_SLOPE)
 
 
 def _in_neighbors(edges: np.ndarray, num_nodes: int) -> ad.NeighborTable:
-    """GAT's table of checked edges: each node's sources in edge order, then itself."""
+    """GAT's table: each node's sources in edge order, then itself."""
     loops = np.arange(num_nodes, dtype=np.int64)
     return ad.NeighborTable(
         np.concatenate([edges[:, 1], loops]), np.concatenate([edges[:, 0], loops]), num_nodes
@@ -241,8 +230,7 @@ class GraphBatch:
 
 
 def batch_graphs(graphs: Sequence[GraphData]) -> GraphBatch:
-    if not graphs:
-        raise ModelError("empty batch")
+    """The graphs (at least one) stacked, with sorted graph ids."""
     feats, edges, gids = [], [], []
     offset = 0
     for gid, g in enumerate(graphs):
@@ -321,17 +309,6 @@ def bind_params(tape: ad.Tape, weights: dict[str, np.ndarray]) -> dict[str, Tens
 # --- forward ------------------------------------------------------------------
 
 
-def _check_params(config: ModelConfig, params: dict, in_dim: int) -> dict:
-    """The config's shapes; ModelError unless `params` (Tensors or arrays) has them."""
-    expected = param_shapes(config, in_dim)
-    if set(expected) != set(params):
-        raise ModelError("parameter set does not match the config")
-    for name, shape in expected.items():
-        if np.shape(params[name]) != shape:
-            raise ModelError(f"parameter {name} has shape {np.shape(params[name])}, wants {shape}")
-    return expected
-
-
 def _heads(config: ModelConfig, params: dict) -> list[tuple]:
     """(W, a_dst, a_src) of each GAT head, as Tensors or arrays as `params` holds them."""
     return [tuple(params[f"first.h{k}.{part}"] for part in ("w", "a_dst", "a_src"))
@@ -340,7 +317,6 @@ def _heads(config: ModelConfig, params: dict) -> list[tuple]:
 
 def model_forward(config: ModelConfig, params: dict[str, Tensor], batch: GraphBatch) -> Tensor:
     """Per-graph class probabilities, shape (num_graphs, 2), recorded on the params' tape."""
-    _check_params(config, params, batch.features.shape[1])
     tape = next(iter(params.values())).tape
     h = tape.const(batch.features)
     n = batch.features.shape[0]
@@ -378,14 +354,12 @@ def predict_proba(
     params = {name: np.asarray(arr, dtype=np.float64) for name, arr in weights.items()}
     batch = batch_graphs(graphs)
     x = np.asarray(batch.features, dtype=np.float64)
-    _check_params(config, params, x.shape[1])
     n = x.shape[0]
-    edges = _checked_edges(batch.edges, n)
     table = None
     if config.first_layer == "gcn" or config.blocks:
-        table = normalize_adjacency(edges, n).table
+        table = normalize_adjacency(batch.edges, n).table
     if config.first_layer == "gat":
-        into = _in_neighbors(edges, n)
+        into = _in_neighbors(batch.edges, n)
         h = ad.gat_arrays(x, _heads(config, params), into, ATTENTION_SLOPE)[0]
     else:
         w, b = params["first.w"], params["first.b"]
@@ -429,10 +403,13 @@ def save_checkpoint(
     first = np.shape(next(iter(weights.values()), None))
     if len(first) != 2:
         raise CheckpointError(f"first parameter has shape {first}, wants a matrix")
-    try:
-        _check_params(config, weights, first[0])
-    except ModelError as exc:
-        raise CheckpointError(str(exc)) from None
+    shapes = param_shapes(config, first[0])
+    if set(shapes) != set(weights):
+        raise CheckpointError("parameter set does not match the config")
+    for name, shape in shapes.items():
+        if np.shape(weights[name]) != shape:
+            raise CheckpointError(f"parameter {name} has shape {np.shape(weights[name])}, "
+                                  f"wants {shape}")
     layout = _layout(config, first[0])
     blobs = [np.ascontiguousarray(weights[e["name"]], dtype="<f8").tobytes() for e in layout]
     header = {"config": config.to_json(), "seed": int(seed), "metadata": metadata or {},

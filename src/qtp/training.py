@@ -97,8 +97,6 @@ def weighted_cross_entropy(probs: Tensor, labels, weights) -> Tensor:
     """Mean over the batch of -w_y * ln p[y], probabilities floored at 1e-12."""
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    if probs.shape[0] != labels.shape[0]:
-        raise TrainingError(f"{probs.shape[0]} rows vs {labels.shape[0]} labels")
     picked = ad.clamp_min(ad.pick_columns(probs, labels), PROB_FLOOR)
     weighted = ad.mul(ad.log(picked), probs.tape.const(weights[labels]))
     return ad.scale(ad.mean_all(weighted), -1.0)
@@ -120,12 +118,10 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place; each gradient has its parameter's shape."""
     state.t += 1
     t = state.t
     for name, g in grads.items():
-        if params[name].shape != g.shape:
-            raise TrainingError(f"gradient shape mismatch for {name}")
         m = state.m.setdefault(name, np.zeros_like(g))
         v = state.v.setdefault(name, np.zeros_like(g))
         m += (1 - beta1) * (g - m)

@@ -22,7 +22,6 @@ from qtp.model import (
     GraphBatch,
     ModelError,
     SparseAdj,
-    _checked_edges,
     global_mean_pool,
     normalize_adjacency,
     param_shapes,
@@ -149,7 +148,7 @@ def gat_forward(
     concatenated, with no bias and no activation beyond the internal LeakyReLU.
     A node's attention terms follow the edge list, with its self-loop last.
     """
-    edges = _checked_edges(edges, num_nodes)
+    edges = np.asarray(edges, np.int64).reshape(-1, 2)
     loops = np.arange(num_nodes, dtype=np.int64)
     src = np.concatenate([edges[:, 0], loops])
     dst = np.concatenate([edges[:, 1], loops])

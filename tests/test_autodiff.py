@@ -130,7 +130,7 @@ class TestFiniteDiff:
 
     def test_segment_mean(self):
         rng = _rng()
-        ids = np.array([1, 0, 1, 1])
+        ids = np.array([0, 1, 1, 1])
         w = rng.standard_normal((2, 3))
         params = {"x": rng.standard_normal((4, 3))}
         err = ad.finite_diff_check(
@@ -347,12 +347,6 @@ class TestTapeMechanics:
         grads = tape.backward(ad.mean_all(ad.log(t)))
         assert np.allclose(grads["x"], 1.0 / (3.0 * x), rtol=1e-15)
 
-    def test_const_auto_wraps_second_operand(self):
-        tape = ad.Tape()
-        x = tape.param("x", [1.0, 2.0])
-        out = ad.add(x, np.array([10.0, 20.0]))
-        assert np.array_equal(out.data, [11.0, 22.0])
-
 
 class TestErrors:
     def test_duplicate_param_name(self):
@@ -371,87 +365,6 @@ class TestErrors:
         tape = ad.Tape()
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(tape.const([1.0, 2.0]))
-
-    def test_cross_tape_operands(self):
-        a, b = ad.Tape(), ad.Tape()
-        with pytest.raises(ValueError, match="different tapes"):
-            ad.add(a.const([1.0]), b.const([1.0]))
-
-    def test_first_operand_must_be_tensor(self):
-        with pytest.raises(TypeError):
-            ad.add(np.array([1.0]), np.array([1.0]))
-
-    def test_matmul_shape_mismatch(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="matmul"):
-            ad.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones((2, 3))))
-
-    def test_add_shape_mismatch(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="add shapes"):
-            ad.add(tape.const(np.ones((2, 3))), tape.const(np.ones((3, 2))))
-
-    def test_mul_shape_mismatch(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="mul shapes"):
-            ad.mul(tape.const(np.ones((2, 3))), tape.const(np.ones((2, 2))))
-
-    @pytest.mark.parametrize("column_side", ["left", "right"])
-    def test_mul_column_against_matrix(self, column_side):
-        # mul takes equal shapes only: an (N, 1) column does not broadcast
-        tape = ad.Tape()
-        column, matrix = tape.const(np.ones((3, 1))), tape.const(np.ones((3, 4)))
-        a, b = (column, matrix) if column_side == "left" else (matrix, column)
-        with pytest.raises(ValueError, match="mul shapes"):
-            ad.mul(a, b)
-
-    def test_concat_empty(self):
-        with pytest.raises(ValueError, match="concat"):
-            ad.concat([])
-
-    def test_log_domain(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="positive"):
-            ad.log(tape.const([1.0, 0.0]))
-        with pytest.raises(ValueError, match="positive"):
-            ad.log(tape.const([-0.5]))
-
-    def test_segment_ids_wrong_length(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="segment ids"):
-            ad.segment_sum(tape.const(np.ones((3, 2))), [0, 1], 2)
-
-    @pytest.mark.parametrize("ids", [[0, -1, 0], [0, 2, 0]])
-    def test_segment_id_out_of_range(self, ids):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="out of range"):
-            ad.segment_sum(tape.const(np.ones((3, 2))), ids, 2)
-
-    def test_segment_mean_empty_segment(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="segment 1 is empty"):
-            ad.segment_mean(tape.const(np.ones((2, 2))), [0, 0], 2)
-
-    def test_gather_rows_errors(self):
-        tape = ad.Tape()
-        a = tape.const(np.ones((3, 2)))
-        with pytest.raises(ValueError, match="1-D"):
-            ad.gather_rows(a, [[0], [1]])
-        with pytest.raises(ValueError, match="out of range"):
-            ad.gather_rows(a, [0, 3])
-
-    def test_pick_columns_errors(self):
-        tape = ad.Tape()
-        a = tape.const(np.ones((3, 2)))
-        with pytest.raises(ValueError, match="pick_columns"):
-            ad.pick_columns(a, [0, 1])
-        with pytest.raises(ValueError, match="out of range"):
-            ad.pick_columns(a, [0, 1, 2])
-
-    def test_mean_all_empty(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="empty"):
-            ad.mean_all(tape.const(np.zeros((0, 2))))
 
     def test_non_finite_output_trips_guard(self):
         tape = ad.Tape()

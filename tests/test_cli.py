@@ -868,17 +868,72 @@ def _named_variant(root, corpus, manifest, trained, d):
             "--out", str(root / "m.json")], bad
 
 
+def _narrow_checkpoint(d):
+    """A well-formed checkpoint whose weights take 7 features a node, not the layout's 66."""
+    bad = d / "w7.ckpt"
+    config = ModelConfig("gcn", 8, 1, (8,))
+    save_checkpoint(bad, config, init_weights(config, seed=0, in_dim=7), seed=0)
+    return bad
+
+
+def _named_narrow_predict(root, corpus, manifest, trained, d):
+    bad = _narrow_checkpoint(d)
+    return ["predict", str(sorted(corpus.glob("*.qasm"))[0]), "--checkpoint", str(bad)], bad
+
+
+def _named_narrow_evaluate(root, corpus, manifest, trained, d):
+    bad = _narrow_checkpoint(d)
+    return ["evaluate", "--checkpoint", str(bad), "--manifest", str(manifest),
+            "--out", str(root / "e.json")], bad
+
+
+def _gone_manifest(root, corpus, manifest, trained, d):
+    return ["stats", "--manifest", str(d / "gone.json"), "--out", str(root / "s")], d / "gone.json"
+
+
+def _gone_checkpoint(root, corpus, manifest, trained, d):
+    return (["predict", str(sorted(corpus.glob("*.qasm"))[0]), "--checkpoint",
+             str(d / "gone.ckpt")], d / "gone.ckpt")
+
+
+def _gone_config(root, corpus, manifest, trained, d):
+    return (["train", "--manifest", str(manifest), "--config", str(d / "gone.json"),
+             "--out", str(root / "t")], d / "gone.json")
+
+
+def _gone_profile(root, corpus, manifest, trained, d):
+    return (["label", "--circuits", str(corpus), "--profiles", str(d / "gone.json"),
+             "--out", str(root / "m.json")], d / "gone.json")
+
+
+def _gone_graph(root, corpus, manifest, trained, d):
+    blob = json.loads(manifest.read_text())
+    blob["entries"] = [{**blob["entries"][0], "dag_path": "gone.dag.json"}]
+    (d / "one.json").write_text(json.dumps(blob))
+    return (["evaluate", "--checkpoint", str(trained / "fold0.ckpt"), "--manifest",
+             str(d / "one.json"), "--out", str(root / "e.json")], d / "gone.dag.json")
+
+
+def _gone_circuit(root, corpus, manifest, trained, d):
+    return (["predict", str(d / "gone.qasm"), "--checkpoint", str(trained / "fold0.ckpt")],
+            d / "gone.qasm")
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [_named_featurize_qasm, _named_predict_qasm, _named_profile, _named_config, _named_graph,
-     _named_manifest, _named_checkpoint, _named_variant],
+     _named_manifest, _named_checkpoint, _named_variant, _named_narrow_predict,
+     _named_narrow_evaluate, _gone_manifest, _gone_checkpoint, _gone_config, _gone_profile,
+     _gone_graph, _gone_circuit],
     ids=["featurize-qasm", "predict-qasm", "profile", "config", "graph", "manifest",
-         "checkpoint", "variant"],
+         "checkpoint", "variant", "narrow-checkpoint-predict", "narrow-checkpoint-evaluate",
+         "missing-manifest", "missing-checkpoint", "missing-config", "missing-profile",
+         "missing-graph", "missing-circuit"],
 )
 def test_bad_file_is_named_once_as_path_text(pipeline, trained, tmp_path, capsys, make_argv):
-    """A bad file in a directory whose name is not UTF-8 is named first and once,
-    its bytes as UTF-8 and \\xe9 for the rest; a bad variant skips its circuit,
-    named by its file name in the manifest's skipped error."""
+    """A bad or missing file in a directory whose name is not UTF-8 is named first
+    and once, its bytes as UTF-8 and \\xe9 for the rest; a bad variant skips its
+    circuit, named by its file name in the manifest's skipped error."""
     _, corpus, manifest = pipeline
     d = tmp_path / os.fsdecode(b"d\xe9")  # é in Latin-1
     d.mkdir()
@@ -891,9 +946,25 @@ def test_bad_file_is_named_once_as_path_text(pipeline, trained, tmp_path, capsys
         message, first = skip["error"], path_text(bad.name)
     else:
         assert code == 2, err
+        assert err.count("d\\xe9") == 1, err
         message, first = err, f"qtp {argv[0]}: {path_text(bad)}"
     assert "\\xe9" in first
     assert message.startswith(f"{first}: ") and message.count(path_text(bad.name)) == 1
+
+
+def test_featurize_names_a_circuit_too_wide_and_writes_nothing(tmp_path, capsys):
+    """A circuit wider than the feature layout is refused by name while the inputs
+    are read, so the graphs of the inputs before it are not written."""
+    d = tmp_path / os.fsdecode(b"d\xe9")
+    d.mkdir()
+    (d / "bell.qasm").write_text(_BELL)
+    wide = d / "wide.qasm"
+    wide.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[30];\nh q[29];\n')
+    out = tmp_path / "fo"
+    assert main(["featurize", str(d / "bell.qasm"), str(wide), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"qtp featurize: {path_text(wide)}: 30 qubits exceed the 27-qubit feature layout\n")
+    assert not list(out.glob("*"))
 
 
 _HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'

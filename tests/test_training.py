@@ -179,11 +179,6 @@ class TestLoss:
         got = _loss([[0.0, 1.0]], [0], (1.0, 1.0))
         assert got == pytest.approx(-math.log(1e-12), rel=1e-15)
 
-    def test_shape_mismatch(self):
-        tape = ad.Tape()
-        with pytest.raises(TrainingError, match="labels"):
-            weighted_cross_entropy(tape.const(np.full((3, 2), 0.5)), [0, 1], (1, 1))
-
     def test_gradient_direction(self):
         # pushing up the true-class probability lowers the loss
         tape = ad.Tape()
@@ -221,10 +216,6 @@ class TestAdam:
         adam_step(params, {"w": np.array([0.5])}, state)
         assert state.t == 2
         assert set(state.m) == set(state.v) == {"w"}
-
-    def test_shape_mismatch(self):
-        with pytest.raises(TrainingError, match="shape"):
-            adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState())
 
     def test_minimizes_quadratic(self):
         params = {"x": np.array([5.0])}
