@@ -31,7 +31,7 @@ so this gives the same bits as selecting 1 or alpha.
 
 A gradient buffer exists only where backward reaches: the first adjoint
 pushed into a tensor becomes its gradient, later ones add to it, and
-constants never get one.  Parameters alone start from zeros.
+constants never get one.
 
 All data is float64.  Every op checks that its output is finite
 (`check_finite`), and inference checks every stage's output with the same
@@ -138,10 +138,11 @@ class Tape:
     def backward(self, loss: Tensor) -> dict[str, Array]:
         """Seed the scalar loss with 1 and replay adjoints in reverse order.
 
-        Returns every parameter's gradient, zeros where backward never reached.
-        Each record is popped before its push runs and its output is dropped,
-        so a buffer goes as soon as no remaining push reads it.  The tape is
-        spent afterwards: a second call raises ValueError.
+        Returns every parameter's gradient buffer, which the tape owns, and
+        zeros for a parameter backward never reached.  Each record is popped
+        before its push runs and its output is dropped, so a buffer goes as
+        soon as no remaining push reads it.  The tape is spent afterwards: a
+        second call raises ValueError.
         """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
@@ -150,8 +151,6 @@ class Tape:
         if self._spent:
             raise ValueError("backward already ran on this tape")
         self._spent = True
-        for p in self.params.values():
-            p.grad = np.zeros_like(p.data)
         loss.grad = np.ones_like(loss.data)
         records = self._records
         while records:
@@ -162,7 +161,8 @@ class Tape:
             del out
             if g is not None:
                 push(g)
-        return {name: p.grad.copy() for name, p in self.params.items()}
+        return {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                for name, p in self.params.items()}
 
     def release(self) -> None:
         """Drop all records and parameters so the batch's buffers free immediately.

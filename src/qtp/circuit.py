@@ -16,10 +16,9 @@ the op list instead: `qasm`'s statement scanner makes `check_gate`'s checks
 inline and hands any miss to the token parser; `transpile.lower_to_canonical`
 checks only an expansion with a non-finite computed angle; `transpile.route`,
 which expands into the device basis as it routes, and the `transpile.rebase`
-pass check none of their u3 expansions (templates on checked input, see
-`rebase`'s docstring) and take each cx expansion from the profile's
-`rebase.NativeGates` memo, checked once when filled; routed output is not a
-`Circuit`: see `transpile.route` for why its ops need no second check.
+pass check none of their expansions (templates on checked input, see
+`rebase`'s docstring); routed output is not a `Circuit`: see
+`transpile.route` for why its ops need no second check.
 """
 
 from __future__ import annotations

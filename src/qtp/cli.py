@@ -332,7 +332,7 @@ def _cmd_evaluate(args) -> int:
     with _running(args.checkpoint):
         body, _ = evaluate(config, weights, graphs)
     payload = {
-        "checkpoint": str(args.checkpoint),
+        "checkpoint": path_text(args.checkpoint),
         "model": config.name,
         "num_graphs": len(graphs),
         "metrics": body,

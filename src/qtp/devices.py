@@ -109,25 +109,6 @@ class DeviceProfile:
             return 0 <= a < self.num_qubits and 0 <= b < self.num_qubits
         return b in self._adjacency.get(a, ())
 
-    def neighbors(self, q: int) -> tuple[int, ...]:
-        if self.coupling == "all-to-all":
-            return tuple(i for i in range(self.num_qubits) if i != q)
-        return self._adjacency.get(q, ())
-
-    def qubit_distance(self, a: int, b: int) -> int:
-        """Hop count between two qubits on the coupling graph."""
-        for q in (a, b):
-            if not 0 <= q < self.num_qubits:
-                raise DeviceError(f"qubit {q} out of range")
-        if a == b:
-            return 0
-        if self.coupling == "all-to-all":
-            return 1
-        d = self._hop_row(b)[a]
-        if d < 0:
-            raise DeviceError(f"qubits {a} and {b} are not connected on {self.name}")
-        return d
-
     def _hop_row(self, src: int) -> list[int]:
         """Hop counts from src to every qubit, -1 when unreachable; one BFS on first use."""
         row = self._hops.get(src)
@@ -146,14 +127,15 @@ class DeviceProfile:
     def next_hop(self, a: int, b: int) -> int:
         """Smallest-index neighbor of a that is one hop closer to b; memoized.
 
-        a and b must be distinct and not coupled; raises DeviceError when no
-        path joins them.
+        a and b must be distinct, in range and not coupled on a coupling map
+        (routing asks only that); raises DeviceError when no path joins them.
         """
         hop = self._next_hop.get((a, b))
         if hop is None:
-            closer = self.qubit_distance(a, b) - 1
             to_b = self._hop_row(b)  # coupling is undirected: w's distance to b
-            hop = next(w for w in self.neighbors(a) if to_b[w] == closer)
+            if to_b[a] < 0:
+                raise DeviceError(f"qubits {a} and {b} are not connected on {self.name}")
+            hop = next(w for w in self._adjacency[a] if to_b[w] == to_b[a] - 1)
             self._next_hop[a, b] = hop
         return hop
 

@@ -49,7 +49,7 @@ log = logging.getLogger("qtp.labeling")
 
 
 class LabelError(DataError):
-    """Scoring is undefined (empty compilation, bad fidelities, ...)."""
+    """Scoring is undefined (empty compilation, two profiles of one name, ...)."""
 
 
 def cost(compiled: CompiledCircuit) -> float:
@@ -60,20 +60,14 @@ def cost(compiled: CompiledCircuit) -> float:
     gate order by `np.add.accumulate`, which adds one term at a time: a left
     fold, with the bits of a plain loop.  sum() adds floats with compensation
     from Python 3.12 on and np.sum adds pairwise, so either would give bits
-    that depend on the interpreter or on the length.
+    that depend on the interpreter or on the length.  Every fidelity is some
+    profile's `gate_fidelity`, which the profile keeps in (0, 1].
     """
     fids = compiled.fidelities
     if not fids:
         raise LabelError("cost is undefined for an empty compiled circuit")
-    try:
-        gates = np.fromiter(fids, float, len(fids))
-        values = np.unique(gates)  # sorted, with a NaN last
-        in_range = 0.0 < values[0] and values[-1] <= 1.0
-    except OverflowError:  # an int past the float range
-        in_range = False
-    if not in_range:
-        bad = next(f for f in fids if not 0.0 < f <= 1.0)
-        raise LabelError(f"gate fidelity {bad!r} outside (0, 1]")
+    gates = np.fromiter(fids, float, len(fids))
+    values = np.unique(gates)  # sorted
     logs = np.array([math.log(v) for v in values.tolist()])
     total = np.add.accumulate(logs[np.searchsorted(values, gates)])[-1]
     lo, hi = values[0], values[-1]

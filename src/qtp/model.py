@@ -349,34 +349,34 @@ def predict_proba(
     on each product's buffer.  Each stage's output is checked once, with the
     tape's messages: every later op of a stage carries an inf or NaN through
     to the stage's output, so a pass fails in the stage and with the error
-    that it would on the tape.
+    that it would on the tape.  Weights and features are taken as float64,
+    as `init_weights`, `load_checkpoint` and `featurize_circuit` make them.
     """
-    params = {name: np.asarray(arr, dtype=np.float64) for name, arr in weights.items()}
     batch = batch_graphs(graphs)
-    x = np.asarray(batch.features, dtype=np.float64)
+    x = batch.features
     n = x.shape[0]
     table = None
     if config.first_layer == "gcn" or config.blocks:
         table = normalize_adjacency(batch.edges, n).table
     if config.first_layer == "gat":
         into = _in_neighbors(batch.edges, n)
-        h = ad.gat_arrays(x, _heads(config, params), into, ATTENTION_SLOPE)[0]
+        h = ad.gat_arrays(x, _heads(config, weights), into, ATTENTION_SLOPE)[0]
     else:
-        w, b = params["first.w"], params["first.b"]
+        w, b = weights["first.w"], weights["first.b"]
         h = ad.gcn_arrays(x, table, w, b, LEAKY_SLOPE, residual=False)[0]
     ad.check_finite(h)
     for i in range(1, config.blocks + 1):
-        w, b = params[f"res{i}.w"], params[f"res{i}.b"]
+        w, b = weights[f"res{i}.w"], weights[f"res{i}.b"]
         h = ad.check_finite(ad.gcn_arrays(h, table, w, b, LEAKY_SLOPE, residual=True)[0])
     sizes = np.array([g.features.shape[0] for g in graphs])
     h = ad.check_finite(ad.run_means(h, sizes))
     for j in range(1, len(config.ffnn) + 1):
-        h = h @ params[f"ffnn{j}.w"]
-        h += params[f"ffnn{j}.b"]
+        h = h @ weights[f"ffnn{j}.w"]
+        h += weights[f"ffnn{j}.b"]
         h *= ad.leaky_gain(h > 0, LEAKY_SLOPE)
         ad.check_finite(h)
-    logits = h @ params["out.w"]
-    logits += params["out.b"]
+    logits = h @ weights["out.w"]
+    logits += weights["out.b"]
     return ad.check_finite(ad.softmax_rows(ad.check_finite(logits)))
 
 

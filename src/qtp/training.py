@@ -118,7 +118,8 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard bias-corrected Adam update, in place; each gradient has its parameter's shape."""
+    """Standard bias-corrected Adam update, in place; each gradient has its parameter's
+    shape and is only read, as `Tape.backward` hands over the tape's own buffers."""
     state.t += 1
     t = state.t
     for name, g in grads.items():
@@ -147,14 +148,11 @@ def _prf(confusion: np.ndarray) -> tuple[list[float], list[float], list[float]]:
 
 
 def metrics(predictions, labels, qubit_counts) -> dict:
-    """Confusion matrix, accuracy, per-class P/R/F1, and per-qubit buckets."""
+    """Confusion matrix, accuracy, per-class P/R/F1, and per-qubit buckets, from
+    aligned, non-empty arrays, as `evaluate` makes them."""
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     qubit_counts = np.asarray(qubit_counts, dtype=np.int64)
-    if predictions.size == 0:
-        raise TrainingError("no predictions to score")
-    if predictions.shape != labels.shape or labels.shape != qubit_counts.shape:
-        raise TrainingError("predictions, labels and qubit counts must align")
     confusion = np.zeros((2, 2), dtype=np.int64)
     np.add.at(confusion, (labels, predictions), 1)
     precision, recall, f1 = _prf(confusion)
@@ -205,9 +203,8 @@ class FoldReport:
 
 
 def aggregate(reports: Sequence[FoldReport]) -> dict:
-    """Mean and population standard deviation of each headline metric."""
-    if not reports:
-        raise TrainingError("nothing to aggregate")
+    """Mean and population standard deviation of each headline metric over at
+    least one report (`train` makes two or more)."""
     series = {
         "accuracy": [r.accuracy for r in reports],
         "f1_class0": [r.f1[0] for r in reports],
@@ -228,8 +225,6 @@ def aggregate(reports: Sequence[FoldReport]) -> dict:
 
 @dataclass
 class TrainResult:
-    config: ModelConfig
-    seed: int
     folds: list  # of FoldReport
     weights: list  # per-fold parameter dicts
     aggregate: dict
@@ -311,10 +306,4 @@ def train(
         )
         reports.append(report)
         fold_weights.append(params)
-    return TrainResult(
-        config=config,
-        seed=seed,
-        folds=reports,
-        weights=fold_weights,
-        aggregate=aggregate(reports),
-    )
+    return TrainResult(folds=reports, weights=fold_weights, aggregate=aggregate(reports))

@@ -17,9 +17,10 @@ per-pair `fidelity_2q` need cover no other pair.  `rebase` is the pass on
 its own; the label path does not run it, as `route` expands each op with
 `_rebase_u3` and `native_cx` as it routes.
 
-u3 expansions are not checked: kinds, arity and parameter counts come from
-the templates above, and qubits from the checked input op.  Every emitted
-angle is a finite input angle or has passed `_is_zero`, whose `fmod` raises
+No expansion is checked: kinds, arity and parameter counts come from the
+templates above, and qubits from the checked input op.  A cx expansion's
+angles are the template's constants.  Every emitted u3 angle is a finite
+input angle or has passed `_is_zero`, whose `fmod` raises
 ValueError ("math domain error") on a sum that overflowed to +-inf, which
 `rebase` and `route` raise again as RebaseError; a sum of two finite floats
 is never NaN.
@@ -31,7 +32,7 @@ import math
 import weakref
 
 from .. import DataError
-from ..circuit import Circuit, GateInstance, check_gate
+from ..circuit import Circuit, GateInstance
 from ..gates import GateKind
 
 _TOL = 1e-12
@@ -153,10 +154,10 @@ class NativeGates:
         return f
 
     def native_cx(self, a: int, b: int) -> tuple:
-        """cx(a, b) in basis gates: (ops, fidelities, shape); memoized, each op
-        record checked when it is made.
+        """cx(a, b) in basis gates: (ops, fidelities, shape); memoized.
 
-        The template relabelled onto (a, b), which come from a checked cx.
+        The template relabelled onto (a, b), which come from a checked cx, so
+        its records, made from constants, need no check of their own.
         Template op i put on qubit q is one 1q record, made for the first
         entry that needs it and shared by every later one, so an entry adds
         only its 2-qubit op and the 1q ops no earlier entry has made.
@@ -182,7 +183,6 @@ class NativeGates:
                 record = self._cx_1q.get((i, qubits)) if shared else None
                 if record is None:
                     record = GateInstance(op.kind, qubits, op.params)
-                    check_gate(record, max(a, b) + 1)
                     if shared:
                         self._cx_1q[i, qubits] = record
                 ops.append(record)

@@ -19,8 +19,8 @@ So no native op is relabelled, scored or levelled on its own.  The levels
 kept per wire have `circuit_depth` of the output as their maximum.
 
 Output ops are never re-checked as a `Circuit`: the input was checked when
-it was built, a u3 expansion is made by templates from its checked angles
-(see `rebase`), and each cx entry was checked when it was filled.
+it was built, and every expansion is made by templates from its checked
+qubits and angles (see `rebase`).
 
 A basis that `rebase` rejects is refused first, then a circuit wider than
 the device.  After that, errors come in op order: an overflowed u3 angle

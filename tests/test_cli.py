@@ -1390,6 +1390,20 @@ class TestFileText:
         for rel in ("m.json", "dags/bell.dag.json"):
             assert (tmp_path / "ascii" / rel).read_bytes() == (tmp_path / "utf8" / rel).read_bytes()
 
+    def test_evaluate_report_names_a_non_ascii_checkpoint_under_either_locale(
+            self, pipeline, trained, tmp_path, ascii_locale):
+        _, _, manifest = pipeline
+        checkpoint = tmp_path / "dé" / "fold0.ckpt"
+        checkpoint.parent.mkdir()
+        shutil.copyfile(trained / "fold0.ckpt", checkpoint)
+        for run, env in (("utf8", {}), ("ascii", ascii_locale)):
+            proc = _qtp_process("evaluate", "--checkpoint", checkpoint, "--manifest", manifest,
+                                "--out", tmp_path / f"{run}.json", env=env)
+            assert proc.returncode == 0, proc.stderr
+        report = (tmp_path / "ascii.json").read_bytes()
+        assert report == (tmp_path / "utf8.json").read_bytes()
+        assert json.loads(report)["checkpoint"] == path_text(checkpoint)
+
     def test_predict_takes_a_file_name_that_is_not_utf8(self, trained, tmp_path, capsys):
         plain = tmp_path / "bell.qasm"
         plain.write_text(_BELL)

@@ -1,4 +1,5 @@
 import inspect
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -56,12 +57,14 @@ class TestValidation:
             _line3(coupling=[[0, 3]])
 
     def test_fidelity_must_be_probability_like(self):
-        with pytest.raises(DeviceError):
-            _line3(fidelity_2q=0.0)
-        with pytest.raises(DeviceError):
-            _line3(fidelity_2q=1.5)
-        with pytest.raises(DeviceError):
-            _line3(fidelity_1q={"rz": -0.1, "id": 0.9, "sx": 0.9, "x": 0.9})
+        # labeling.cost takes every compiled fidelity as in (0, 1], so the
+        # profile refuses the rest, in each place a fidelity is given
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -0.0, -0.1, -1.0, 1.5, 2.0):
+            for field, value in (("fidelity_1q", {"rz": bad, "id": 0.9, "sx": 0.9, "x": 0.9}),
+                                 ("fidelity_2q", bad),
+                                 ("fidelity_2q", {"0-1": 0.98, "1-2": bad})):
+                with pytest.raises(DeviceError, match="fidelity"):
+                    _line3(**{field: value})
 
     @pytest.mark.parametrize("missing", ["id", "rz", "sx", "x"])
     def test_every_one_qubit_basis_gate_needs_a_fidelity(self, missing):
@@ -82,7 +85,6 @@ class TestCoupling:
         assert p.is_coupled(0, 1) and p.is_coupled(1, 0)
         assert not p.is_coupled(0, 2)
         assert not p.is_coupled(1, 1)
-        assert p.neighbors(1) == (0, 2)
 
     def test_all_to_all(self):
         p = load_profile(
@@ -97,38 +99,33 @@ class TestCoupling:
             }
         )
         assert all(p.is_coupled(a, b) for a in range(4) for b in range(4) if a != b)
-        assert p.qubit_distance(0, 3) == 1
+        assert not p.is_coupled(0, 4) and not p.is_coupled(-1, 0)
 
     def test_distance_bfs(self):
-        p = _line3()
-        assert p.qubit_distance(0, 0) == 0
-        assert p.qubit_distance(0, 1) == 1
-        assert p.qubit_distance(0, 2) == 2
+        # next_hop steps along a shortest path, so hopping counts the distance
+        p = _line3(num_qubits=5, coupling=[[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
+        assert p.next_hop(0, 2) == 1 and p.next_hop(0, 3) == 4
+        assert p._hops[2] == [2, 1, 0, 1, 2] and p._hops[3] == [2, 2, 1, 0, 1]
 
     def test_distance_disconnected(self):
         p = _line3(num_qubits=4, coupling=[[0, 1], [2, 3]])
-        with pytest.raises(DeviceError):
-            p.qubit_distance(0, 3)
+        with pytest.raises(DeviceError, match="qubits 0 and 3 are not connected on line3"):
+            p.next_hop(0, 3)
+        assert (0, 3) not in p._next_hop
 
     def test_hop_rows_built_on_first_use(self):
         # a long line: building every row at load would be 10^10 entries
         n = 100_000
         p = _line3(num_qubits=n, coupling=[[q, q + 1] for q in range(n - 1)])
         assert p._hops == {}
-        assert p.qubit_distance(n - 1, 0) == n - 1
+        assert p.next_hop(n - 1, 0) == n - 2
         assert p.next_hop(5, 0) == 4 and p.next_hop(5, n - 1) == 6
         assert sorted(p._hops) == [0, n - 1]
 
     def test_next_hop_takes_the_smallest_closer_neighbor(self):
         # a 4-cycle: both neighbors of 0 are one hop from 2
         p = _line3(num_qubits=4, coupling=[[0, 3], [3, 2], [2, 1], [1, 0]])
-        assert p.neighbors(0) == (1, 3)
-        assert p.qubit_distance(0, 2) == 2
         assert p.next_hop(0, 2) == 1
-
-    def test_distance_range_check(self):
-        with pytest.raises(DeviceError):
-            _line3().qubit_distance(0, 5)
 
 
 class TestFidelity:

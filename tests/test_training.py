@@ -320,12 +320,6 @@ class TestMetrics:
             "count": 0, "accuracy": 0.0, "f1_class0": 0.0, "f1_class1": 0.0,
         }
 
-    def test_rejects_empty_and_misaligned(self):
-        with pytest.raises(TrainingError, match="no predictions"):
-            metrics([], [], [])
-        with pytest.raises(TrainingError, match="align"):
-            metrics([0, 1], [0], [2, 3])
-
 
 class TestReports:
     def _body(self):
@@ -360,10 +354,6 @@ class TestReports:
             "precision_class0", "precision_class1",
             "recall_class0", "recall_class1",
         }
-
-    def test_aggregate_empty(self):
-        with pytest.raises(TrainingError, match="aggregate"):
-            aggregate([])
 
 
 # --- training loop -------------------------------------------------------------------
