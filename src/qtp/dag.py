@@ -45,8 +45,6 @@ _ANGLE_OFFSET = GATE_SLOTS + MAX_FEATURE_QUBITS
 
 _TWO_PI = 2.0 * math.pi
 
-GRAPH_SUFFIX = ".dag.json"
-
 
 class FeaturizeError(DataError):
     """Circuit cannot be encoded (too many qubits, bad graph file, ...)."""
@@ -100,7 +98,8 @@ def _ops_row(op: GateInstance) -> str:
 
 
 def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Path:
-    """Write {name, num_qubits, label?, ops: [[gate, qubits, params], ...]}.
+    """Write {name, num_qubits, label?, ops: [[gate, qubits, params], ...]} to
+    exactly `path`; `labeling.write_graph_file` names graph files.
 
     The bytes are `jsonio.dumps` of that document.  The envelope goes through
     `jsonio.dumps`; the `ops` rows, nearly all of the file, are rendered one
@@ -110,8 +109,6 @@ def write_graph(circ: Circuit, path: str | Path, label: int | None = None) -> Pa
     """
     check_width(circ.num_qubits)
     path = Path(path)
-    if not path.name.endswith(GRAPH_SUFFIX):
-        path = path.with_name(path.name + GRAPH_SUFFIX)
     doc: dict = {"name": circ.name, "num_qubits": circ.num_qubits}
     if label is not None:
         doc["label"] = int(label)

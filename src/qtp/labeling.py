@@ -33,7 +33,7 @@ from . import DataError
 from .circuit import Circuit, circuit_depth
 # featurize_circuit is not called here, but the benchmark's tracer
 # (bench/spans.py) hooks it at this module's name
-from .dag import GRAPH_SUFFIX, featurize_circuit, write_graph  # noqa: F401
+from .dag import featurize_circuit, write_graph  # noqa: F401
 from .devices import TECHNOLOGIES, TECHNOLOGY_CLASS, DeviceProfile
 from .jsonio import (dumps as json_dumps, fmt_float, integer, loads, number, path_text, read_text,
                      reading, string, write_text)
@@ -46,6 +46,8 @@ from .transpile import compile_for  # noqa: F401
 import warnings
 
 log = logging.getLogger("qtp.labeling")
+
+GRAPH_SUFFIX = ".dag.json"
 
 
 class LabelError(DataError):
@@ -81,7 +83,12 @@ def score_devices(
 ) -> dict[str, float]:
     """Best (minimum) cost per device, over the pipeline and any variants.
 
-    The circuit is lowered once for all profiles (`compile_each`).
+    The circuit is lowered once for all profiles (`compile_each`).  The
+    variants are a contract, not a check: each is a `compiled_from_circuit`
+    result for the profile it is listed under, so its fidelities are that
+    profile's, in (0, 1], and `cost` takes them as they are.  A hand-built
+    variant with a fidelity of 0 raises math's bare ValueError, and one with
+    a NaN fidelity costs NaN, which `min` passes over.
     """
     if not profiles:
         raise LabelError("need at least one device profile")
@@ -119,7 +126,11 @@ def label_circuit(
     profiles: list[DeviceProfile],
     extra_variants: dict[str, list[CompiledCircuit]] | None = None,
 ) -> tuple[int, str, dict[str, float]]:
-    """Returns (class label, best device name, per-device costs)."""
+    """Returns (class label, best device name, per-device costs).
+
+    `extra_variants` maps a profile name to `compiled_from_circuit` results for
+    that profile, the contract `score_devices` states.
+    """
     costs = score_devices(circ, profiles, extra_variants)
     label, best = label_from_costs(costs, profiles)
     return label, best, costs

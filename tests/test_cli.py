@@ -1115,29 +1115,34 @@ _ACCEPTANCE_GAT = '{"first_layer": "gat", "hidden": 32, "heads": 4, "blocks": 1,
 _TRAIN_FILES = ["fold0.ckpt", "fold1.ckpt", "results.csv", "run_report.json"]
 
 
-def _train_at(manifest, out, threads):
+def _qtp_process(*argv, env):
+    return subprocess.run([sys.executable, "-m", "qtp.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=300, env={**os.environ, **env})
+
+
+def _train_at(manifest, out, env):
     """`qtp train` of the acceptance GAT, 2 folds and 1 epoch, in a process
-    started with the BLAS thread variables set to `threads`."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-           "MKL_NUM_THREADS": threads}
-    proc = subprocess.run(
-        [sys.executable, "-m", "qtp.cli", "train", "--manifest", str(manifest),
-         "--config", _ACCEPTANCE_GAT, "--out", str(out), "--folds", "2", "--epochs", "1"],
-        capture_output=True, text=True, timeout=300, env=env,
-    )
+    started with `env` over this one's environment."""
+    proc = _qtp_process("train", "--manifest", manifest, "--config", _ACCEPTANCE_GAT,
+                        "--out", out, "--folds", "2", "--epochs", "1", env=env)
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in out.iterdir()) == _TRAIN_FILES
     return out
 
 
+def _blas_threads(n):
+    return {"OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n, "MKL_NUM_THREADS": n}
+
+
 @pytest.fixture(scope="module")
 def one_thread_train(tmp_path_factory):
-    """(manifest, train output at one BLAS thread) for gen-corpus --n 40 --seed 11."""
+    """(manifest, train output at one BLAS thread) for gen-corpus --n 40 --seed 11,
+    written to c/ and labelled into l/manifest.json."""
     root = tmp_path_factory.mktemp("train40")
     assert main(["gen-corpus", "--out", str(root / "c"), "--n", "40", "--seed", "11"]) == 0
     manifest = root / "l" / "manifest.json"
     assert main(["label", "--circuits", str(root / "c"), "--out", str(manifest)]) == 0
-    return manifest, _train_at(manifest, root / "t1", "1")
+    return manifest, _train_at(manifest, root / "t1", _blas_threads("1"))
 
 
 @pytest.mark.skipif(
@@ -1149,9 +1154,33 @@ def test_train_bytes_do_not_depend_on_blas_threads(one_thread_train):
     # at 2 threads OpenBLAS splits the node-axis sums of the weight gradients
     # differently; qtp pins one thread before numpy loads, so the bytes match
     manifest, one = one_thread_train
-    two = _train_at(manifest, one.parent / "t2", "2")
+    two = _train_at(manifest, one.parent / "t2", _blas_threads("2"))
     for name in _TRAIN_FILES:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["label", "train", "evaluate"])
+def test_output_bytes_do_not_depend_on_string_hashing(one_thread_train, tmp_path, command):
+    # the iteration order of a set of strings changes with PYTHONHASHSEED; no output file may
+    manifest, trained = one_thread_train
+    outputs = []
+    for seed in ("0", "1"):
+        out, env = tmp_path / seed, {"PYTHONHASHSEED": seed}
+        if command == "train":
+            _train_at(manifest, out, env)
+        else:
+            out.mkdir()
+            argv = (["--circuits", manifest.parents[1] / "c", "--out", out / "manifest.json"]
+                    if command == "label" else
+                    ["--checkpoint", trained / "fold0.ckpt", "--manifest", manifest,
+                     "--out", out / "report.json"])
+            proc = _qtp_process(command, *argv, env=env)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({path.relative_to(out): path.read_bytes()
+                        for path in sorted(out.rglob("*")) if path.is_file()})
+    assert list(outputs[0]) == list(outputs[1])
+    for rel, data in outputs[0].items():
+        assert outputs[1][rel] == data, rel
 
 
 # SHA-256 of each file the one-thread train run writes, and of what
@@ -1242,11 +1271,6 @@ class TestProcessEntry:
 _ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 # b"\xe9" is é in Latin-1, not UTF-8; in a comment the parser would ignore it
 _LATIN1_COMMENT = b'OPENQASM 2.0;\ninclude "qelib1.inc";\n// caf\xe9\nqreg q[1];\nx q[0];\n'
-
-
-def _qtp_process(*argv, env):
-    return subprocess.run([sys.executable, "-m", "qtp.cli", *map(str, argv)],
-                          capture_output=True, text=True, timeout=300, env={**os.environ, **env})
 
 
 @pytest.fixture(scope="module")
@@ -1355,14 +1379,26 @@ class TestFileText:
         assert ((tmp_path / "ascii" / "café.dag.json").read_bytes()
                 == (tmp_path / "utf8" / "café.dag.json").read_bytes())
 
-    def test_featurize_file_name_not_utf8_under_either_locale(self, tmp_path, ascii_locale):
-        bad = tmp_path / os.fsdecode(b"caf\xe9.qasm")  # é in Latin-1
-        bad.write_text(_BELL)
+    @pytest.mark.parametrize("name, text, argv, detail", [
+        (b"caf\xe9.qasm", _BELL, ["featurize"], "file name is not valid UTF-8"),
+        # text beyond ASCII, read as UTF-8 under either locale
+        (b"d\xe9/m.json", '{"name": "café", "entries": [', ["stats", "--manifest"],
+         "invalid JSON (Expecting value: line 1 column 30 (char 29))"),
+        (b"d\xe9/gone.json", None, ["stats", "--manifest"], "No such file or directory"),
+    ], ids=["featurize-name", "malformed-manifest", "missing-manifest"])
+    def test_bad_file_is_named_once_under_either_locale(self, tmp_path, ascii_locale, name,
+                                                        text, argv, detail):
+        """A bad or missing file whose path is not UTF-8 (é in Latin-1) is named
+        first and once, as \\xe9, in one stderr line under either locale."""
+        bad = tmp_path / os.fsdecode(name)
+        bad.parent.mkdir(exist_ok=True)
+        if text is not None:
+            bad.write_text(text, encoding="utf-8")
         for env in ({}, ascii_locale):
-            proc = _qtp_process("featurize", bad, "--out", tmp_path / "out", env=env)
+            proc = _qtp_process(*argv, bad, "--out", tmp_path / "out", env=env)
             assert proc.returncode == 2, proc.stderr
-            assert proc.stderr == (f"qtp featurize: {tmp_path}/caf\\xe9.qasm: "
-                                   "file name is not valid UTF-8\n")
+            assert proc.stderr == f"qtp {argv[0]}: {path_text(bad)}: {detail}\n"
+            assert proc.stderr.count("\\xe9") == 1, proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_variant_for_a_non_ascii_profile_labels_the_same_under_an_ascii_locale(

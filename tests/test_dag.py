@@ -191,7 +191,6 @@ class TestGraphIO:
         add(circ, GateKind.CRZ, (1, 0), (-0.0,))
         add(circ, GateKind.CCX, (2, 0, 1))
         path = write_graph(circ, tmp_path / "angles")
-        assert path.name == "angles.dag.json"
         assert json.loads(path.read_text()) == {
             "name": "angles", "num_qubits": 3,
             "ops": [["u3", [2], [-math.pi, 1e-300, 0.1 + 0.2]], ["crz", [1, 0], [0]],

@@ -14,7 +14,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import mpmath
-import numpy as np
 import pytest
 
 from qtp.circuit import Circuit

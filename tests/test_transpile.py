@@ -19,7 +19,6 @@ from qtp.circuit import Circuit, GateInstance, check_gate, circuit_depth
 from qtp.devices import DeviceError, bundled_profile, load_profile
 from qtp.gates import GateKind, VOCABULARY
 from qtp.transpile import (
-    CompiledCircuit,
     RebaseError,
     RouteError,
     compile_each,
@@ -30,7 +29,7 @@ from qtp.transpile import (
     route,
 )
 from unitary import circuit_unitary, gate_matrix, phase_aligned_distance
-from util import add, compiled_distance, ops_unitary, random_circuit
+from util import add, compiled_distance, random_circuit
 
 rebase_module = importlib.import_module("qtp.transpile.rebase")  # the package exports the function
 route_module = importlib.import_module("qtp.transpile.route")
