@@ -10,8 +10,8 @@ tape; `matmul` takes aligned matrices, `add` equal shapes or a (F,) bias
 against (N, F) rows, `mul` equal shapes, `log` positive entries (`clamp_min`
 runs first), `pick_columns` one in-range column per row, `segment_mean`
 sorted ids with a row in every segment, and the graph layers weights of
-`param_shapes`' shapes.  `batch_graphs`, `init_weights` and `load_checkpoint`
-make exactly that.
+`param_shapes`' shapes.  `batch_graphs`, `init_weights`, `load_checkpoint`
+and `train_fold`'s views of its weight buffer make exactly that.
 
 Each graph layer is one op: `gcn_layer` and `gat_layer` run their message
 passing on `NeighborTable` row blocks, sized by width, and keep only the
@@ -139,10 +139,11 @@ class Tape:
         """Seed the scalar loss with 1 and replay adjoints in reverse order.
 
         Returns every parameter's gradient buffer, which the tape owns, and
-        zeros for a parameter backward never reached.  Each record is popped
-        before its push runs and its output is dropped, so a buffer goes as
-        soon as no remaining push reads it.  The tape is spent afterwards: a
-        second call raises ValueError.
+        zeros for a parameter backward never reached, in `bind_params` order,
+        which `train_fold`'s gather into one buffer relies on.  Each record
+        is popped before its push runs and its output is dropped, so a buffer
+        goes as soon as no remaining push reads it.  The tape is spent
+        afterwards: a second call raises ValueError.
         """
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")

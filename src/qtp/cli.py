@@ -337,6 +337,7 @@ def _cmd_evaluate(args) -> int:
         "num_graphs": len(graphs),
         "metrics": body,
     }
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_text(args.out, json.dumps(payload, indent=2) + "\n")
     log.info("evaluate %s: accuracy %.4f", config.name, body["accuracy"])
     return 0

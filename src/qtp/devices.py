@@ -4,9 +4,9 @@ Profiles are plain JSON so users can describe their own hardware.  Two
 bundled profiles ship with the package, a trapped-ion device with all-to-all
 coupling and a superconducting device on a heavy-hex style lattice.
 
-A profile memoizes its topology on first use (hop rows and next hops), and
-keeps the transpiler's memos (`transpile.rebase.native_gates`) in one field;
-this module imports nothing from the transpiler.
+A profile memoizes its hop rows on first use, and keeps the transpiler's
+memos (`transpile.rebase.native_gates`) in one field; this module imports
+nothing from the transpiler.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ class DeviceProfile:
     # Not init fields, so every instance, a dataclasses.replace copy too, derives
     # its own: the coupling's neighbor lists, set by __post_init__, and compiler
     # memos filled on first use so that building a profile stays cheap (hop
-    # rows, next hops and `transpile.rebase.native_gates`).
+    # rows and `transpile.rebase.native_gates`).
     _adjacency: dict = field(default=None, init=False, repr=False, compare=False)
     _hops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _next_hop: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _native: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -125,19 +124,15 @@ class DeviceProfile:
         return row
 
     def next_hop(self, a: int, b: int) -> int:
-        """Smallest-index neighbor of a that is one hop closer to b; memoized.
+        """Smallest-index neighbor of a that is one hop closer to b.
 
         a and b must be distinct, in range and not coupled on a coupling map
         (routing asks only that); raises DeviceError when no path joins them.
         """
-        hop = self._next_hop.get((a, b))
-        if hop is None:
-            to_b = self._hop_row(b)  # coupling is undirected: w's distance to b
-            if to_b[a] < 0:
-                raise DeviceError(f"qubits {a} and {b} are not connected on {self.name}")
-            hop = next(w for w in self._adjacency[a] if to_b[w] == to_b[a] - 1)
-            self._next_hop[a, b] = hop
-        return hop
+        to_b = self._hop_row(b)  # coupling is undirected: w's distance to b
+        if to_b[a] < 0:
+            raise DeviceError(f"qubits {a} and {b} are not connected on {self.name}")
+        return next(w for w in self._adjacency[a] if to_b[w] == to_b[a] - 1)
 
     # --- fidelities ---------------------------------------------------------
 

@@ -302,6 +302,13 @@ def init_weights(
     return weights
 
 
+def weight_views(flat: np.ndarray, config: ModelConfig, in_dim: int = FEATURE_DIM) -> dict:
+    """`param_shapes`' arrays as views of `flat`, their values back to back in `_layout` order."""
+    shapes = param_shapes(config, in_dim)
+    parts = np.split(flat, np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+
 def bind_params(tape: ad.Tape, weights: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {name: tape.param(name, arr) for name, arr in weights.items()}
 
@@ -400,24 +407,14 @@ def save_checkpoint(
     seed: int,
     metadata: dict | None = None,
 ) -> None:
-    first = np.shape(next(iter(weights.values()), None))
-    if len(first) != 2:
-        raise CheckpointError(f"first parameter has shape {first}, wants a matrix")
-    shapes = param_shapes(config, first[0])
-    if set(shapes) != set(weights):
-        raise CheckpointError("parameter set does not match the config")
-    for name, shape in shapes.items():
-        if np.shape(weights[name]) != shape:
-            raise CheckpointError(f"parameter {name} has shape {np.shape(weights[name])}, "
-                                  f"wants {shape}")
-    layout = _layout(config, first[0])
-    blobs = [np.ascontiguousarray(weights[e["name"]], dtype="<f8").tobytes() for e in layout]
+    """Write weights as `init_weights`, `train_fold` and `load_checkpoint` make them, unchecked."""
+    layout = _layout(config, next(iter(weights.values())).shape[0])
     header = {"config": config.to_json(), "seed": int(seed), "metadata": metadata or {},
               "params": layout}
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(raw)) + raw)
-        fh.writelines(blobs)
+        fh.writelines(np.ascontiguousarray(w, dtype="<f8") for w in weights.values())
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict]:
@@ -446,13 +443,12 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int, dict
         if params != layout or (json.dumps(params, sort_keys=True)
                                 != json.dumps(layout, sort_keys=True)):
             raise CheckpointError("parameters differ from the config's layout")
-        payload = data[pos + hlen :]
-        if len(payload) != 8 * sum(math.prod(e["shape"]) for e in layout):
+        size = sum(math.prod(e["shape"]) for e in layout)
+        if len(data) - pos - hlen != 8 * size:
             raise CheckpointError("payload length differs from the layout's")
-        weights: dict[str, np.ndarray] = {}
-        for e in layout:
-            arr = np.frombuffer(payload, "<f8", math.prod(e["shape"]), e["offset"])
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"parameter {e['name']} holds a non-finite value")
-            weights[e["name"]] = arr.reshape(e["shape"]).copy()
+        flat = np.frombuffer(data, "<f8", size, pos + hlen).copy()
+        weights = weight_views(flat, config, in_dim)
+        if not np.isfinite(flat).all():
+            name = next(n for n, w in weights.items() if not np.isfinite(w).all())
+            raise CheckpointError(f"parameter {name} holds a non-finite value")
         return config, weights, seed, header.get("metadata", {})

@@ -4,12 +4,14 @@ Splitting deals shuffled per-class indices round-robin into folds with one
 rolling pointer, which keeps fold sizes equal and every class balanced to
 within one sample per fold.  Training is bit-reproducible: all randomness
 flows from numpy generators seeded with (seed, fold) tuples, and no report
-field depends on wall-clock time.
+field depends on wall-clock time.  A fold lays each parameter role out once,
+as one float64 buffer in checkpoint layout order: the weights, whose views
+each step's tape binds, the gradients each step gathers, and Adam's m and v.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +26,7 @@ from .model import (
     init_weights,
     model_forward,
     predict_proba,
+    weight_views,
 )
 
 QUBIT_BUCKETS = (("2-7", 2, 7), ("8-15", 8, 15), ("16-27", 16, 27))
@@ -104,32 +107,33 @@ def weighted_cross_entropy(probs: Tensor, labels, weights) -> Tensor:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray  # first moments, one per element of the weight buffer
+    v: np.ndarray  # second moments
     t: int = 0
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    weights: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Standard bias-corrected Adam update, in place; each gradient has its parameter's
-    shape and is only read, as `Tape.backward` hands over the tape's own buffers."""
+    """Bias-corrected Adam on the weight buffer, in place: one pass over four equal-length
+    buffers in blocks of `autodiff.BLOCK_ELEMENTS`, each running a per-parameter update's
+    ufuncs in its order, so the bits hold and no temporary outgrows a block."""
     state.t += 1
     t = state.t
-    for name, g in grads.items():
-        m = state.m.setdefault(name, np.zeros_like(g))
-        v = state.v.setdefault(name, np.zeros_like(g))
+    for lo in range(0, weights.size, ad.BLOCK_ELEMENTS):
+        block = slice(lo, lo + ad.BLOCK_ELEMENTS)
+        g, m, v = grad[block], state.m[block], state.v[block]
         m += (1 - beta1) * (g - m)
         v += (1 - beta2) * (g * g - v)
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        step = lr * (m / (1 - beta1**t))
+        step /= np.sqrt(v / (1 - beta2**t)) + eps
+        weights[block] -= step
 
 
 # --- metrics -------------------------------------------------------------------
@@ -259,8 +263,10 @@ def train_fold(
     """Train one fold from scratch and score it on its held-out indices."""
     train_labels = np.array([graphs[i].label for i in train_idx], dtype=np.int64)
     weights_per_class = class_weights(train_labels)
-    params = init_weights(config, [seed, fold_id])
-    state = AdamState()
+    flat = np.concatenate(list(init_weights(config, [seed, fold_id]).values()), axis=None)
+    params = weight_views(flat, config)
+    grad = np.empty_like(flat)
+    state = AdamState(np.zeros_like(flat), np.zeros_like(flat))
     shuffler = np.random.default_rng([seed, fold_id, 1])
     curve = []
     for _ in range(epochs):
@@ -272,8 +278,8 @@ def train_fold(
             tape = ad.Tape()
             probs = model_forward(config, bind_params(tape, params), batch)
             loss = weighted_cross_entropy(probs, batch.labels, weights_per_class)
-            grads = tape.backward(loss)
-            adam_step(params, grads, state)
+            np.concatenate(list(tape.backward(loss).values()), axis=None, out=grad)
+            adam_step(flat, grad, state)
             total += float(loss.data) * len(chunk)
             count += len(chunk)
             tape.release()

@@ -8,6 +8,11 @@ table ops, and the one-head `NeighborTable.reduce`, `pair_dots` and unblocked
 `leaky_relu` in its `np.where` form and a `model_forward` that calls them.
 The fused layers, which run every head in one pass over the tables, must give
 the same bits: outputs, losses and every gradient.
+
+`adam_step` is the per-parameter Adam update that the blocked pass over one
+weight buffer replaced, copied unchanged: a name → array dict of weights and
+of gradients, and m and v as dicts filled on first use.  The blocked pass
+must give the same bits in the weights and in both moments.
 """
 
 from __future__ import annotations
@@ -192,3 +197,21 @@ def model_forward(config, params: dict[str, Tensor], batch: GraphBatch) -> Tenso
         h = leaky_relu(ad.add(ad.matmul(h, params[f"ffnn{j}.w"]), params[f"ffnn{j}.b"]), 0.01)
     logits = ad.add(ad.matmul(h, params["out.w"]), params["out.b"])
     return ad.row_softmax(logits)
+
+
+# --- optimizer ----------------------------------------------------------------
+
+
+def adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """Bias-corrected Adam, one parameter at a time; `state` has dicts `m` and `v`
+    and a step count `t`."""
+    state.t += 1
+    t = state.t
+    for name, g in grads.items():
+        m = state.m.setdefault(name, np.zeros_like(g))
+        v = state.v.setdefault(name, np.zeros_like(g))
+        m += (1 - beta1) * (g - m)
+        v += (1 - beta2) * (g * g - v)
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)

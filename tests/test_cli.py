@@ -190,6 +190,16 @@ class TestPipeline:
         ]) == 0
         assert json.loads((tmp_path / "eval.json").read_text())["num_graphs"] == 24
 
+    def test_evaluate_creates_the_report_directory(self, pipeline, trained, tmp_path):
+        # as label, train and stats do for their outputs
+        _, _, manifest = pipeline
+        out = tmp_path / "new" / "deeper" / "report.json"
+        assert main([
+            "evaluate", "--checkpoint", str(trained / "fold0.ckpt"),
+            "--manifest", str(manifest), "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["num_graphs"] == 24
+
     def test_predict_line(self, pipeline, trained, capsys):
         _, corpus, _ = pipeline
         circuit = sorted(corpus.glob("*.qasm"))[0]

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import layers_reference as ref
 from qtp import training as tr
 from qtp.dag import FEATURE_DIM, GraphData, featurize_circuit
 from qtp.model import ModelConfig, batch_graphs, bind_params, init_weights, model_forward
@@ -192,44 +194,79 @@ class TestLoss:
 # --- optimizer ---------------------------------------------------------------------
 
 
+def _adam_buffers(w):
+    w = np.array(w, dtype=np.float64)
+    return w, AdamState(np.zeros_like(w), np.zeros_like(w))
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         g = np.array([0.5, -1.5, 0.02])
-        params = {"w": np.array([1.0, -2.0, 0.3])}
-        adam_step(params, {"w": g.copy()}, AdamState())
+        w, state = _adam_buffers([1.0, -2.0, 0.3])
+        adam_step(w, g.copy(), state)
         m = (1 - 0.9) * g
         v = (1 - 0.999) * (g * g)
         m_hat = m / (1 - 0.9**1)
         v_hat = v / (1 - 0.999**1)
         expected = np.array([1.0, -2.0, 0.3]) - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert np.array_equal(params["w"], expected)
+        assert np.array_equal(w, expected)
 
     def test_zero_gradient_fresh_state_is_identity(self):
-        params = {"w": np.array([0.25, -0.75])}
-        adam_step(params, {"w": np.zeros(2)}, AdamState())
-        assert np.array_equal(params["w"], [0.25, -0.75])
+        w, state = _adam_buffers([0.25, -0.75])
+        adam_step(w, np.zeros(2), state)
+        assert np.array_equal(w, [0.25, -0.75])
 
     def test_state_advances(self):
-        params = {"w": np.array([1.0])}
-        state = AdamState()
-        adam_step(params, {"w": np.array([0.5])}, state)
-        adam_step(params, {"w": np.array([0.5])}, state)
+        w, state = _adam_buffers([1.0])
+        m, v = state.m, state.v
+        adam_step(w, np.array([0.5]), state)
+        adam_step(w, np.array([0.5]), state)
         assert state.t == 2
-        assert set(state.m) == set(state.v) == {"w"}
+        assert state.m is m and state.v is v
+        assert m.shape == v.shape == (1,) and m[0] != 0.0 and v[0] != 0.0
 
     def test_minimizes_quadratic(self):
-        params = {"x": np.array([5.0])}
-        state = AdamState()
+        x, state = _adam_buffers([5.0])
         for _ in range(300):
-            adam_step(params, {"x": 2.0 * params["x"]}, state, lr=0.05)
-        assert abs(params["x"][0]) < 0.5
+            adam_step(x, 2.0 * x, state, lr=0.05)
+        assert abs(x[0]) < 0.5
 
     def test_updates_in_place(self):
-        arr = np.array([1.0])
-        params = {"w": arr}
-        adam_step(params, {"w": np.array([1.0])}, AdamState())
-        assert params["w"] is arr
-        assert arr[0] != 1.0
+        w, state = _adam_buffers([1.0])
+        view = w[:]
+        adam_step(w, np.array([1.0]), state)
+        assert view[0] == w[0] != 1.0
+
+    def test_blocked_pass_matches_the_per_parameter_update(self):
+        # GAT32's 66,530 weights span three blocks, and each block boundary
+        # falls inside a parameter
+        config = ModelConfig("gat", 32, 1, (256, 32), heads=4)
+        weights = init_weights(config, 3)
+        flat = np.concatenate(list(weights.values()), axis=None)
+        bounds = np.cumsum([w.size for w in weights.values()])
+        assert -(-flat.size // ad.BLOCK_ELEMENTS) == 3
+        assert not set(range(0, flat.size, ad.BLOCK_ELEMENTS)) & set(bounds)
+        state = AdamState(np.zeros_like(flat), np.zeros_like(flat))
+        old = SimpleNamespace(m={}, v={}, t=0)
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            grads = {name: rng.normal(size=w.shape) for name, w in weights.items()}
+            ref.adam_step(weights, grads, old)
+            adam_step(flat, np.concatenate(list(grads.values()), axis=None), state)
+        for got, want in ((flat, weights), (state.m, old.m), (state.v, old.v)):
+            assert np.array_equal(got, np.concatenate(list(want.values()), axis=None))
+
+    def test_no_temporary_is_parameter_sized(self):
+        n = 4 * ad.BLOCK_ELEMENTS + 3
+        w, state = _adam_buffers(np.linspace(-1.0, 1.0, n))
+        g = np.linspace(2.0, -2.0, n)
+        tracemalloc.start()
+        try:
+            adam_step(w, g, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.nbytes
 
 
 # --- metrics -----------------------------------------------------------------------
