@@ -8,22 +8,18 @@ the graph network and its loss need, and no more general.
 The op shapes are a contract, not a check: the operands of one op share a
 tape; `matmul` takes aligned matrices, `add` equal shapes or a (F,) bias
 against (N, F) rows, `mul` equal shapes, `log` positive entries (`clamp_min`
-runs first), `pick_columns` one in-range column per row, `segment_mean`
-sorted ids with a row in every segment, and the graph layers weights of
-`param_shapes`' shapes.  `batch_graphs`, `init_weights`, `load_checkpoint`
-and `train_fold`'s views of its weight buffer make exactly that.
+runs first), `pick_columns` one in-range column per row, and `segment_mean`
+sorted ids with a row in every segment.  `batch_graphs`, `init_weights`,
+`load_checkpoint` and `train_fold`'s views of its weight buffer make exactly
+that.  The graph layers are tape ops of their own, defined in `qtp.model`
+with this module's `Tape.record` and `accumulate`.
 
-Each graph layer is one op: `gcn_layer` and `gat_layer` run their message
-passing on `NeighborTable` row blocks, sized by width, and keep only the
-buffers their backward reads.  `gat_layer` runs all its heads side by side
-in one pass over the table, and only its backward builds the transposed
-table.  The forward math of the graph layers, of `segment_mean` and of
-`row_softmax` lives in array functions (`gcn_arrays`, `gat_arrays`,
-`run_means`, `softmax_rows`): each op calls its function and records a push,
-and forward-only inference calls the same functions with no tape, so both
-give the same bits.  `concat`, `segment_sum`, `segment_softmax` and
-`gather_rows` are no longer called by the model, but `bench/spans.py` still
-traces them by name.
+The forward math of `segment_mean` and of `row_softmax` lives in array
+functions (`run_means`, `softmax_rows`): each op calls its function and
+records a push, and forward-only inference calls the same functions with no
+tape, so both give the same bits.  `concat`, `segment_sum`,
+`segment_softmax` and `gather_rows` are no longer called by the model, but
+`bench/spans.py` still traces them by name.
 
 LeakyReLU slopes are computed without a branch, as (x > 0) * (1 - alpha) +
 alpha; for every slope the model uses, (1 - alpha) + alpha is exactly 1.0,
@@ -409,265 +405,6 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
         accumulate(a, g * mask)
 
     return a.tape.record(np.maximum(a.data, floor), push)
-
-
-# --- neighbor tables ----------------------------------------------------------
-
-# Elements in one row block of a table op, so that a block's (rows, width)
-# temporaries fit a core's L2: 256 rows at width 128, 64 rows at width 512.
-BLOCK_ELEMENTS = 1 << 15
-
-
-def block_rows(width: int) -> int:
-    """Rows per table block at `width` columns."""
-    return max(1, BLOCK_ELEMENTS // width)
-
-
-class NeighborTable:
-    """Entries (row, col[, val]) of a sparse matrix regrouped into degree-sorted slots.
-
-    Rows are ordered by descending entry count, ties by id (`order`).  Slot k
-    holds the k-th entry of every row that has more than k, so it covers the
-    leading rows of `order` and the positions `slots[k]` of the position
-    arrays ("jagged diagonal" storage).  A row's entries keep their input
-    order, and every reduction below adds a row's terms slot by slot: the
-    order in which a scatter-add over the input entries adds them.
-
-    `entries[p]` is the input index of position p; `rows`, `cols` and `vals`
-    are the input arrays taken in position order.
-
-    Position values may carry trailing axes, one column per attention head:
-    each column is reduced on its own, with the same bits as a 1-D call.
-    """
-
-    def __init__(self, rows, cols, num_rows: int, vals=None):
-        rows = np.asarray(rows, dtype=np.int64)
-        counts = np.bincount(rows, minlength=num_rows)
-        self.num_rows = num_rows
-        self.order = np.argsort(-counts, kind="stable")
-        # rows with more than k entries, for k = 0 .. max count - 1
-        widths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
-        ends = np.cumsum(widths)
-        starts = ends - widths
-        self.slots = list(zip(starts.tolist(), ends.tolist()))
-        slot = np.repeat(np.arange(widths.size), widths)
-        rank = np.arange(rows.size) - np.repeat(starts, widths)
-        first = np.cumsum(counts) - counts
-        self.entries = np.argsort(rows, kind="stable")[first[self.order[rank]] + slot]
-        self.rows = rows[self.entries]
-        self.cols = np.asarray(cols, dtype=np.int64)[self.entries]
-        self.vals = None if vals is None else np.asarray(vals).reshape(-1)[self.entries]
-
-    def reduce(self, x: Array, op=np.add, start: float = 0.0) -> Array:
-        """Per-row `op`-reduction of x (positions, ...); (num_rows, ...) in row-id order."""
-        acc = np.full((self.num_rows,) + x.shape[1:], start)
-        for lo, hi in self.slots:
-            head = acc[: hi - lo]
-            op(head, x[lo:hi], out=head)
-        out = np.empty_like(acc)
-        out[self.order] = acc
-        return out
-
-    def gather_sum(self, x: Array, weights: Array, add_to: Array | None = None) -> Array:
-        """out[i] = sum of weights[p] * x[cols[p]] over the positions p of row i.
-
-        `weights` is (positions,), or (positions, groups) with column k
-        scaling the k-th of `groups` equal column groups of x.  Works through
-        `order` `block_rows(width)` rows at a time: a block takes its part of
-        every slot that reaches it, then goes straight to its rows of the
-        output, so the (rows, width) temporaries stay in cache.
-
-        With 1-D weights, `add_to` (num_rows, width) takes the sums added in
-        place, with the bits of `add_to += out`, and is returned.
-        """
-        num_rows, width = self.num_rows, x.shape[1]
-        # a row of x, split into its column groups when there are several
-        row = (width,) if weights.ndim == 1 else (weights.shape[1], width // weights.shape[1])
-        x = x.reshape((-1,) + row)
-        weights = weights.reshape((-1,) + row[:-1] + (1,))
-        out = np.empty((num_rows,) + row) if add_to is None else add_to
-        step = block_rows(width)
-        for r0 in range(0, num_rows, step):
-            r1 = min(r0 + step, num_rows)
-            acc = np.zeros((r1 - r0,) + row)
-            for lo, hi in self.slots:
-                end = min(hi - lo, r1)  # slot rows r0 .. end fall in this block
-                if end <= r0:
-                    break  # slots only narrow from here
-                term = x[self.cols[lo + r0 : lo + end]]
-                term *= weights[lo + r0 : lo + end]
-                acc[: end - r0] += term
-            if add_to is None:
-                out[self.order[r0:r1]] = acc
-            else:
-                out[self.order[r0:r1]] += acc
-        return out.reshape(num_rows, width)
-
-    def pair_dots(self, left: Array, right: Array, groups: int) -> Array:
-        """(positions, groups): left[rows[p]] . right[cols[p]] within each column group.
-
-        Works through `order` in the row blocks of `gather_sum`, so its
-        temporaries stay as small.
-        """
-        out = np.empty((self.cols.size, groups))
-        step = block_rows(left.shape[1])
-        left = left.reshape(self.num_rows, groups, -1)
-        right = right.reshape(right.shape[0], groups, -1)
-        for r0 in range(0, self.num_rows, step):
-            r1 = min(r0 + step, self.num_rows)
-            block = left[self.order[r0:r1]]
-            for lo, hi in self.slots:
-                end = min(hi - lo, r1)
-                if end <= r0:
-                    break
-                term = right[self.cols[lo + r0 : lo + end]]
-                out[lo + r0 : lo + end] = np.einsum("ikj,ikj->ik", block[: end - r0], term)
-        return out
-
-
-# --- graph layers ---------------------------------------------------------------
-
-
-def gcn_arrays(
-    h: Array, table: NeighborTable, w: Array, b: Array, slope: float, residual: bool
-) -> tuple[Array, Array, Array]:
-    """`gcn_layer`'s forward on plain arrays of aligned shapes.
-
-    Returns the output, ÂH, and the mask of positive pre-activations, from
-    which `leaky_gain` rebuilds the slopes.
-    """
-    ah = table.gather_sum(h, table.vals)
-    out = ah @ w
-    out += b
-    positive = out > 0
-    out *= leaky_gain(positive, slope)
-    if residual:
-        out += h
-    return out, ah, positive
-
-
-def gcn_layer(
-    h: Tensor, table: NeighborTable, w: Tensor, b: Tensor, slope: float, residual: bool
-) -> Tensor:
-    """LeakyReLU(Â H W + b, slope), plus H itself when `residual`, as one op.
-
-    `table` holds a symmetric Â with values, so the backward's Âᵀ G is the same
-    table sum.  The forward works in place on the product's buffer, and only
-    ÂH and the boolean mask of positive pre-activations (one byte an element)
-    are kept for the backward, which rebuilds the slopes from the mask in the
-    buffer of the pre-activation's gradient.
-    """
-    out, ah, positive = gcn_arrays(h.data, table, w.data, b.data, slope, residual)
-
-    def push(g: Array) -> None:
-        nonlocal ah
-        d = leaky_gain(positive, slope)
-        d *= g  # gain * g: the bits of g * gain
-        if residual:
-            accumulate(h, g)
-        accumulate(b, d.sum(axis=0))
-        accumulate(w, ah.T @ d)
-        ah = None  # a push runs once, so ÂH can go before the table sum allocates
-        if h.requires_grad:
-            back = d @ w.data.T
-            del d
-            if h.grad is None:
-                accumulate(h, table.gather_sum(back, table.vals))
-            else:  # an earlier adjoint, already h's own: the sum goes straight in
-                table.gather_sum(back, table.vals, add_to=h.grad)
-
-    return h.tape.record(out, push)
-
-
-def gat_arrays(
-    h: Array, heads: Sequence[tuple[Array, Array, Array]], into: NeighborTable, slope: float
-) -> tuple[Array, Array, Array, Array]:
-    """`gat_layer`'s forward on plain arrays of fitting shapes.
-
-    Returns the output, HW (every head's H @ W in its column group), and the
-    attention weights and score slopes, both (positions, heads).  Raises
-    FloatingPointError on a non-finite attention score.
-    """
-    num_heads = len(heads)
-    width = heads[0][0].shape[1]
-    n = h.shape[0]
-    hw = np.empty((n, num_heads * width))
-    s_dst = np.empty((n, num_heads))
-    s_src = np.empty((n, num_heads))
-    for k, (w, a_dst, a_src) in enumerate(heads):
-        wh = h @ w
-        hw[:, k * width : (k + 1) * width] = wh
-        s_dst[:, k] = (wh @ a_dst)[:, 0]
-        s_src[:, k] = (wh @ a_src)[:, 0]
-    # an overflowed score of -inf would give a zero weight, not a non-finite output
-    z = check_finite(s_dst[into.rows] + s_src[into.cols], "attention score")
-    gain = leaky_gain(z > 0, slope)
-    logit = z * gain
-    e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
-    alpha = e / into.reduce(e)[into.rows]
-    return into.gather_sum(hw, alpha), hw, alpha, gain
-
-
-def gat_layer(
-    h: Tensor,
-    heads: Sequence[tuple[Tensor, Tensor, Tensor]],
-    into: NeighborTable,
-    slope: float,
-) -> Tensor:
-    """Multi-head graph attention as one op; head k fills its own column group.
-
-    Each head is (W, a_dst, a_src), and every head has the same width.  With
-    HW = H @ W, output row i of a head is the sum over the positions p of
-    `into` row i of alpha_p HW[src_p], where alpha is the row softmax of
-    LeakyReLU(HW[dst_p] a_dst + HW[src_p] a_src, slope).  `into` lists each
-    destination's sources (rows = destinations, cols = sources).
-
-    Each head keeps its own matmuls and writes its HW into its column group
-    of one (n, heads * width) array.  The per-position work (scores,
-    softmax and message sum; in the backward the dot products and score
-    gradients) runs once on (positions, heads) arrays, so one pass over the
-    table serves every head, and every column adds its terms in the order of
-    a per-head pass.  The backward's transposed message sum runs per head, so
-    only one head's (n, width) gradient is alive at a time.
-
-    Finiteness is checked on the output, as for every op, and on the
-    attention scores.  The backward builds the transposed table (over `into`
-    positions, so its `entries` map back to them), reaches sources through it
-    and never scatters.  It takes the heads last to first and, within a head,
-    adds HW's gradient terms as separate ops would: attention, then a_src,
-    then a_dst, then W.
-    """
-    width = heads[0][0].data.shape[1]
-    num_heads = len(heads)
-    out, hw, alpha, gain = gat_arrays(
-        h.data, [(w.data, a_dst.data, a_src.data) for w, a_dst, a_src in heads], into, slope
-    )
-
-    def push(g: Array) -> None:
-        out_of = NeighborTable(into.cols, into.rows, into.num_rows)
-        back = out_of.entries
-        d_alpha = into.pair_dots(g, hw, num_heads)
-        d_z = alpha * (d_alpha - into.reduce(alpha * d_alpha)[into.rows]) * gain
-        d_src = out_of.reduce(d_z[back]).T.copy()
-        d_dst = into.reduce(d_z).T.copy()
-        for k in reversed(range(num_heads)):
-            w, a_dst, a_src = heads[k]
-            cut = slice(k * width, (k + 1) * width)
-            # one head's (n, width) gradient alive at a time, as in a per-head pass
-            d_wh = out_of.gather_sum(g[:, cut], alpha[back, k])
-            # Matmul operands are contiguous, as in a per-head pass: BLAS may
-            # round a strided operand differently (OpenBLAS does at width <= 3).
-            wh = hw[:, cut].copy()
-            d_src_k, d_dst_k = d_src[k][:, None], d_dst[k][:, None]
-            d_wh += d_src_k @ a_src.data.T
-            accumulate(a_src, wh.T @ d_src_k)
-            d_wh += d_dst_k @ a_dst.data.T
-            accumulate(a_dst, wh.T @ d_dst_k)
-            accumulate(w, h.data.T @ d_wh)
-            if h.requires_grad:
-                accumulate(h, d_wh @ w.data.T)
-
-    return h.tape.record(out, push)
 
 
 # --- gradient verification ---------------------------------------------------

@@ -216,7 +216,6 @@ def build_manifest(
     out_path = Path(out_path)
     dag_dir = out_path.parent / "dags"
     dag_dir.mkdir(parents=True, exist_ok=True)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
 
     entries: list[ManifestEntry] = []
     skipped: list[dict] = []

@@ -1,17 +1,22 @@
 """Graph classifier: GAT/GCN first layer, residual GCN blocks, mean pool, FFNN.
 
-Training runs through the autodiff tape in :mod:`qtp.autodiff`
-(`model_forward`); inference (`predict_proba`) runs the same forward math on
-plain arrays, with no tape.  The only dense linear algebra is the per-layer
-weight matmul.  Each graph layer is one tape op (`autodiff.gcn_layer`,
-`autodiff.gat_layer`), whose forward is an array function that inference
-calls directly.  Message passing goes through neighbor tables
-(:class:`qtp.autodiff.NeighborTable`) built once per batch from the batch's
-edge list: one for the normalized adjacency, built only when a GCN first
-layer or a residual block reads it, and one of each node's in-neighbors for
-GAT attention.  The GAT op's backward builds the transposed
-attention table, so a forward-only pass never builds it.  A batch's edges are
-offset per graph, so it is block-diagonal for free.
+Training records the forward on the autodiff tape (`model_forward`);
+inference (`predict_proba`) runs the same forward math on plain arrays, with
+no tape.  The only dense linear algebra is the per-layer weight matmul.
+
+Each graph layer is one tape op, defined here next to the array function
+that computes its forward (`gcn_arrays`, `gat_arrays`): the op calls its
+function and records a push, and `predict_proba` calls the same function
+directly, so both executors give the same bits.  The layers read the fixed
+slopes `LEAKY_SLOPE` and `ATTENTION_SLOPE`, and take weights of
+`param_shapes`' shapes as a contract, not a check.
+
+Message passing goes through neighbor tables (`NeighborTable`) built once
+per batch from the batch's edge list: one for the normalized adjacency,
+built only when a GCN first layer or a residual block reads it, and one of
+each node's in-neighbors for GAT attention.  The GAT op's backward builds
+the transposed attention table, so a forward-only pass never builds it.  A
+batch's edges are offset per graph, so it is block-diagonal for free.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import DataError, autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Array, Tensor, accumulate, check_finite, leaky_gain
 from .dag import FEATURE_DIM, GraphData
 from .jsonio import integer, loads, reading
 
@@ -135,6 +140,120 @@ def iter_grid():
                 yield ModelConfig(kind, hidden, blocks, ffnn, heads)
 
 
+# --- neighbor tables ----------------------------------------------------------
+
+# Elements in one row block of a table op, so that a block's (rows, width)
+# temporaries fit a core's L2: 256 rows at width 128, 64 rows at width 512.
+BLOCK_ELEMENTS = 1 << 15
+
+
+def block_rows(width: int) -> int:
+    """Rows per table block at `width` columns."""
+    return max(1, BLOCK_ELEMENTS // width)
+
+
+class NeighborTable:
+    """Entries (row, col[, val]) of a sparse matrix regrouped into degree-sorted slots.
+
+    Rows are ordered by descending entry count, ties by id (`order`).  Slot k
+    holds the k-th entry of every row that has more than k, so it covers the
+    leading rows of `order` and the positions `slots[k]` of the position
+    arrays ("jagged diagonal" storage).  A row's entries keep their input
+    order, and every reduction below adds a row's terms slot by slot: the
+    order in which a scatter-add over the input entries adds them.
+
+    `entries[p]` is the input index of position p; `rows`, `cols` and `vals`
+    are the input arrays taken in position order.
+
+    Position values may carry trailing axes, one column per attention head:
+    each column is reduced on its own, with the same bits as a 1-D call.
+    """
+
+    def __init__(self, rows, cols, num_rows: int, vals=None):
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.bincount(rows, minlength=num_rows)
+        self.num_rows = num_rows
+        self.order = np.argsort(-counts, kind="stable")
+        # rows with more than k entries, for k = 0 .. max count - 1
+        widths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        self.slots = list(zip(starts.tolist(), ends.tolist()))
+        slot = np.repeat(np.arange(widths.size), widths)
+        rank = np.arange(rows.size) - np.repeat(starts, widths)
+        first = np.cumsum(counts) - counts
+        self.entries = np.argsort(rows, kind="stable")[first[self.order[rank]] + slot]
+        self.rows = rows[self.entries]
+        self.cols = np.asarray(cols, dtype=np.int64)[self.entries]
+        self.vals = None if vals is None else np.asarray(vals).reshape(-1)[self.entries]
+
+    def reduce(self, x: Array, op=np.add, start: float = 0.0) -> Array:
+        """Per-row `op`-reduction of x (positions, ...); (num_rows, ...) in row-id order."""
+        acc = np.full((self.num_rows,) + x.shape[1:], start)
+        for lo, hi in self.slots:
+            head = acc[: hi - lo]
+            op(head, x[lo:hi], out=head)
+        out = np.empty_like(acc)
+        out[self.order] = acc
+        return out
+
+    def gather_sum(self, x: Array, weights: Array, add_to: Array | None = None) -> Array:
+        """out[i] = sum of weights[p] * x[cols[p]] over the positions p of row i.
+
+        `weights` is (positions,), or (positions, groups) with column k
+        scaling the k-th of `groups` equal column groups of x.  Works through
+        `order` `block_rows(width)` rows at a time: a block takes its part of
+        every slot that reaches it, then goes straight to its rows of the
+        output, so the (rows, width) temporaries stay in cache.
+
+        With 1-D weights, `add_to` (num_rows, width) takes the sums added in
+        place, with the bits of `add_to += out`, and is returned.
+        """
+        num_rows, width = self.num_rows, x.shape[1]
+        # a row of x, split into its column groups when there are several
+        row = (width,) if weights.ndim == 1 else (weights.shape[1], width // weights.shape[1])
+        x = x.reshape((-1,) + row)
+        weights = weights.reshape((-1,) + row[:-1] + (1,))
+        out = np.empty((num_rows,) + row) if add_to is None else add_to
+        step = block_rows(width)
+        for r0 in range(0, num_rows, step):
+            r1 = min(r0 + step, num_rows)
+            acc = np.zeros((r1 - r0,) + row)
+            for lo, hi in self.slots:
+                end = min(hi - lo, r1)  # slot rows r0 .. end fall in this block
+                if end <= r0:
+                    break  # slots only narrow from here
+                term = x[self.cols[lo + r0 : lo + end]]
+                term *= weights[lo + r0 : lo + end]
+                acc[: end - r0] += term
+            if add_to is None:
+                out[self.order[r0:r1]] = acc
+            else:
+                out[self.order[r0:r1]] += acc
+        return out.reshape(num_rows, width)
+
+    def pair_dots(self, left: Array, right: Array, groups: int) -> Array:
+        """(positions, groups): left[rows[p]] . right[cols[p]] within each column group.
+
+        Works through `order` in the row blocks of `gather_sum`, so its
+        temporaries stay as small.
+        """
+        out = np.empty((self.cols.size, groups))
+        step = block_rows(left.shape[1])
+        left = left.reshape(self.num_rows, groups, -1)
+        right = right.reshape(right.shape[0], groups, -1)
+        for r0 in range(0, self.num_rows, step):
+            r1 = min(r0 + step, self.num_rows)
+            block = left[self.order[r0:r1]]
+            for lo, hi in self.slots:
+                end = min(hi - lo, r1)
+                if end <= r0:
+                    break
+                term = right[self.cols[lo + r0 : lo + end]]
+                out[lo + r0 : lo + end] = np.einsum("ikj,ikj->ik", block[: end - r0], term)
+        return out
+
+
 # --- adjacency ----------------------------------------------------------------
 
 
@@ -146,7 +265,7 @@ class SparseAdj:
     cols: np.ndarray
     vals: np.ndarray  # (nnz, 1) so it broadcasts as a column
     num_nodes: int
-    table: ad.NeighborTable
+    table: NeighborTable
 
 
 def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseAdj:
@@ -168,20 +287,98 @@ def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseAdj:
     deg = np.bincount(rows, minlength=num_nodes).astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)
     vals = (inv_sqrt[rows] * inv_sqrt[cols]).reshape(-1, 1)
-    return SparseAdj(rows, cols, vals, num_nodes, ad.NeighborTable(rows, cols, num_nodes, vals))
+    return SparseAdj(rows, cols, vals, num_nodes, NeighborTable(rows, cols, num_nodes, vals))
 
 
 # --- layers -------------------------------------------------------------------
 
 
+def gcn_arrays(
+    h: Array, table: NeighborTable, w: Array, b: Array, residual: bool
+) -> tuple[Array, Array, Array]:
+    """A GCN layer's forward on plain arrays of aligned shapes.
+
+    Returns the output, ÂH, and the mask of positive pre-activations, from
+    which `leaky_gain` rebuilds the slopes.
+    """
+    ah = table.gather_sum(h, table.vals)
+    out = ah @ w
+    out += b
+    positive = out > 0
+    out *= leaky_gain(positive, LEAKY_SLOPE)
+    if residual:
+        out += h
+    return out, ah, positive
+
+
+def _gcn_layer(h: Tensor, table: NeighborTable, w: Tensor, b: Tensor, residual: bool) -> Tensor:
+    """LeakyReLU(Â H W + b), plus H itself when `residual`, as one tape op.
+
+    `table` holds a symmetric Â with values, so the backward's Âᵀ G is the same
+    table sum.  The forward works in place on the product's buffer, and only
+    ÂH and the boolean mask of positive pre-activations (one byte an element)
+    are kept for the backward, which rebuilds the slopes from the mask in the
+    buffer of the pre-activation's gradient.
+    """
+    out, ah, positive = gcn_arrays(h.data, table, w.data, b.data, residual)
+
+    def push(g: Array) -> None:
+        nonlocal ah
+        d = leaky_gain(positive, LEAKY_SLOPE)
+        d *= g  # gain * g: the bits of g * gain
+        if residual:
+            accumulate(h, g)
+        accumulate(b, d.sum(axis=0))
+        accumulate(w, ah.T @ d)
+        ah = None  # a push runs once, so ÂH can go before the table sum allocates
+        if h.requires_grad:
+            back = d @ w.data.T
+            del d
+            if h.grad is None:
+                accumulate(h, table.gather_sum(back, table.vals))
+            else:  # an earlier adjoint, already h's own: the sum goes straight in
+                table.gather_sum(back, table.vals, add_to=h.grad)
+
+    return h.tape.record(out, push)
+
+
 def gcn_forward(h: Tensor, adj: SparseAdj, w: Tensor, b: Tensor) -> Tensor:
     """LeakyReLU(Â H W + b)."""
-    return ad.gcn_layer(h, adj.table, w, b, LEAKY_SLOPE, residual=False)
+    return _gcn_layer(h, adj.table, w, b, residual=False)
 
 
 def residual_gcn(h: Tensor, adj: SparseAdj, w: Tensor, b: Tensor) -> Tensor:
     """H + LeakyReLU(Â H W + b), with a square W."""
-    return ad.gcn_layer(h, adj.table, w, b, LEAKY_SLOPE, residual=True)
+    return _gcn_layer(h, adj.table, w, b, residual=True)
+
+
+def gat_arrays(
+    h: Array, heads: Sequence[tuple[Array, Array, Array]], into: NeighborTable
+) -> tuple[Array, Array, Array, Array]:
+    """A GAT layer's forward on plain arrays of fitting shapes.
+
+    Returns the output, HW (every head's H @ W in its column group), and the
+    attention weights and score slopes, both (positions, heads).  Raises
+    FloatingPointError on a non-finite attention score.
+    """
+    num_heads = len(heads)
+    width = heads[0][0].shape[1]
+    n = h.shape[0]
+    hw = np.empty((n, num_heads * width))
+    s_dst = np.empty((n, num_heads))
+    s_src = np.empty((n, num_heads))
+    for k, (w, a_dst, a_src) in enumerate(heads):
+        wh = h @ w
+        hw[:, k * width : (k + 1) * width] = wh
+        s_dst[:, k] = (wh @ a_dst)[:, 0]
+        s_src[:, k] = (wh @ a_src)[:, 0]
+    # an overflowed score of -inf would give a zero weight, not a non-finite output
+    z = check_finite(s_dst[into.rows] + s_src[into.cols], "attention score")
+    gain = leaky_gain(z > 0, ATTENTION_SLOPE)
+    logit = z * gain
+    e = np.exp(logit - into.reduce(logit, np.maximum, -np.inf)[into.rows])
+    alpha = e / into.reduce(e)[into.rows]
+    return into.gather_sum(hw, alpha), hw, alpha, gain
 
 
 def gat_forward(
@@ -190,23 +387,70 @@ def gat_forward(
     num_nodes: int,
     heads: Sequence[tuple[Tensor, Tensor, Tensor]],
 ) -> Tensor:
-    """Multi-head attention over each node's in-neighbors plus itself.
+    """Multi-head attention over each node's in-neighbors plus itself, as one tape op.
 
     Each head is (W, a_dst, a_src) with the attention vector split into the
-    halves applied to the destination and source embeddings; head outputs are
-    concatenated, with no bias and no activation beyond the internal LeakyReLU.
-    A node's attention terms follow the edge list, with its self-loop last.
-    All heads run as one op, side by side in one pass over the in-neighbor
-    table; the op's backward builds the transposed table it needs.
+    halves applied to the destination and source embeddings, and every head
+    has the same width.  With HW = H @ W, output row i of a head is the sum
+    over the positions p of in-neighbor table row i of alpha_p HW[src_p],
+    where alpha is the row softmax of LeakyReLU(HW[i] a_dst + HW[src_p] a_src,
+    ATTENTION_SLOPE).  A node's sources follow the edge list, with its
+    self-loop last.  Head outputs fill their own column groups of one output,
+    with no bias and no activation beyond the internal LeakyReLU.
+
+    Each head keeps its own matmuls and writes its HW into its column group
+    of one (n, heads * width) array.  The per-position work (scores,
+    softmax and message sum; in the backward the dot products and score
+    gradients) runs once on (positions, heads) arrays, so one pass over the
+    in-neighbor table serves every head, and every column adds its terms in
+    the order of a per-head pass.  The backward's transposed message sum runs
+    per head, so only one head's (n, width) gradient is alive at a time.
+
+    Finiteness is checked on the output, as for every op, and on the
+    attention scores.  The backward builds the transposed table (over the
+    in-neighbor positions, so its `entries` map back to them), reaches
+    sources through it and never scatters.  It takes the heads last to first
+    and, within a head, adds HW's gradient terms as separate ops would:
+    attention, then a_src, then a_dst, then W.
     """
     into = _in_neighbors(edges, num_nodes)
-    return ad.gat_layer(h, heads, into, ATTENTION_SLOPE)
+    width = heads[0][0].data.shape[1]
+    num_heads = len(heads)
+    out, hw, alpha, gain = gat_arrays(
+        h.data, [(w.data, a_dst.data, a_src.data) for w, a_dst, a_src in heads], into
+    )
+
+    def push(g: Array) -> None:
+        out_of = NeighborTable(into.cols, into.rows, into.num_rows)
+        back = out_of.entries
+        d_alpha = into.pair_dots(g, hw, num_heads)
+        d_z = alpha * (d_alpha - into.reduce(alpha * d_alpha)[into.rows]) * gain
+        d_src = out_of.reduce(d_z[back]).T.copy()
+        d_dst = into.reduce(d_z).T.copy()
+        for k in reversed(range(num_heads)):
+            w, a_dst, a_src = heads[k]
+            cut = slice(k * width, (k + 1) * width)
+            # one head's (n, width) gradient alive at a time, as in a per-head pass
+            d_wh = out_of.gather_sum(g[:, cut], alpha[back, k])
+            # Matmul operands are contiguous, as in a per-head pass: BLAS may
+            # round a strided operand differently (OpenBLAS does at width <= 3).
+            wh = hw[:, cut].copy()
+            d_src_k, d_dst_k = d_src[k][:, None], d_dst[k][:, None]
+            d_wh += d_src_k @ a_src.data.T
+            accumulate(a_src, wh.T @ d_src_k)
+            d_wh += d_dst_k @ a_dst.data.T
+            accumulate(a_dst, wh.T @ d_dst_k)
+            accumulate(w, h.data.T @ d_wh)
+            if h.requires_grad:
+                accumulate(h, d_wh @ w.data.T)
+
+    return h.tape.record(out, push)
 
 
-def _in_neighbors(edges: np.ndarray, num_nodes: int) -> ad.NeighborTable:
+def _in_neighbors(edges: np.ndarray, num_nodes: int) -> NeighborTable:
     """GAT's table: each node's sources in edge order, then itself."""
     loops = np.arange(num_nodes, dtype=np.int64)
-    return ad.NeighborTable(
+    return NeighborTable(
         np.concatenate([edges[:, 1], loops]), np.concatenate([edges[:, 0], loops]), num_nodes
     )
 
@@ -351,9 +595,9 @@ def predict_proba(
 
     The pass runs on plain arrays, with no tape, so nothing is recorded and
     no intermediate outlives its stage.  The graph layers and the pool call
-    the forward functions of the tape ops (`autodiff.gat_arrays`,
-    `gcn_arrays`, `run_means`); the FFNN layers and the softmax work in place
-    on each product's buffer.  Each stage's output is checked once, with the
+    the forward functions of the tape ops (`gat_arrays`, `gcn_arrays` and
+    `autodiff.run_means`); the FFNN layers and the softmax work in place on
+    each product's buffer.  Each stage's output is checked once, with the
     tape's messages: every later op of a stage carries an inf or NaN through
     to the stage's output, so a pass fails in the stage and with the error
     that it would on the tape.  Weights and features are taken as float64,
@@ -367,24 +611,24 @@ def predict_proba(
         table = normalize_adjacency(batch.edges, n).table
     if config.first_layer == "gat":
         into = _in_neighbors(batch.edges, n)
-        h = ad.gat_arrays(x, _heads(config, weights), into, ATTENTION_SLOPE)[0]
+        h = gat_arrays(x, _heads(config, weights), into)[0]
     else:
         w, b = weights["first.w"], weights["first.b"]
-        h = ad.gcn_arrays(x, table, w, b, LEAKY_SLOPE, residual=False)[0]
-    ad.check_finite(h)
+        h = gcn_arrays(x, table, w, b, residual=False)[0]
+    check_finite(h)
     for i in range(1, config.blocks + 1):
         w, b = weights[f"res{i}.w"], weights[f"res{i}.b"]
-        h = ad.check_finite(ad.gcn_arrays(h, table, w, b, LEAKY_SLOPE, residual=True)[0])
+        h = check_finite(gcn_arrays(h, table, w, b, residual=True)[0])
     sizes = np.array([g.features.shape[0] for g in graphs])
-    h = ad.check_finite(ad.run_means(h, sizes))
+    h = check_finite(ad.run_means(h, sizes))
     for j in range(1, len(config.ffnn) + 1):
         h = h @ weights[f"ffnn{j}.w"]
         h += weights[f"ffnn{j}.b"]
-        h *= ad.leaky_gain(h > 0, LEAKY_SLOPE)
-        ad.check_finite(h)
+        h *= leaky_gain(h > 0, LEAKY_SLOPE)
+        check_finite(h)
     logits = h @ weights["out.w"]
     logits += weights["out.b"]
-    return ad.check_finite(ad.softmax_rows(ad.check_finite(logits)))
+    return check_finite(ad.softmax_rows(check_finite(logits)))
 
 
 # --- checkpoints ----------------------------------------------------------------

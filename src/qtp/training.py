@@ -20,6 +20,7 @@ from . import DataError, autodiff as ad
 from .autodiff import Tensor
 from .dag import GraphData
 from .model import (
+    BLOCK_ELEMENTS,
     ModelConfig,
     batch_graphs,
     bind_params,
@@ -31,6 +32,11 @@ from .model import (
 
 QUBIT_BUCKETS = (("2-7", 2, 7), ("8-15", 8, 15), ("16-27", 16, 27))
 PROB_FLOOR = 1e-12
+# Adam's step size, moment decays and denominator floor: Kingma & Ba's defaults
+ADAM_LR = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # graphs per predict_proba call in evaluate: the training batch size, so held-out
 # scoring never needs larger arrays than a training step
 EVAL_BATCH = 32
@@ -112,27 +118,20 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    weights: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """Bias-corrected Adam on the weight buffer, in place: one pass over four equal-length
-    buffers in blocks of `autodiff.BLOCK_ELEMENTS`, each running a per-parameter update's
-    ufuncs in its order, so the bits hold and no temporary outgrows a block."""
+def adam_step(weights: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """Bias-corrected Adam with the fixed `ADAM_*` constants, on the weight buffer, in
+    place: one pass over four equal-length buffers in blocks of `model.BLOCK_ELEMENTS`,
+    each running a per-parameter update's ufuncs in its order, so the bits hold and no
+    temporary outgrows a block."""
     state.t += 1
     t = state.t
-    for lo in range(0, weights.size, ad.BLOCK_ELEMENTS):
-        block = slice(lo, lo + ad.BLOCK_ELEMENTS)
+    for lo in range(0, weights.size, BLOCK_ELEMENTS):
+        block = slice(lo, lo + BLOCK_ELEMENTS)
         g, m, v = grad[block], state.m[block], state.v[block]
-        m += (1 - beta1) * (g - m)
-        v += (1 - beta2) * (g * g - v)
-        step = lr * (m / (1 - beta1**t))
-        step /= np.sqrt(v / (1 - beta2**t)) + eps
+        m += (1 - ADAM_BETA1) * (g - m)
+        v += (1 - ADAM_BETA2) * (g * g - v)
+        step = ADAM_LR * (m / (1 - ADAM_BETA1**t))
+        step /= np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS
         weights[block] -= step
 
 

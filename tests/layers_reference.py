@@ -1,8 +1,8 @@
 """The graph layers as separate tape ops, kept as an oracle for the fused ones.
 
-Before `autodiff.gcn_layer` and `autodiff.gat_layer`, a GCN layer was a
-table sum, a matmul, a bias add and a LeakyReLU, and the GAT layer was three
-matmuls and an attention op per head plus a `concat`.  Those layers, the two
+Before the fused layer ops of `qtp.model`, a GCN layer was a table sum, a
+matmul, a bias add and a LeakyReLU, and the GAT layer was three matmuls and
+an attention op per head plus a `concat`.  Those layers, the two
 table ops, and the one-head `NeighborTable.reduce`, `pair_dots` and unblocked
 `gather_sum` they called, are copied here unchanged but for imports, with
 `leaky_relu` in its `np.where` form and a `model_forward` that calls them.
@@ -22,10 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from qtp import autodiff as ad
-from qtp.autodiff import Array, NeighborTable, Tensor, accumulate
+from qtp.autodiff import Array, Tensor, accumulate
 from qtp.model import (
     GraphBatch,
     ModelError,
+    NeighborTable,
     SparseAdj,
     global_mean_pool,
     normalize_adjacency,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import layers_reference as ref
-from qtp import autodiff as ad
+from qtp import autodiff as ad, model
 from qtp.dag import FEATURE_DIM, GraphData, featurize_circuit
 from qtp.model import (
     ATTENTION_SLOPE,
@@ -19,9 +19,11 @@ from qtp.model import (
     LEAKY_SLOPE,
     ModelConfig,
     ModelError,
+    NeighborTable,
     _ffnn_tuples,
     batch_graphs,
     bind_params,
+    block_rows,
     gat_forward,
     gcn_forward,
     global_mean_pool,
@@ -172,7 +174,7 @@ def _scatter_gat(x, edges, n, heads):
 def _into_table(n, edges):
     """The GAT layer's table: each node's in-neighbors in edge order, then itself."""
     loops = np.arange(n)
-    return ad.NeighborTable(np.r_[edges[:, 1], loops], np.r_[edges[:, 0], loops], n)
+    return NeighborTable(np.r_[edges[:, 1], loops], np.r_[edges[:, 0], loops], n)
 
 
 def _head_arrays(rng, in_dim, hidden, count):
@@ -467,16 +469,15 @@ class TestLayers:
         adj = normalize_adjacency(edges, n)
         weight = rng.standard_normal((n, 3))
 
-        for residual in (False, True):
-            def gcn_loss(ts, residual=residual):
-                out = ad.gcn_layer(ts["x"], adj.table, ts["w"], ts["b"], LEAKY_SLOPE, residual)
+        for layer in (gcn_forward, residual_gcn):
+            def gcn_loss(ts, layer=layer):
+                out = layer(ts["x"], adj, ts["w"], ts["b"])
                 return ad.mean_all(ad.mul(out, ts["x"].tape.const(weight)))
 
             params = {"x": rng.standard_normal((n, 3)), "w": rng.standard_normal((3, 3)),
                       "b": rng.standard_normal(3)}
             assert ad.finite_diff_check(gcn_loss, params) <= 1e-4
 
-        into = _into_table(n, edges)
         a_dst = [rng.standard_normal((2, 1)) for _ in range(3)]
         weight = rng.standard_normal((n, 6))
 
@@ -485,7 +486,7 @@ class TestLayers:
             # a relative check on it measures rounding; it stays fixed here
             tape = ts["x"].tape
             heads = [(ts[f"w{k}"], tape.const(a_dst[k]), ts[f"a_src{k}"]) for k in range(3)]
-            out = ad.gat_layer(ts["x"], heads, into, ATTENTION_SLOPE)
+            out = gat_forward(ts["x"], edges, n, heads)
             return ad.mean_all(ad.mul(out, tape.const(weight)))
 
         params = {"x": rng.standard_normal((n, 4))}
@@ -532,13 +533,13 @@ def _loss_and_grads(forward, config, weights, batch):
 
 def _block_edges(width):
     """Row counts around the table-block edges at `width` columns."""
-    rows = ad.block_rows(width)
+    rows = block_rows(width)
     return [1, rows - 1, rows, rows + 1, 3 * rows + 17]
 
 
 def _edge_widths(num_rows, full, width):
     """Slot widths that end on block edges (B, 2 B) and inside a block, B rows at `width`."""
-    rows = ad.block_rows(width)
+    rows = block_rows(width)
     first = num_rows if full else num_rows - 1
     widths = [first, 2 * rows, rows + 1, rows, rows - 1, 7, 7, 1]
     return sorted((w for w in widths if 0 < w <= first), reverse=True)
@@ -572,7 +573,7 @@ class TestFusedLayers:
     def test_layers_bit_identical_with_input_gradient(self):
         rng = np.random.default_rng(79)
         # spans three blocks at width 6
-        big = 3 * ad.block_rows(6) + 17
+        big = 3 * block_rows(6) + 17
         edges = rng.integers(0, big, size=(2 * big, 2))
         cases = _table_cases(rng) + [(big, edges[edges[:, 0] != edges[:, 1]])]
         layers = [
@@ -608,8 +609,8 @@ class TestFusedLayers:
 
     def test_block_rows_by_width(self):
         # about BLOCK_ELEMENTS elements a block, so width 128 keeps its 256 rows
-        assert [ad.block_rows(w) for w in (512, 256, 128, 64)] == [64, 128, 256, 512]
-        assert ad.block_rows(1 << 16) == 1
+        assert [block_rows(w) for w in (512, 256, 128, 64)] == [64, 128, 256, 512]
+        assert block_rows(1 << 16) == 1
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5])
     def test_narrow_heads_bit_identical(self, width):
@@ -641,7 +642,7 @@ class TestFusedLayers:
         # slots that end on a block edge (B, 2 B) and inside one, at width 128
         rng = np.random.default_rng(num_rows)
         rows, cols, vals = _gather_table(rng, num_rows, _edge_widths(num_rows, full, 128))
-        table = ad.NeighborTable(rows, cols, num_rows, vals)
+        table = NeighborTable(rows, cols, num_rows, vals)
         assert [hi - lo for lo, hi in table.slots] == _edge_widths(num_rows, full, 128)
         x = rng.standard_normal((num_rows, 128))
         want = np.zeros((num_rows, 128))
@@ -658,7 +659,7 @@ class TestFusedLayers:
         rng = np.random.default_rng(width + num_rows)
         widths = _edge_widths(num_rows, full, width)
         rows, cols, _ = _gather_table(rng, num_rows, widths)
-        table = ad.NeighborTable(rows, cols, num_rows)
+        table = NeighborTable(rows, cols, num_rows)
         assert [hi - lo for lo, hi in table.slots] == widths
         x = rng.standard_normal((num_rows, width))
         for heads in (1, 4, 8):
@@ -691,7 +692,7 @@ class TestFusedLayers:
         for num_rows in _block_edges(heads * part):
             widths = _edge_widths(num_rows, True, heads * part)
             rows, cols, _ = _gather_table(rng, num_rows, widths)
-            tables.append(ad.NeighborTable(rows, cols, num_rows))
+            tables.append(NeighborTable(rows, cols, num_rows))
         for table in tables:
             left = rng.standard_normal((table.num_rows, heads * part))
             right = rng.standard_normal((table.num_rows, heads * part))
@@ -727,9 +728,9 @@ class TestFusedLayers:
         b = tape.const(np.zeros(3))
         heads = [(w, tape.const(np.ones((3, 1))), tape.const(np.ones((3, 1))))]
         with np.errstate(over="ignore", invalid="ignore"):
-            for residual in (False, True):
+            for layer in (gcn_forward, residual_gcn):
                 with pytest.raises(FloatingPointError):
-                    ad.gcn_layer(x, adj.table, w, b, LEAKY_SLOPE, residual)
+                    layer(x, adj, w, b)
             with pytest.raises(FloatingPointError):
                 gat_forward(x, edges, n, heads)
             # HW stays finite, but node 0's source score overflows to -inf
@@ -793,6 +794,26 @@ class TestForward:
             solo = predict_proba(config, weights, [g])
             assert np.max(np.abs(joint[i] - solo[0])) < 1e-12
 
+    def test_both_executors_share_the_layer_kernels(self, monkeypatch):
+        # the tape ops and predict_proba call one array function per layer kind
+        calls = []
+        for name in ("gat_arrays", "gcn_arrays"):
+            def counted(*args, name=name, kernel=getattr(model, name), **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        config = ModelConfig("gat", 3, 1, (6, 4), heads=2)
+        rng = np.random.default_rng(53)
+        graphs = [_random_graph(rng, dim=7) for _ in range(4)]
+        weights = init_weights(config, seed=6, in_dim=7)
+        want = predict_proba(config, weights, graphs)
+        assert calls == ["gat_arrays", "gcn_arrays"]
+        calls.clear()
+        probs = model_forward(config, bind_params(ad.Tape(), weights), batch_graphs(graphs))
+        assert calls == ["gat_arrays", "gcn_arrays"]
+        assert np.array_equal(probs.data, want)
+
     @pytest.mark.parametrize(
         "config,forward,step", [(_small_configs()[0], 2, 3), (_small_configs()[1], 1, 1)],
         ids=lambda v: v.first_layer if isinstance(v, ModelConfig) else str(v),
@@ -800,13 +821,13 @@ class TestForward:
     def test_tables_built_per_call(self, config, forward, step, monkeypatch):
         # the transposed attention table is built only by the GAT backward
         built = []
-        init = ad.NeighborTable.__init__
+        init = NeighborTable.__init__
 
         def counted(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ad.NeighborTable, "__init__", counted)
+        monkeypatch.setattr(NeighborTable, "__init__", counted)
         rng = np.random.default_rng(47)
         graphs = [_random_graph(rng, dim=7, label=k % 2) for k in range(3)]
         weights = init_weights(config, seed=4, in_dim=7)

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 import layers_reference as ref
 from qtp import training as tr
 from qtp.dag import FEATURE_DIM, GraphData, featurize_circuit
-from qtp.model import ModelConfig, batch_graphs, bind_params, init_weights, model_forward
+from qtp.model import (
+    BLOCK_ELEMENTS,
+    ModelConfig,
+    batch_graphs,
+    bind_params,
+    init_weights,
+    model_forward,
+)
 from qtp.training import (
     QUBIT_BUCKETS,
     AdamState,
@@ -226,9 +233,10 @@ class TestAdam:
         assert m.shape == v.shape == (1,) and m[0] != 0.0 and v[0] != 0.0
 
     def test_minimizes_quadratic(self):
+        # at the fixed rate of 1e-3 a step moves x by at most about 1e-3
         x, state = _adam_buffers([5.0])
-        for _ in range(300):
-            adam_step(x, 2.0 * x, state, lr=0.05)
+        for _ in range(8000):
+            adam_step(x, 2.0 * x, state)
         assert abs(x[0]) < 0.5
 
     def test_updates_in_place(self):
@@ -244,8 +252,8 @@ class TestAdam:
         weights = init_weights(config, 3)
         flat = np.concatenate(list(weights.values()), axis=None)
         bounds = np.cumsum([w.size for w in weights.values()])
-        assert -(-flat.size // ad.BLOCK_ELEMENTS) == 3
-        assert not set(range(0, flat.size, ad.BLOCK_ELEMENTS)) & set(bounds)
+        assert -(-flat.size // BLOCK_ELEMENTS) == 3
+        assert not set(range(0, flat.size, BLOCK_ELEMENTS)) & set(bounds)
         state = AdamState(np.zeros_like(flat), np.zeros_like(flat))
         old = SimpleNamespace(m={}, v={}, t=0)
         rng = np.random.default_rng(4)
@@ -257,7 +265,7 @@ class TestAdam:
             assert np.array_equal(got, np.concatenate(list(want.values()), axis=None))
 
     def test_no_temporary_is_parameter_sized(self):
-        n = 4 * ad.BLOCK_ELEMENTS + 3
+        n = 4 * BLOCK_ELEMENTS + 3
         w, state = _adam_buffers(np.linspace(-1.0, 1.0, n))
         g = np.linspace(2.0, -2.0, n)
         tracemalloc.start()
